@@ -200,4 +200,10 @@ rm -f BENCH_quality_fresh.json
 echo "==> serve bench smoke (cold vs warm over the shared cache, writes BENCH_serve_smoke.json)"
 cargo run --release --offline -q -p marion-bench --bin marion-bench -- serve --smoke --out BENCH_serve_smoke.json
 
+# Benchmark self-test: every workload twice at one seed, untraced and
+# traced; fails unless the deterministic metrics (sim_cycles among
+# them) repeat exactly and no output check fails.
+echo "==> perfbench self-test (deterministic metrics repeat, every check passes)"
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --self-test
+
 echo "CI OK"
