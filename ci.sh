@@ -199,6 +199,8 @@ rm -f BENCH_quality_fresh.json
 
 echo "==> serve bench smoke (cold vs warm over the shared cache, writes BENCH_serve_smoke.json)"
 cargo run --release --offline -q -p marion-bench --bin marion-bench -- serve --smoke --out BENCH_serve_smoke.json
+# No other step reads this file: a tolerance-0 self-diff proves it parses.
+./target/release/marion-bench diff BENCH_serve_smoke.json BENCH_serve_smoke.json --tolerance 0 > /dev/null
 
 # Benchmark self-test: every workload twice at one seed, untraced and
 # traced; fails unless the deterministic metrics (sim_cycles among

@@ -43,8 +43,8 @@ use marion_bench::serve::{run_stream, ServeConfig, Service};
 use marion_core::{CompileOptions, Compiler, StrategyKind};
 use marion_ir::Module;
 use marion_machines::MachineSpec;
-use marion_trace::{Record, TraceConfig};
-use std::fmt::Write as _;
+use marion_trace::json::{parse_flat, ObjWriter};
+use marion_trace::{Fields, Record, TraceConfig};
 use std::num::NonZeroUsize;
 use std::time::Instant;
 
@@ -440,80 +440,50 @@ fn bench_compile(iters: usize, out: &str) {
 }
 
 fn render_json(iters: usize, cores: usize, rows: &[Row], sel: f64, par: f64) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"bench\": \"compile\",");
-    let _ = writeln!(s, "  \"strategy\": \"ips\",");
-    let _ = writeln!(s, "  \"iterations\": {iters},");
-    let _ = writeln!(s, "  \"available_parallelism\": {cores},");
-    let _ = writeln!(s, "  \"geomean_select_phase_speedup\": {sel:.4},");
-    let _ = writeln!(s, "  \"geomean_parallel_speedup_jobs4\": {par:.4},");
-    s.push_str("  \"runs\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str("    {\n");
-        let _ = writeln!(s, "      \"machine\": \"{}\",", r.machine);
-        let _ = writeln!(s, "      \"workload\": \"{}\",", r.workload);
-        let _ = writeln!(s, "      \"functions\": {},", r.functions);
-        let _ = writeln!(s, "      \"serial_brute_ms\": {:.4},", r.serial_brute_ms);
-        let _ = writeln!(
-            s,
-            "      \"serial_indexed_ms\": {:.4},",
-            r.serial_indexed_ms
-        );
-        let _ = writeln!(s, "      \"parallel4_indexed_ms\": {:.4},", r.parallel4_ms);
-        let _ = writeln!(s, "      \"brute_select_ms\": {:.4},", r.brute_select_ms);
-        let _ = writeln!(
-            s,
-            "      \"indexed_select_ms\": {:.4},",
-            r.indexed_select_ms()
-        );
-        let _ = writeln!(
-            s,
-            "      \"selection_speedup\": {:.4},",
-            r.selection_speedup()
-        );
-        let _ = writeln!(
-            s,
-            "      \"parallel_speedup_jobs4\": {:.4},",
-            r.parallel_speedup()
-        );
-        let _ = writeln!(
-            s,
-            "      \"functions_per_sec\": {:.2},",
-            r.functions_per_sec()
-        );
-        s.push_str("      \"phase_ms\": {");
-        for (j, (phase, ms)) in r.phases.iter().enumerate() {
-            let _ = write!(s, "\"{phase}\": {ms:.4}");
-            if j + 1 < r.phases.len() {
-                s.push_str(", ");
+    let mut doc = ObjWriter::bench();
+    doc.str("bench", "compile");
+    doc.str("strategy", "ips");
+    doc.int("iterations", iters as i64);
+    doc.int("available_parallelism", cores as i64);
+    doc.fixed("geomean_select_phase_speedup", sel, 4);
+    doc.fixed("geomean_parallel_speedup_jobs4", par, 4);
+    let runs: Vec<ObjWriter> = rows
+        .iter()
+        .map(|r| {
+            let mut run = doc.nested();
+            run.str("machine", &r.machine);
+            run.str("workload", r.workload);
+            run.int("functions", r.functions as i64);
+            run.fixed("serial_brute_ms", r.serial_brute_ms, 4);
+            run.fixed("serial_indexed_ms", r.serial_indexed_ms, 4);
+            run.fixed("parallel4_indexed_ms", r.parallel4_ms, 4);
+            run.fixed("brute_select_ms", r.brute_select_ms, 4);
+            run.fixed("indexed_select_ms", r.indexed_select_ms(), 4);
+            run.fixed("selection_speedup", r.selection_speedup(), 4);
+            run.fixed("parallel_speedup_jobs4", r.parallel_speedup(), 4);
+            run.fixed("functions_per_sec", r.functions_per_sec(), 2);
+            let mut phases = run.nested();
+            for (phase, ms) in &r.phases {
+                phases.fixed(phase, *ms, 4);
             }
-        }
-        s.push_str("},\n");
-        // Self-times under the noise floor are omitted (see
-        // SUBPHASE_FLOOR_MS); the diff tool treats one-sided keys as
-        // warnings, not regressions.
-        s.push_str("      \"subphase_self_ms\": {");
-        let kept: Vec<&(&str, f64)> = r
-            .subphases
-            .iter()
-            .filter(|(_, ms)| *ms >= SUBPHASE_FLOOR_MS)
-            .collect();
-        for (j, (sub, ms)) in kept.iter().enumerate() {
-            let _ = write!(s, "\"{sub}\": {ms:.4}");
-            if j + 1 < kept.len() {
-                s.push_str(", ");
+            run.obj("phase_ms", phases);
+            // Self-times under the noise floor are omitted (see
+            // SUBPHASE_FLOOR_MS); the diff tool treats one-sided keys as
+            // warnings, not regressions.
+            let mut subphases = run.nested();
+            for (sub, ms) in r
+                .subphases
+                .iter()
+                .filter(|(_, ms)| *ms >= SUBPHASE_FLOOR_MS)
+            {
+                subphases.fixed(sub, *ms, 4);
             }
-        }
-        s.push_str("}\n");
-        s.push_str(if i + 1 < rows.len() {
-            "    },\n"
-        } else {
-            "    }\n"
-        });
-    }
-    s.push_str("  ]\n}\n");
-    s
+            run.obj("subphase_self_ms", subphases);
+            run
+        })
+        .collect();
+    doc.objs("runs", runs);
+    doc.finish()
 }
 
 /// Cold vs warm throughput of the compile service: the same
@@ -542,12 +512,13 @@ fn bench_serve(smoke: bool, out: &str) {
     let mut pairs = Vec::new();
     for (i, machine) in machines.iter().enumerate() {
         for (j, strategy) in strategies.iter().enumerate() {
-            let _ = writeln!(
-                requests,
-                "{{\"id\":{},\"machine\":\"{machine}\",\"strategy\":\"{}\",\"workload\":\"livermore\"}}",
-                i * strategies.len() + j,
-                strategy.name()
-            );
+            let mut request = ObjWriter::new();
+            request.int("id", (i * strategies.len() + j) as i64);
+            request.str("machine", machine);
+            request.str("strategy", strategy.name());
+            request.str("workload", "livermore");
+            requests.push_str(&request.finish());
+            requests.push('\n');
             pairs.push((machine.to_string(), strategy.name()));
         }
     }
@@ -563,12 +534,10 @@ fn bench_serve(smoke: bool, out: &str) {
             .unwrap()
             .lines()
             .map(|line| {
-                let fields = marion_trace::json::parse_flat(line).expect("response json");
+                let fields = parse_flat(line).expect("response json");
                 let get = |name: &str| {
                     fields
-                        .iter()
-                        .find(|(k, _)| k == name)
-                        .and_then(|(_, v)| v.as_int())
+                        .int(name)
                         .unwrap_or_else(|| panic!("{label} response missing {name}"))
                 };
                 (get("wall_us"), get("cache_hits"), get("cache_misses"))
@@ -633,41 +602,38 @@ fn bench_serve(smoke: bool, out: &str) {
         warm_total as f64 / 1e3,
     );
 
-    let mut s = String::new();
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"bench\": \"serve\",");
-    let _ = writeln!(s, "  \"workload\": \"livermore_combined\",");
-    let _ = writeln!(s, "  \"smoke\": {smoke},");
-    let _ = writeln!(s, "  \"geomean_warm_speedup\": {geomean:.4},");
-    let _ = writeln!(s, "  \"total_warm_speedup\": {total_speedup:.4},");
-    let _ = writeln!(s, "  \"cold_total_ms\": {:.4},", cold_total as f64 / 1e3);
-    let _ = writeln!(s, "  \"warm_total_ms\": {:.4},", warm_total as f64 / 1e3);
-    let _ = writeln!(
-        s,
-        "  \"warm_observed_total_ms\": {:.4},",
-        observed_total as f64 / 1e3
-    );
-    let _ = writeln!(s, "  \"observability_overhead_pct\": {overhead_pct:.4},");
-    let _ = writeln!(s, "  \"access_log_bytes\": {access_log_bytes},");
-    s.push_str("  \"runs\": [\n");
-    for (i, (machine, strategy)) in pairs.iter().enumerate() {
-        let (cw, ch, cm) = cold[i];
-        let (ww, wh, wm) = warm[i];
-        s.push_str("    {");
-        let _ = write!(
-            s,
-            "\"machine\": \"{machine}\", \"strategy\": \"{strategy}\", \
-             \"cold_ms\": {:.4}, \"warm_ms\": {:.4}, \"speedup\": {:.4}, \
-             \"cold_hits\": {ch}, \"cold_misses\": {cm}, \
-             \"warm_hits\": {wh}, \"warm_misses\": {wm}",
-            cw as f64 / 1e3,
-            ww as f64 / 1e3,
-            cw as f64 / (ww.max(1)) as f64
-        );
-        s.push_str(if i + 1 < pairs.len() { "},\n" } else { "}\n" });
-    }
-    s.push_str("  ]\n}\n");
-    std::fs::write(out, s).unwrap_or_else(|e| panic!("writing {out}: {e}"));
+    let mut doc = ObjWriter::bench();
+    doc.str("bench", "serve");
+    doc.str("workload", "livermore_combined");
+    doc.bool("smoke", smoke);
+    doc.fixed("geomean_warm_speedup", geomean, 4);
+    doc.fixed("total_warm_speedup", total_speedup, 4);
+    doc.fixed("cold_total_ms", cold_total as f64 / 1e3, 4);
+    doc.fixed("warm_total_ms", warm_total as f64 / 1e3, 4);
+    doc.fixed("warm_observed_total_ms", observed_total as f64 / 1e3, 4);
+    doc.fixed("observability_overhead_pct", overhead_pct, 4);
+    doc.int("access_log_bytes", access_log_bytes as i64);
+    let runs: Vec<ObjWriter> = pairs
+        .iter()
+        .enumerate()
+        .map(|(i, (machine, strategy))| {
+            let (cw, ch, cm) = cold[i];
+            let (ww, wh, wm) = warm[i];
+            let mut run = doc.nested();
+            run.str("machine", machine);
+            run.str("strategy", strategy);
+            run.fixed("cold_ms", cw as f64 / 1e3, 4);
+            run.fixed("warm_ms", ww as f64 / 1e3, 4);
+            run.fixed("speedup", cw as f64 / (ww.max(1)) as f64, 4);
+            run.int("cold_hits", ch);
+            run.int("cold_misses", cm);
+            run.int("warm_hits", wh);
+            run.int("warm_misses", wm);
+            run
+        })
+        .collect();
+    doc.objs("runs", runs);
+    std::fs::write(out, doc.finish()).unwrap_or_else(|e| panic!("writing {out}: {e}"));
     println!("wrote {out}");
 }
 

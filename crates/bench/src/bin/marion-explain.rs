@@ -23,9 +23,9 @@
 //! * `--dot` — after each function, also emit the annotated Graphviz
 //!   code DAG (issue cycles, edge kinds, critical path in red, stall
 //!   reasons as tooltips) for its largest block;
-//! * `--check` — exit non-zero unless every block passes both
-//!   `verify_schedule` and `audit_schedule` and every emitted DOT is
-//!   well-formed (used by CI);
+//! * `--check` — exit non-zero unless every block passes
+//!   `audit_schedule` and every emitted DOT is well-formed (used by
+//!   CI);
 //! * `--compare` — compile each function (or just `FUNC`) under all
 //!   three strategies, align the per-instruction placement records by
 //!   mnemonic occurrence, and print a stall-diff table: where each
@@ -445,8 +445,8 @@ fn explain_func(machine: &Machine, code: &CodeFunc, opts: &Options) -> usize {
     failures
 }
 
-/// Runs both checkers over one block's schedule against the DAG its
-/// discipline used, and reports any disagreement.
+/// Audits one block's schedule against the DAG its discipline used
+/// and reports any violation.
 fn audit_block(
     machine: &Machine,
     block: &CodeBlock,
@@ -455,17 +455,10 @@ fn audit_block(
 ) -> usize {
     let discipline = schedule.explanation.discipline;
     let (dag, check_rule1) = explain::dag_for_discipline(machine, block, discipline);
-    let verify = sched::verify_schedule_with(machine, block, &dag, schedule, check_rule1);
-    let audit = explain::audit_schedule(machine, block, &dag, schedule, check_rule1);
-    match (verify, audit) {
-        (Ok(()), Ok(())) => 0,
-        (v, a) => {
-            if let Err(e) = v {
-                eprintln!("marion-explain: b{bi}: verify_schedule: {e}");
-            }
-            if let Err(e) = a {
-                eprintln!("marion-explain: b{bi}: {e}");
-            }
+    match explain::audit_schedule(machine, block, &dag, schedule, check_rule1) {
+        Ok(()) => 0,
+        Err(e) => {
+            eprintln!("marion-explain: b{bi}: {e}");
             1
         }
     }

@@ -34,8 +34,8 @@
 use marion_mdgen::audit::{prepare_full_suite, prepare_smoke_suite};
 use marion_mdgen::corpus::{write_entry, CorpusEntry};
 use marion_mdgen::minimize::minimize;
+use marion_trace::json::ObjWriter;
 use std::collections::HashSet;
-use std::fmt::Write as _;
 use std::path::Path;
 use std::time::Instant;
 
@@ -92,6 +92,13 @@ fn main() {
     if smoke && !count_given {
         count = 4;
     }
+    // Machine k uses seed S+k, written to the bench file as a JSON
+    // integer (i64).
+    let last_seed = seed.saturating_add((count as u64).saturating_sub(1));
+    if last_seed > i64::MAX as u64 {
+        eprintln!("marion-fuzz: seeds past {} are not supported", i64::MAX);
+        std::process::exit(2);
+    }
     let out = out.unwrap_or_else(|| {
         if smoke {
             "BENCH_retarget_smoke.json".to_string()
@@ -119,7 +126,8 @@ fn main() {
     let mut duplicate_machines = 0usize;
     let mut quality_runs = 0usize;
     let mut quality_anomalies = 0usize;
-    let mut runs = String::new();
+    let mut doc = ObjWriter::bench();
+    let mut runs = Vec::new();
     for k in 0..count {
         let s = seed + k as u64;
         let gen = match marion_mdgen::generate(s) {
@@ -169,18 +177,14 @@ fn main() {
         quality_anomalies += anomalies.len();
         quality_runs += audit.quality.len();
         let status = if audit.passed() { "ok" } else { "fail" };
-        if !runs.is_empty() {
-            runs.push_str(",\n");
-        }
-        let _ = write!(
-            runs,
-            "    {{\"seed\": {s}, \"summary\": \"{}\", \"blocks_audited\": {}, \
-             \"quality_runs\": {}, \"quality_anomalies\": {}, \"status\": \"{status}\"}}",
-            gen.config.summary(),
-            audit.blocks_audited,
-            audit.quality.len(),
-            anomalies.len()
-        );
+        let mut run = doc.nested();
+        run.int("seed", s as i64);
+        run.str("summary", &gen.config.summary());
+        run.int("blocks_audited", audit.blocks_audited as i64);
+        run.int("quality_runs", audit.quality.len() as i64);
+        run.int("quality_anomalies", anomalies.len() as i64);
+        run.str("status", status);
+        runs.push(run);
         if audit.passed() {
             if (k + 1) % 10 == 0 || k + 1 == count {
                 eprintln!(
@@ -239,19 +243,22 @@ fn main() {
     } else {
         0.0
     };
-    let json = format!(
-        "{{\n  \"bench\": \"retarget\",\n  \"seed\": {seed},\n  \"count\": {count},\n  \
-         \"distinct_machines\": {},\n  \"duplicate_machines\": {duplicate_machines},\n  \
-         \"workloads\": {},\n  \"strategies\": {},\n  \"compilations\": {compilations},\n  \
-         \"blocks_audited\": {blocks_audited},\n  \"failing_machines\": {failing_machines},\n  \
-         \"quality_runs\": {quality_runs},\n  \"quality_anomalies\": {quality_anomalies},\n  \
-         \"elapsed_sec\": {elapsed:.1},\n  \"machines_per_sec\": {machines_per_sec:.3},\n  \
-         \"runs\": [\n{runs}\n  ]\n}}\n",
-        distinct.len(),
-        workloads.len(),
-        marion_core::StrategyKind::ALL.len(),
-    );
-    if let Err(e) = std::fs::write(&out, &json) {
+    doc.str("bench", "retarget");
+    doc.int("seed", seed as i64);
+    doc.int("count", count as i64);
+    doc.int("distinct_machines", distinct.len() as i64);
+    doc.int("duplicate_machines", duplicate_machines as i64);
+    doc.int("workloads", workloads.len() as i64);
+    doc.int("strategies", marion_core::StrategyKind::ALL.len() as i64);
+    doc.int("compilations", compilations as i64);
+    doc.int("blocks_audited", blocks_audited as i64);
+    doc.int("failing_machines", failing_machines as i64);
+    doc.int("quality_runs", quality_runs as i64);
+    doc.int("quality_anomalies", quality_anomalies as i64);
+    doc.fixed("elapsed_sec", elapsed, 1);
+    doc.fixed("machines_per_sec", machines_per_sec, 3);
+    doc.objs("runs", runs);
+    if let Err(e) = std::fs::write(&out, doc.finish()) {
         eprintln!("marion-fuzz: cannot write {out}: {e}");
         std::process::exit(2);
     }

@@ -55,7 +55,7 @@ use marion_bench::serve::check_slo_fields;
 use marion_bench::{html::render_html_with, row};
 use marion_core::{CompileOptions, Compiler, StrategyKind};
 use marion_trace::json::parse_flat;
-use marion_trace::{Record, TraceConfig, TraceData, Value};
+use marion_trace::{Fields, Record, TraceConfig, TraceData, Value};
 use std::collections::{BTreeMap, BTreeSet};
 
 fn usage() -> ! {
@@ -84,7 +84,7 @@ fn check_slo(path: &str) -> ! {
     let fields = text
         .lines()
         .filter_map(|line| parse_flat(line).ok())
-        .find(|fields| fields.iter().any(|(k, _)| k == "slo_count"))
+        .find(|fields| fields.field("slo_count").is_some())
         .unwrap_or_else(|| {
             eprintln!("marion-report: {path}: no metrics line with SLO fields found");
             std::process::exit(2);
@@ -95,7 +95,6 @@ fn check_slo(path: &str) -> ! {
     });
     // Per-objective summary: every `slo_<name>_violated` key, with its
     // sibling budget/burn fields when present.
-    let get = |name: &str| fields.iter().find(|(k, _)| k == name).map(|(_, v)| v);
     for (key, _) in &fields {
         let Some(name) = key
             .strip_prefix("slo_")
@@ -109,7 +108,8 @@ fn check_slo(path: &str) -> ! {
             "ok"
         };
         let detail = |suffix: &str| {
-            get(&format!("slo_{name}_{suffix}"))
+            fields
+                .field(&format!("slo_{name}_{suffix}"))
                 .map(|v| match v {
                     Value::Int(i) => format!(" {suffix}={i}"),
                     Value::Float(f) => format!(" {suffix}={f:.4}"),
@@ -138,13 +138,7 @@ fn extract_dashboard(path: &str, out: Option<&str>) -> ! {
     let html = text
         .lines()
         .filter_map(|line| parse_flat(line).ok())
-        .find_map(|fields| {
-            fields.into_iter().find_map(|(k, v)| {
-                (k == "html")
-                    .then(|| v.as_str().map(str::to_string))
-                    .flatten()
-            })
-        })
+        .find_map(|fields| fields.str("html").map(str::to_string))
         .unwrap_or_else(|| {
             eprintln!("marion-report: {path}: no `dashboard` response line with an html field");
             std::process::exit(2);
@@ -266,7 +260,7 @@ fn main() {
         let text = read_or_die(&path);
         text.lines()
             .filter_map(|line| parse_flat(line).ok())
-            .find(|fields| fields.iter().any(|(k, _)| k == "service_buckets"))
+            .find(|fields| fields.field("service_buckets").is_some())
             .unwrap_or_else(|| {
                 eprintln!("marion-report: {path}: no `metrics` response line found");
                 std::process::exit(2);
@@ -369,11 +363,7 @@ fn trace_signature(data: &TraceData) -> (BTreeSet<String>, BTreeSet<String>) {
         }
     }
     for (_, fields) in data.events_named("sched_block") {
-        if let Some(pass) = fields
-            .iter()
-            .find(|(k, _)| k == "pass")
-            .and_then(|(_, v)| v.as_str())
-        {
+        if let Some(pass) = fields.str("pass") {
             passes.insert(pass.to_string());
         }
     }
@@ -718,23 +708,16 @@ fn report(data: &TraceData) -> String {
     }
 
     // ---- reservation tables, with scheduler narratives alongside ----
-    let event_field = |fields: &[(String, marion_trace::Value)], name: &str| -> Option<String> {
-        fields
-            .iter()
-            .find(|(k, _)| k == name)
-            .and_then(|(_, v)| v.as_str())
-            .map(str::to_string)
-    };
     // `(ctx, pass) -> narratives`, drained as tables consume them so
     // leftovers (explanations on, tables off) still render below.
     let mut narratives: BTreeMap<(String, String), Vec<String>> = BTreeMap::new();
     for (ctx, fields) in data.events_named("sched_explain") {
-        let pass = event_field(fields, "pass").unwrap_or_else(|| "?".to_string());
-        if let Some(text) = event_field(fields, "narrative") {
+        let pass = fields.str("pass").unwrap_or("?").to_string();
+        if let Some(text) = fields.str("narrative") {
             narratives
                 .entry((ctx.to_string(), pass))
                 .or_default()
-                .push(text);
+                .push(text.to_string());
         }
     }
     let indent = |out: &mut String, text: &str| {
@@ -748,10 +731,10 @@ fn report(data: &TraceData) -> String {
     if !tables.is_empty() {
         out.push_str("reservation tables (cycle x resource)\n");
         for (ctx, fields) in tables {
-            let pass = event_field(fields, "pass").unwrap_or_else(|| "?".to_string());
+            let pass = fields.str("pass").unwrap_or("?").to_string();
             out.push_str(&format!("\n{ctx} [{pass}]\n"));
-            if let Some(table) = event_field(fields, "table") {
-                indent(&mut out, &table);
+            if let Some(table) = fields.str("table") {
+                indent(&mut out, table);
             }
             if let Some(texts) = narratives.remove(&(ctx.to_string(), pass)) {
                 for text in texts {

@@ -13,8 +13,8 @@
 //! speedup [--from BENCH_quality.json]
 //! ```
 
-use marion_bench::diff::{parse, Json};
 use marion_bench::{geomean, row};
+use marion_trace::json::Json;
 
 struct Run {
     machine: String,
@@ -25,36 +25,21 @@ struct Run {
 fn load_runs(path: &str) -> Result<Vec<Run>, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read {path}: {e} (run `marion-bench quality` first)"))?;
-    let doc = parse(&text)?;
-    let Json::Obj(top) = &doc else {
-        return Err("quality document is not an object".into());
-    };
-    match top.iter().find(|(k, _)| k == "bench") {
-        Some((_, Json::Str(s))) if s == "quality" => {}
-        _ => return Err(format!("{path} is not a quality bench document")),
+    let doc = Json::parse(&text)?;
+    if doc.str("bench") != Some("quality") {
+        return Err(format!("{path} is not a quality bench document"));
     }
-    let Some((_, Json::Arr(runs))) = top.iter().find(|(k, _)| k == "runs") else {
-        return Err("quality document has no runs[]".into());
-    };
-    runs.iter()
+    let runs = doc.arr("runs").ok_or("quality document has no runs[]")?;
+    Ok(runs
+        .iter()
         .filter_map(|run| {
-            let Json::Obj(fields) = run else { return None };
-            let get = |key: &str| fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-            let s = |key: &str| match get(key) {
-                Some(Json::Str(s)) => Some(s.clone()),
-                _ => None,
-            };
-            let n = |key: &str| match get(key) {
-                Some(Json::Num(n)) => Some(*n),
-                _ => None,
-            };
-            Some(Ok(Run {
-                machine: s("machine")?,
-                strategy: s("strategy")?,
-                sim_cycles: n("sim_cycles")?,
-            }))
+            Some(Run {
+                machine: run.str("machine")?.to_string(),
+                strategy: run.str("strategy")?.to_string(),
+                sim_cycles: run.num("sim_cycles")?,
+            })
         })
-        .collect()
+        .collect())
 }
 
 fn main() {

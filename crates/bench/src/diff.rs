@@ -4,9 +4,8 @@
 //! repo and a freshly measured one) metric by metric and decides
 //! whether the new numbers regress past a tolerance. The bench files
 //! nest (`runs[]` arrays of per-machine objects with a `phase_ms`
-//! map), which the trace crate's flat-object parser refuses by
-//! design, so this module carries its own small recursive JSON reader
-//! — still zero dependencies.
+//! map); they are read with the workspace's JSON codec
+//! (`marion_trace::json`).
 //!
 //! Direction is inferred from the metric name: `*_ms` / `*_us` are
 //! wall-clock times and `*_cycles` are simulated schedule lengths
@@ -17,234 +16,20 @@
 //! their string-valued identity fields (`machine`, `workload`,
 //! `strategy`…), so reordering runs between files is not a diff.
 
+use marion_trace::json::Json;
 use std::fmt::Write as _;
 
-/// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// Concatenated string-valued fields: the identity of one `runs[]`
-    /// element (machine/workload/strategy and the like).
-    fn identity(&self) -> String {
-        match self {
-            Json::Obj(fields) => {
-                let mut parts: Vec<&str> = fields
-                    .iter()
-                    .filter_map(|(_, v)| match v {
-                        Json::Str(s) => Some(s.as_str()),
-                        _ => None,
-                    })
-                    .collect();
-                if parts.is_empty() {
-                    parts.push("");
-                }
-                parts.join("/")
-            }
-            _ => String::new(),
-        }
-    }
-}
-
-/// Parses a complete JSON document (any nesting).
-///
-/// # Errors
-///
-/// Describes the first syntax error with its byte offset.
-pub fn parse(text: &str) -> Result<Json, String> {
-    let mut p = P {
-        b: text.as_bytes(),
-        i: 0,
+/// Concatenated string-valued fields: the identity of one `runs[]`
+/// element (machine/workload/strategy and the like).
+fn identity(run: &Json) -> String {
+    let Some(fields) = run.as_obj() else {
+        return String::new();
     };
-    p.ws();
-    let v = p.value()?;
-    p.ws();
-    if p.i != p.b.len() {
-        return Err(format!("trailing bytes at offset {}", p.i));
+    let mut parts: Vec<&str> = fields.iter().filter_map(|(_, v)| v.as_str()).collect();
+    if parts.is_empty() {
+        parts.push("");
     }
-    Ok(v)
-}
-
-struct P<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl P<'_> {
-    fn peek(&self) -> Option<u8> {
-        self.b.get(self.i).copied()
-    }
-
-    fn ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-            self.i += 1;
-        }
-    }
-
-    fn eat(&mut self, want: u8) -> Result<(), String> {
-        match self.peek() {
-            Some(c) if c == want => {
-                self.i += 1;
-                Ok(())
-            }
-            other => Err(format!(
-                "expected {:?} at offset {}, got {other:?}",
-                want as char, self.i
-            )),
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.lit("true", Json::Bool(true)),
-            Some(b'f') => self.lit("false", Json::Bool(false)),
-            Some(b'n') => self.lit("null", Json::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            other => Err(format!("unexpected {other:?} at offset {}", self.i)),
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.eat(b'{')?;
-        let mut fields = Vec::new();
-        self.ws();
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.ws();
-            let key = self.string()?;
-            self.ws();
-            self.eat(b':')?;
-            self.ws();
-            fields.push((key, self.value()?));
-            self.ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                other => return Err(format!("expected ',' or '}}', got {other:?}")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.ws();
-        if self.peek() == Some(b']') {
-            self.i += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.ws();
-            items.push(self.value()?);
-            self.ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(Json::Arr(items));
-                }
-                other => return Err(format!("expected ',' or ']', got {other:?}")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.i += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.i += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let mut code = 0u32;
-                            for _ in 0..4 {
-                                self.i += 1;
-                                let d = self.peek().ok_or("truncated \\u escape")?;
-                                code =
-                                    code * 16 + (d as char).to_digit(16).ok_or("bad hex digit")?;
-                            }
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                        }
-                        other => return Err(format!("bad escape {other:?}")),
-                    }
-                    self.i += 1;
-                }
-                Some(b) if b < 0x80 => {
-                    out.push(b as char);
-                    self.i += 1;
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8: copy the whole sequence.
-                    let start = self.i;
-                    let s = std::str::from_utf8(&self.b[start..])
-                        .map_err(|_| "invalid utf-8 in string")?;
-                    let c = s.chars().next().ok_or("truncated utf-8")?;
-                    out.push(c);
-                    self.i += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.i;
-        while matches!(
-            self.peek(),
-            Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
-        ) {
-            self.i += 1;
-        }
-        let text = std::str::from_utf8(&self.b[start..self.i]).unwrap();
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| format!("bad number {text:?}"))
-    }
-
-    fn lit(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.b[self.i..].starts_with(word.as_bytes()) {
-            self.i += word.len();
-            Ok(v)
-        } else {
-            Err(format!("expected {word:?} at offset {}", self.i))
-        }
-    }
+    parts.join("/")
 }
 
 /// Which way a metric regresses, by name.
@@ -339,7 +124,7 @@ pub fn compare(old: &Json, new: &Json, tolerance_pct: f64) -> Report {
 
 fn walk(old: &Json, new: &Json, path: &str, tol: f64, report: &mut Report) {
     match (old, new) {
-        (Json::Obj(of), Json::Obj(_)) => {
+        (Json::Obj(of), Json::Obj(nf)) => {
             for (key, ov) in of {
                 let sub = if path.is_empty() {
                     key.clone()
@@ -351,82 +136,85 @@ fn walk(old: &Json, new: &Json, path: &str, tol: f64, report: &mut Report) {
                     None => report.warnings.push(format!("{sub}: missing in NEW")),
                 }
             }
-            if let Json::Obj(nf) = new {
-                for (key, _) in nf {
-                    if old.get(key).is_none() {
-                        report
-                            .warnings
-                            .push(format!("{path}/{key}: missing in OLD"));
-                    }
+            for (key, _) in nf {
+                if old.get(key).is_none() {
+                    report
+                        .warnings
+                        .push(format!("{path}/{key}: missing in OLD"));
                 }
             }
         }
         (Json::Arr(oa), Json::Arr(na)) => {
             for ov in oa {
-                let id = ov.identity();
+                let id = identity(ov);
                 let sub = if id.is_empty() {
                     path.to_string()
                 } else {
                     format!("{path}/{id}")
                 };
-                match na.iter().find(|nv| nv.identity() == id) {
+                match na.iter().find(|nv| identity(nv) == id) {
                     Some(nv) => walk(ov, nv, &sub, tol, report),
                     None => report.warnings.push(format!("{sub}: run missing in NEW")),
                 }
             }
             for nv in na {
-                let id = nv.identity();
-                if !oa.iter().any(|ov| ov.identity() == id) {
+                let id = identity(nv);
+                if !oa.iter().any(|ov| identity(ov) == id) {
                     report
                         .warnings
                         .push(format!("{path}/{id}: run missing in OLD"));
                 }
             }
         }
-        (Json::Num(o), Json::Num(n)) => {
-            let mut segs = path.rsplit('/');
-            let key = segs.next().unwrap_or(path);
-            let mut dir = direction(key);
-            // Phase maps name their unit on the *map* key
-            // (`phase_ms: {strategy: …}`): inherit the parent's
-            // direction for plain-named leaves.
-            if dir == Direction::Info {
-                if let Some(parent) = segs.next() {
-                    if parent.ends_with("_ms") || parent.ends_with("_us") {
-                        dir = Direction::HigherWorse;
-                    }
-                }
-            }
-            if dir == Direction::Info {
-                return;
-            }
-            let pct = if *o != 0.0 {
-                (n - o) / o * 100.0
-            } else if *n == 0.0 {
-                0.0
-            } else {
-                100.0
-            };
-            let regressed = match dir {
-                Direction::HigherWorse => pct > tol,
-                Direction::LowerWorse => pct < -tol,
-                Direction::Info => false,
-            };
-            report.deltas.push(Delta {
-                path: path.to_string(),
-                old: *o,
-                new: *n,
-                pct,
-                regressed,
-            });
-        }
-        // Strings/bools/nulls are identity context; a changed machine
-        // list or strategy label is a warning, not a perf delta.
-        (o, n) if o != n => report
-            .warnings
-            .push(format!("{path}: value changed between files")),
-        _ => {}
+        _ => match (old.as_f64(), new.as_f64()) {
+            (Some(o), Some(n)) => compare_numbers(o, n, path, tol, report),
+            // Strings/bools/nulls are identity context; a changed
+            // machine list or strategy label is a warning, not a perf
+            // delta.
+            _ if old != new => report
+                .warnings
+                .push(format!("{path}: value changed between files")),
+            _ => {}
+        },
     }
+}
+
+fn compare_numbers(o: f64, n: f64, path: &str, tol: f64, report: &mut Report) {
+    let mut segs = path.rsplit('/');
+    let key = segs.next().unwrap_or(path);
+    let mut dir = direction(key);
+    // Phase maps name their unit on the *map* key
+    // (`phase_ms: {strategy: …}`): inherit the parent's
+    // direction for plain-named leaves.
+    if dir == Direction::Info {
+        if let Some(parent) = segs.next() {
+            if parent.ends_with("_ms") || parent.ends_with("_us") {
+                dir = Direction::HigherWorse;
+            }
+        }
+    }
+    if dir == Direction::Info {
+        return;
+    }
+    let pct = if o != 0.0 {
+        (n - o) / o * 100.0
+    } else if n == 0.0 {
+        0.0
+    } else {
+        100.0
+    };
+    let regressed = match dir {
+        Direction::HigherWorse => pct > tol,
+        Direction::LowerWorse => pct < -tol,
+        Direction::Info => false,
+    };
+    report.deltas.push(Delta {
+        path: path.to_string(),
+        old: o,
+        new: n,
+        pct,
+        regressed,
+    });
 }
 
 /// Parses and compares two bench documents; the string is the printed
@@ -441,8 +229,8 @@ pub fn run_diff(
     new_text: &str,
     tolerance_pct: f64,
 ) -> Result<(String, i32), String> {
-    let old = parse(old_text).map_err(|e| format!("OLD: {e}"))?;
-    let new = parse(new_text).map_err(|e| format!("NEW: {e}"))?;
+    let old = Json::parse(old_text).map_err(|e| format!("OLD: {e}"))?;
+    let new = Json::parse(new_text).map_err(|e| format!("NEW: {e}"))?;
     let report = compare(&old, &new, tolerance_pct);
     let code = if report.regressions().is_empty() {
         0
@@ -538,7 +326,7 @@ mod tests {
 
     #[test]
     fn runs_match_by_identity_not_order() {
-        let old = parse(BASE).unwrap();
+        let old = Json::parse(BASE).unwrap();
         let swapped = r#"{
           "bench": "compile",
           "runs": [
@@ -550,7 +338,7 @@ mod tests {
              "phase_ms": {"select": 1.0, "strategy": 60.0}}
           ]
         }"#;
-        let new = parse(swapped).unwrap();
+        let new = Json::parse(swapped).unwrap();
         let report = compare(&old, &new, 5.0);
         assert!(report.warnings.is_empty(), "{:?}", report.warnings);
         assert!(report.regressions().is_empty());
@@ -558,7 +346,7 @@ mod tests {
 
     #[test]
     fn missing_runs_and_keys_warn() {
-        let old = parse(BASE).unwrap();
+        let old = Json::parse(BASE).unwrap();
         let trimmed = r#"{
           "bench": "compile",
           "runs": [
@@ -567,7 +355,7 @@ mod tests {
              "phase_ms": {"select": 1.0}}
           ]
         }"#;
-        let new = parse(trimmed).unwrap();
+        let new = Json::parse(trimmed).unwrap();
         let report = compare(&old, &new, 5.0);
         assert!(report
             .warnings
@@ -580,17 +368,11 @@ mod tests {
     }
 
     #[test]
-    fn malformed_input_is_an_error() {
-        assert!(run_diff("{", BASE, 5.0).is_err());
-        assert!(run_diff(BASE, "[1,", 5.0).is_err());
-        assert!(parse("{\"a\":1} junk").is_err());
-    }
-
-    #[test]
-    fn parser_handles_nesting_and_escapes() {
-        let v = parse(r#"{"a":[1,2,{"b":"x\ny"}],"c":null,"d":true}"#).unwrap();
-        let Json::Obj(fields) = &v else { panic!() };
-        assert_eq!(fields.len(), 3);
-        assert_eq!(v.get("d"), Some(&Json::Bool(true)));
+    fn unparseable_files_are_errors() {
+        assert!(run_diff("{", BASE, 5.0).unwrap_err().starts_with("OLD: "));
+        assert!(run_diff(BASE, "[1,", 5.0).unwrap_err().starts_with("NEW: "));
+        let deep = "[".repeat(200_000) + &"]".repeat(200_000);
+        let err = run_diff(&deep, &deep, 5.0).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
     }
 }

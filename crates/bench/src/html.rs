@@ -16,7 +16,8 @@
 //! their scheduler narratives — and, when serve metrics are supplied,
 //! request-latency distributions and worker utilization.
 
-use marion_trace::{hist, Histogram, Record, TraceData, Value};
+use marion_trace::json::Json;
+use marion_trace::{hist, Fields, Histogram, Record, TraceData, Value};
 use std::collections::BTreeMap;
 
 /// Escapes text for HTML body and attribute positions.
@@ -108,20 +109,6 @@ fn hist_block(out: &mut String, title: &str, h: &Histogram, unit: &str) {
         bar(out, &label, c as f64, max, &c.to_string());
     }
     out.push_str("</div>\n");
-}
-
-fn event_str<'a>(fields: &'a [(String, Value)], name: &str) -> Option<&'a str> {
-    fields
-        .iter()
-        .find(|(k, _)| k == name)
-        .and_then(|(_, v)| v.as_str())
-}
-
-fn event_int(fields: &[(String, Value)], name: &str) -> Option<i64> {
-    fields
-        .iter()
-        .find(|(k, _)| k == name)
-        .and_then(|(_, v)| v.as_int())
 }
 
 const STALL_REASONS: [(&str, &str); 6] = [
@@ -311,13 +298,13 @@ pub fn render_html_with(
     // (pass, reason) gives the strategy-by-strategy breakdown.
     let mut by_pass: BTreeMap<String, BTreeMap<&str, i64>> = BTreeMap::new();
     for (_, fields) in data.events_named("sched_block") {
-        if event_int(fields, "final") != Some(1) {
+        if fields.int("final") != Some(1) {
             continue;
         }
-        let pass = event_str(fields, "pass").unwrap_or("?").to_string();
+        let pass = fields.str("pass").unwrap_or("?").to_string();
         let slot = by_pass.entry(pass).or_default();
         for (key, reason) in STALL_REASONS {
-            *slot.entry(reason).or_insert(0) += event_int(fields, key).unwrap_or(0);
+            *slot.entry(reason).or_insert(0) += fields.int(key).unwrap_or(0);
         }
     }
     by_pass.retain(|_, reasons| reasons.values().any(|&v| v > 0));
@@ -407,8 +394,8 @@ pub fn render_html_with(
     // ---- reservation tables + narratives ----
     let mut narratives: BTreeMap<(String, String), Vec<String>> = BTreeMap::new();
     for (ctx, fields) in data.events_named("sched_explain") {
-        let pass = event_str(fields, "pass").unwrap_or("?").to_string();
-        if let Some(text) = event_str(fields, "narrative") {
+        let pass = fields.str("pass").unwrap_or("?").to_string();
+        if let Some(text) = fields.str("narrative") {
             narratives
                 .entry((ctx.to_string(), pass))
                 .or_default()
@@ -419,13 +406,13 @@ pub fn render_html_with(
     if !tables.is_empty() || !narratives.is_empty() {
         section(&mut out, "Reservation tables and scheduler narratives");
         for (ctx, fields) in tables {
-            let pass = event_str(fields, "pass").unwrap_or("?").to_string();
+            let pass = fields.str("pass").unwrap_or("?").to_string();
             out.push_str(&format!(
                 "<details><summary>{} [{}]</summary>\n",
                 esc(ctx),
                 esc(&pass)
             ));
-            if let Some(table) = event_str(fields, "table") {
+            if let Some(table) = fields.str("table") {
                 out.push_str(&format!("<pre>{}</pre>\n", esc(table)));
             }
             if let Some(texts) = narratives.remove(&(ctx.to_string(), pass)) {
@@ -479,29 +466,16 @@ pub fn render_html_with(
 /// Either document fails to parse, or neither carries a
 /// `subphase_self_ms` map (a pre-subphase-era bench file).
 pub fn subphase_diff_table(old_text: &str, new_text: &str) -> Result<String, String> {
-    use crate::diff::{parse, Json};
     let totals = |text: &str| -> Result<BTreeMap<String, f64>, String> {
-        let doc = parse(text)?;
+        let doc = Json::parse(text)?;
         let mut sums = BTreeMap::new();
-        let Json::Obj(top) = &doc else {
-            return Err("bench document is not an object".into());
-        };
-        let runs = top
-            .iter()
-            .find(|(k, _)| k == "runs")
-            .map(|(_, v)| v)
-            .ok_or("bench document has no runs[]")?;
-        let Json::Arr(runs) = runs else {
-            return Err("runs is not an array".into());
-        };
+        let runs = doc.arr("runs").ok_or("bench document has no runs[]")?;
         for run in runs {
-            let Json::Obj(fields) = run else { continue };
-            let Some((_, Json::Obj(subs))) = fields.iter().find(|(k, _)| k == "subphase_self_ms")
-            else {
+            let Some(subs) = run.get("subphase_self_ms").and_then(Json::as_obj) else {
                 continue;
             };
             for (name, v) in subs {
-                if let Json::Num(ms) = v {
+                if let Some(ms) = v.as_f64() {
                     *sums.entry(name.clone()).or_insert(0.0) += ms;
                 }
             }
@@ -553,22 +527,10 @@ pub fn subphase_diff_table(old_text: &str, new_text: &str) -> Result<String, Str
 /// Returns a description of the problem when the text is not a
 /// retarget bench document.
 pub fn retarget_section(text: &str) -> Result<String, String> {
-    use crate::diff::{parse, Json};
-    let doc = parse(text)?;
-    let Json::Obj(top) = &doc else {
-        return Err("bench document is not an object".into());
-    };
-    let field = |key: &str| top.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-    match field("bench") {
-        Some(Json::Str(s)) if s == "retarget" => {}
-        _ => return Err("not a retarget bench document (bench != \"retarget\")".into()),
+    let doc = Json::parse(text)?;
+    if doc.str("bench") != Some("retarget") {
+        return Err("not a retarget bench document (bench != \"retarget\")".into());
     }
-    let num = |key: &str| -> Option<f64> {
-        match field(key) {
-            Some(Json::Num(n)) => Some(*n),
-            _ => None,
-        }
-    };
     let mut out = String::new();
     table_open(&mut out, &["metric", "value"]);
     let rows: &[(&str, &str, usize)] = &[
@@ -585,7 +547,7 @@ pub fn retarget_section(text: &str) -> Result<String, String> {
         ("machines / sec", "machines_per_sec", 3),
     ];
     for (label, key, decimals) in rows {
-        if let Some(v) = num(key) {
+        if let Some(v) = doc.num(key) {
             table_row(
                 &mut out,
                 &[(*label).to_string(), format!("{v:.*}", decimals)],
@@ -596,23 +558,16 @@ pub fn retarget_section(text: &str) -> Result<String, String> {
     // Failing runs, when any: seed and knob summary point straight at
     // the corpus entry the fuzzer wrote.
     let mut failures = String::new();
-    if let Some(Json::Arr(runs)) = field("runs") {
-        for run in runs {
-            let Json::Obj(fields) = run else { continue };
-            let get = |key: &str| fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-            if !matches!(get("status"), Some(Json::Str(s)) if s == "fail") {
-                continue;
-            }
-            let seed = match get("seed") {
-                Some(Json::Num(n)) => format!("{n:.0}"),
-                _ => "?".into(),
-            };
-            let summary = match get("summary") {
-                Some(Json::Str(s)) => s.clone(),
-                _ => String::new(),
-            };
-            table_row(&mut failures, &[seed, summary]);
+    for run in doc.arr("runs").unwrap_or_default() {
+        if run.str("status") != Some("fail") {
+            continue;
         }
+        let seed = match run.num("seed") {
+            Some(n) => format!("{n:.0}"),
+            None => "?".into(),
+        };
+        let summary = run.str("summary").unwrap_or_default().to_string();
+        table_row(&mut failures, &[seed, summary]);
     }
     if failures.is_empty() {
         out.push_str(
@@ -645,15 +600,9 @@ pub fn retarget_section(text: &str) -> Result<String, String> {
 /// Returns a description of the problem when the text is not a
 /// quality bench document.
 pub fn quality_section(text: &str) -> Result<String, String> {
-    use crate::diff::{parse, Json};
-    let doc = parse(text)?;
-    let Json::Obj(top) = &doc else {
-        return Err("bench document is not an object".into());
-    };
-    let field = |key: &str| top.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-    match field("bench") {
-        Some(Json::Str(s)) if s == "quality" => {}
-        _ => return Err("not a quality bench document (bench != \"quality\")".into()),
+    let doc = Json::parse(text)?;
+    if doc.str("bench") != Some("quality") {
+        return Err("not a quality bench document (bench != \"quality\")".into());
     }
     struct Row {
         machine: String,
@@ -666,37 +615,24 @@ pub fn quality_section(text: &str) -> Result<String, String> {
         util: f64,
     }
     let mut rows: Vec<Row> = Vec::new();
-    let Some(Json::Arr(runs)) = field("runs") else {
-        return Err("quality document has no runs[]".into());
-    };
+    let runs = doc.arr("runs").ok_or("quality document has no runs[]")?;
     for run in runs {
-        let Json::Obj(fields) = run else { continue };
-        let get_str = |key: &str| match fields.iter().find(|(k, _)| k == key) {
-            Some((_, Json::Str(s))) => Some(s.clone()),
-            _ => None,
-        };
-        let get_num = |key: &str| match fields.iter().find(|(k, _)| k == key) {
-            Some((_, Json::Num(n))) => Some(*n),
-            _ => None,
-        };
+        let Some(fields) = run.as_obj() else { continue };
+        let get_str = |key: &str| run.str(key).map(str::to_string);
         let stalls = fields
             .iter()
-            .filter_map(|(k, v)| match v {
-                Json::Num(n) if k.starts_with("stall_") && k != "stall_total" => {
-                    Some((k["stall_".len()..].to_string(), *n))
-                }
-                _ => None,
-            })
+            .filter(|(k, _)| k.starts_with("stall_") && k != "stall_total")
+            .filter_map(|(k, v)| Some((k["stall_".len()..].to_string(), v.as_f64()?)))
             .collect();
         rows.push(Row {
             machine: get_str("machine").ok_or("run missing machine")?,
             strategy: get_str("strategy").ok_or("run missing strategy")?,
             workload: get_str("workload").ok_or("run missing workload")?,
-            sim: get_num("sim_cycles").ok_or("run missing sim_cycles")?,
-            drift: get_num("drift_pct").unwrap_or(0.0),
+            sim: run.num("sim_cycles").ok_or("run missing sim_cycles")?,
+            drift: run.num("drift_pct").unwrap_or(0.0),
             stalls,
-            stall_total: get_num("stall_total").unwrap_or(0.0),
-            util: get_num("issue_utilization").unwrap_or(0.0),
+            stall_total: run.num("stall_total").unwrap_or(0.0),
+            util: run.num("issue_utilization").unwrap_or(0.0),
         });
     }
     if rows.is_empty() {
@@ -905,8 +841,6 @@ fn collect_self_rows(
 /// The service section: request-latency distributions, utilization
 /// gauges, and cache rates from one `metrics` response line.
 fn render_serve_section(out: &mut String, fields: &[(String, Value)]) {
-    let int = |name: &str| event_int(fields, name);
-    let str_of = |name: &str| event_str(fields, name);
     section(out, "Compile service");
     out.push_str("<div class=\"tiles\">\n");
     for (name, label) in [
@@ -916,11 +850,11 @@ fn render_serve_section(out: &mut String, fields: &[(String, Value)]) {
         ("busy_workers", "busy workers"),
         ("workers", "workers"),
     ] {
-        if let Some(v) = int(name) {
+        if let Some(v) = fields.int(name) {
             tile(out, label, &v.to_string());
         }
     }
-    if let (Some(busy), Some(workers)) = (int("busy_workers"), int("workers")) {
+    if let (Some(busy), Some(workers)) = (fields.int("busy_workers"), fields.int("workers")) {
         if workers > 0 {
             tile(
                 out,
@@ -929,15 +863,15 @@ fn render_serve_section(out: &mut String, fields: &[(String, Value)]) {
             );
         }
     }
-    if let Some((_, Value::Float(rate))) = fields.iter().find(|(k, _)| k == "cache_hit_rate") {
+    if let Some(Value::Float(rate)) = fields.field("cache_hit_rate") {
         tile(out, "cache hit rate", &format!("{:.0}%", rate * 100.0));
     }
     out.push_str("</div>\n");
     for (prefix, title) in [("service", "Service time"), ("queue_wait", "Queue wait")] {
-        let Some(buckets) = str_of(&format!("{prefix}_buckets")) else {
+        let Some(buckets) = fields.str(&format!("{prefix}_buckets")) else {
             continue;
         };
-        let sum = int(&format!("{prefix}_sum_us")).unwrap_or(0).max(0) as u64;
+        let sum = fields.int(&format!("{prefix}_sum_us")).unwrap_or(0).max(0) as u64;
         if let Some(h) = Histogram::from_parts(buckets, sum) {
             hist_block(out, title, &h, "us");
         }

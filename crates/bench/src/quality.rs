@@ -15,8 +15,8 @@
 use marion_core::quality::ProgramQuality;
 use marion_core::StrategyKind;
 use marion_sim::SimConfig;
+use marion_trace::json::ObjWriter;
 use marion_workloads::Workload;
-use std::fmt::Write as _;
 
 /// One swept cell: the quality record plus its derived aggregates.
 pub struct QualityRun {
@@ -93,53 +93,46 @@ pub fn sweep(machines: &[&str], workloads: &[Workload]) -> Vec<QualityRun> {
 
 /// Renders the matrix as the `BENCH_quality.json` document.
 pub fn render_json(smoke: bool, machines: usize, workloads: usize, runs: &[QualityRun]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"bench\": \"quality\",");
-    let _ = writeln!(s, "  \"smoke\": {smoke},");
-    let _ = writeln!(s, "  \"machines\": {machines},");
-    let _ = writeln!(s, "  \"strategies\": {},", StrategyKind::ALL.len());
-    let _ = writeln!(s, "  \"workloads\": {workloads},");
-    s.push_str("  \"runs\": [\n");
-    for (i, run) in runs.iter().enumerate() {
-        let q = &run.quality;
-        let t = q.total();
-        s.push_str("    {");
-        let _ = write!(
-            s,
-            "\"machine\": \"{}\", \"strategy\": \"{}\", \"workload\": \"{}\", ",
-            q.machine, q.strategy, q.workload
-        );
-        let _ = write!(
-            s,
-            "\"sim_cycles\": {}, \"est_cycles\": {}, \"critical_path\": {}, ",
-            q.sim_cycles, t.est_cycles, t.critical_path_cycles
-        );
-        let _ = write!(s, "\"drift_pct\": {:.2}, ", q.drift_pct());
-        for (key, cycles) in t.stalls.as_pairs() {
-            let _ = write!(s, "\"stall_{key}\": {cycles}, ");
-        }
-        let _ = write!(s, "\"stall_total\": {}, ", t.stalls.total());
-        let _ = write!(
-            s,
-            "\"issue_utilization\": {:.4}, \"spills\": {}, \"nops_emitted\": {}, \
-             \"nops_retired\": {}, \"delay_slots_filled\": {}, \"delay_slot_fill_rate\": {:.4}",
-            t.issue_utilization(),
-            t.spills,
-            t.nops_emitted,
-            q.nops_retired,
-            t.delay_slots_filled,
-            t.delay_slot_fill_rate()
-        );
-        s.push_str(if i + 1 < runs.len() { "},\n" } else { "}\n" });
-    }
-    s.push_str("  ]\n}\n");
-    s
+    let mut doc = ObjWriter::bench();
+    doc.str("bench", "quality");
+    doc.bool("smoke", smoke);
+    doc.int("machines", machines as i64);
+    doc.int("strategies", StrategyKind::ALL.len() as i64);
+    doc.int("workloads", workloads as i64);
+    let rows: Vec<ObjWriter> = runs
+        .iter()
+        .map(|run| {
+            let q = &run.quality;
+            let t = q.total();
+            let mut row = doc.nested();
+            row.str("machine", &q.machine);
+            row.str("strategy", &q.strategy);
+            row.str("workload", &q.workload);
+            row.int("sim_cycles", q.sim_cycles as i64);
+            row.int("est_cycles", t.est_cycles as i64);
+            row.int("critical_path", t.critical_path_cycles as i64);
+            row.fixed("drift_pct", q.drift_pct(), 2);
+            for (key, cycles) in t.stalls.as_pairs() {
+                row.int(&format!("stall_{key}"), cycles as i64);
+            }
+            row.int("stall_total", t.stalls.total() as i64);
+            row.fixed("issue_utilization", t.issue_utilization(), 4);
+            row.int("spills", t.spills as i64);
+            row.int("nops_emitted", t.nops_emitted as i64);
+            row.int("nops_retired", q.nops_retired as i64);
+            row.int("delay_slots_filled", t.delay_slots_filled as i64);
+            row.fixed("delay_slot_fill_rate", t.delay_slot_fill_rate(), 4);
+            row
+        })
+        .collect();
+    doc.objs("runs", rows);
+    doc.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use marion_trace::json::Json;
 
     #[test]
     fn smoke_sweep_on_toyp_is_valid_and_deterministic() {
@@ -153,11 +146,11 @@ mod tests {
         let ja = render_json(true, 1, 1, &a);
         let jb = render_json(true, 1, 1, &b);
         assert_eq!(ja, jb, "quality matrix must be byte-deterministic");
-        // The document parses with the diff reader and carries the
-        // gated keys.
-        let doc = crate::diff::parse(&ja).expect("valid json");
-        let text = format!("{doc:?}");
-        assert!(text.contains("sim_cycles"));
-        assert!(text.contains("est_cycles"));
+        // The document parses and every run carries the gated keys.
+        let doc = Json::parse(&ja).expect("valid json");
+        for run in doc.arr("runs").unwrap() {
+            assert!(run.num("sim_cycles").is_some());
+            assert!(run.num("est_cycles").is_some());
+        }
     }
 }

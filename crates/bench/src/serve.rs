@@ -3,8 +3,8 @@
 //!
 //! ## Protocol
 //!
-//! One request per line, in the workspace's flat-JSON dialect
-//! (`marion_trace::json` — scalar values only):
+//! One request per line, a flat JSON object (scalar values only) read
+//! by `marion_trace::json::parse_flat`:
 //!
 //! ```text
 //! {"id":1,"cmd":"compile","machine":"r2000","strategy":"IPS","workload":"livermore"}
@@ -57,7 +57,7 @@
 
 use marion_core::{CompileOptions, Compiler, FuncCache, StrategyKind};
 use marion_trace::json::{parse_flat, ObjWriter};
-use marion_trace::{Histogram, TimeSeries, TraceConfig, TraceData, Value};
+use marion_trace::{Fields, Histogram, TimeSeries, TraceConfig, TraceData, Value};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{self, BufRead, Write};
 use std::num::NonZeroUsize;
@@ -265,19 +265,7 @@ pub enum Cmd {
 /// A human-readable message for malformed JSON or an unknown `cmd`.
 pub fn parse_request(line: &str) -> Result<Request, String> {
     let fields = parse_flat(line)?;
-    let get_str = |name: &str| {
-        fields
-            .iter()
-            .find(|(k, _)| k == name)
-            .and_then(|(_, v)| v.as_str())
-    };
-    let get_int = |name: &str| {
-        fields
-            .iter()
-            .find(|(k, _)| k == name)
-            .and_then(|(_, v)| v.as_int())
-    };
-    let cmd = match get_str("cmd").unwrap_or("compile") {
+    let cmd = match fields.str("cmd").unwrap_or("compile") {
         "compile" => Cmd::Compile,
         "stats" => Cmd::Stats,
         "metrics" => Cmd::Metrics,
@@ -288,13 +276,13 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         other => return Err(format!("unknown cmd `{other}`")),
     };
     Ok(Request {
-        id: get_int("id").unwrap_or(0),
+        id: fields.int("id").unwrap_or(0),
         cmd,
-        machine: get_str("machine").unwrap_or("r2000").to_string(),
-        strategy: get_str("strategy").unwrap_or("IPS").to_string(),
-        source: get_str("source").map(str::to_string),
-        workload: get_str("workload").map(str::to_string),
-        emit_asm: get_int("emit_asm").unwrap_or(0) != 0,
+        machine: fields.str("machine").unwrap_or("r2000").to_string(),
+        strategy: fields.str("strategy").unwrap_or("IPS").to_string(),
+        source: fields.str("source").map(str::to_string),
+        workload: fields.str("workload").map(str::to_string),
+        emit_asm: fields.int("emit_asm").unwrap_or(0) != 0,
     })
 }
 
@@ -659,7 +647,7 @@ pub fn evaluate_slos(snap: &MetricsSnapshot, slos: &[Slo]) -> Vec<SloEval> {
 /// When the line carries no SLO fields at all (the server was not
 /// started with `--slo`, or the line is not a metrics response).
 pub fn check_slo_fields(fields: &[(String, Value)]) -> Result<Vec<String>, String> {
-    if !fields.iter().any(|(k, _)| k == "slo_count") {
+    if fields.field("slo_count").is_none() {
         return Err(
             "no SLO fields in metrics line (was marion-serve started with --slo?)".to_string(),
         );
@@ -1538,11 +1526,7 @@ mod tests {
     }
 
     fn field(line: &str, name: &str) -> Option<Value> {
-        parse_flat(line)
-            .unwrap()
-            .into_iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v)
+        parse_flat(line).unwrap().field(name).cloned()
     }
 
     #[test]
@@ -1605,6 +1589,20 @@ mod tests {
         assert!(field(&lines[0], "error")
             .and_then(|v| v.as_str().map(|s| s.contains("unknown machine")))
             .unwrap_or(false));
+        assert_eq!(field(&lines[1], "ok"), Some(Value::Int(0)));
+        assert_eq!(field(&lines[2], "ok"), Some(Value::Int(1)));
+        assert_eq!(stats.failures, 2);
+    }
+
+    #[test]
+    fn deeply_nested_requests_fail_without_killing_the_stream() {
+        let service = Service::new(&ServeConfig::default()).unwrap();
+        let nest = "[".repeat(200_000) + &"]".repeat(200_000);
+        let requests =
+            format!("{{\"id\":1,\"source\":{nest}}}\n{nest}\n{{\"id\":3,\"cmd\":\"stats\"}}\n");
+        let (lines, stats) = respond(&service, &requests, 1);
+        assert_eq!(lines.len(), 3);
+        assert_eq!(field(&lines[0], "ok"), Some(Value::Int(0)));
         assert_eq!(field(&lines[1], "ok"), Some(Value::Int(0)));
         assert_eq!(field(&lines[2], "ok"), Some(Value::Int(1)));
         assert_eq!(stats.failures, 2);
@@ -1883,12 +1881,6 @@ mod tests {
         let mut log_ids = Vec::new();
         for line in &log_lines {
             let fields = parse_flat(line).expect("log line parses");
-            let get = |name: &str| {
-                fields
-                    .iter()
-                    .find(|(k, _)| k == name)
-                    .map(|(_, v)| v.clone())
-            };
             for key in [
                 "request_id",
                 "id",
@@ -1903,9 +1895,12 @@ mod tests {
                 "cache_misses",
                 "ok",
             ] {
-                assert!(get(key).is_some(), "log line missing `{key}`: {line}");
+                assert!(
+                    fields.field(key).is_some(),
+                    "log line missing `{key}`: {line}"
+                );
             }
-            log_ids.push(get("request_id").unwrap().as_str().unwrap().to_string());
+            log_ids.push(fields.str("request_id").unwrap().to_string());
         }
         log_ids.sort();
         log_ids.dedup();
@@ -1915,12 +1910,9 @@ mod tests {
             let rid = field(line, "request_id").unwrap();
             let rid = rid.as_str().unwrap();
             assert!(
-                log_lines.iter().any(|l| {
-                    parse_flat(l)
-                        .unwrap()
-                        .iter()
-                        .any(|(k, v)| k == "request_id" && v.as_str() == Some(rid))
-                }),
+                log_lines
+                    .iter()
+                    .any(|l| parse_flat(l).unwrap().str("request_id") == Some(rid)),
                 "response {rid} not in access log"
             );
         }

@@ -9,22 +9,7 @@ use marion_bench::serve::{
     check_slo_fields, parse_slos, run_stream, ServeConfig, Service, SLO_RECENT_WINDOWS,
 };
 use marion_trace::json::parse_flat;
-use marion_trace::Value;
-
-fn get(fields: &[(String, Value)], name: &str) -> Option<Value> {
-    fields
-        .iter()
-        .find(|(k, _)| k == name)
-        .map(|(_, v)| v.clone())
-}
-
-fn get_str(fields: &[(String, Value)], name: &str) -> Option<String> {
-    get(fields, name).and_then(|v| v.as_str().map(str::to_string))
-}
-
-fn get_int(fields: &[(String, Value)], name: &str) -> Option<i64> {
-    get(fields, name).and_then(|v| v.as_int())
-}
+use marion_trace::{Fields, Value};
 
 #[test]
 fn observability_end_to_end_under_concurrent_load() {
@@ -77,10 +62,10 @@ fn observability_end_to_end_under_concurrent_load() {
 
     // The concurrent duplicates (6 and 7 may race to compile the same
     // function on different workers) still agree byte-for-byte.
-    let cold = lines1.iter().find(|f| get_int(f, "id") == Some(6)).unwrap();
-    let dup = lines1.iter().find(|f| get_int(f, "id") == Some(7)).unwrap();
-    let asm_cold = get_str(cold, "asm").expect("cold asm");
-    assert_eq!(Some(asm_cold.clone()), get_str(dup, "asm"));
+    let cold = lines1.iter().find(|f| f.int("id") == Some(6)).unwrap();
+    let dup = lines1.iter().find(|f| f.int("id") == Some(7)).unwrap();
+    let asm_cold = cold.str("asm").expect("cold asm");
+    assert_eq!(Some(asm_cold), dup.str("asm"));
 
     // Stream 2 on the same service, one worker: a guaranteed-warm
     // repeat of the asm request, then metrics, dashboard, shutdown.
@@ -100,11 +85,15 @@ fn observability_end_to_end_under_concurrent_load() {
 
     // Warm output is byte-identical to cold: same asm, same structural
     // counters, despite tracing/observability being on.
-    assert_eq!(Some(asm_cold), get_str(warm, "asm"), "warm == cold asm");
+    assert_eq!(Some(asm_cold), warm.str("asm"), "warm == cold asm");
     for key in ["insts", "spills", "est_cycles", "funcs", "ok"] {
-        assert_eq!(get(cold, key), get(warm, key), "field `{key}` warm == cold");
+        assert_eq!(
+            cold.field(key),
+            warm.field(key),
+            "field `{key}` warm == cold"
+        );
     }
-    assert!(get_int(warm, "cache_hits").unwrap() > 0, "warm repeat hit");
+    assert!(warm.int("cache_hits").unwrap() > 0, "warm repeat hit");
 
     // ---- access-log exactness ----
     // One line per request served: 12 stream-1 compiles + 4 stream-2
@@ -115,10 +104,10 @@ fn observability_end_to_end_under_concurrent_load() {
     assert_eq!(log_fields.len(), 16, "access-log lines == requests served");
     // Every response's request_id appears in exactly one log line.
     for fields in lines1.iter().chain(lines2.iter()) {
-        let rid = get_str(fields, "request_id").expect("response request_id");
+        let rid = fields.str("request_id").expect("response request_id");
         let matches = log_fields
             .iter()
-            .filter(|lf| get_str(lf, "request_id").as_deref() == Some(&rid))
+            .filter(|lf| lf.str("request_id") == Some(rid))
             .count();
         assert_eq!(matches, 1, "request {rid} logged exactly once");
     }
@@ -129,8 +118,8 @@ fn observability_end_to_end_under_concurrent_load() {
     // bucket bound guarantees true <= estimate < 2 * true.
     let mut compile_us: Vec<i64> = log_fields
         .iter()
-        .filter(|lf| get_str(lf, "cmd").as_deref() == Some("compile"))
-        .map(|lf| get_int(lf, "service_us").unwrap())
+        .filter(|lf| lf.str("cmd") == Some("compile"))
+        .map(|lf| lf.int("service_us").unwrap())
         .collect();
     assert_eq!(compile_us.len(), 13);
     // The metrics snapshot saw the first 13 requests (12 compiles +
@@ -140,9 +129,9 @@ fn observability_end_to_end_under_concurrent_load() {
     compile_us.sort_unstable();
     let rank = ((0.99 * compile_us.len() as f64).ceil() as usize).clamp(1, compile_us.len());
     let true_p99 = compile_us[rank - 1] as u64;
-    let win_requests = get_int(metrics, "win_requests").unwrap();
+    let win_requests = metrics.int("win_requests").unwrap();
     assert_eq!(win_requests, 13, "rolling windows cover the full run");
-    let est = get_int(metrics, "win_p99_us").expect("windowed p99") as u64;
+    let est = metrics.int("win_p99_us").expect("windowed p99") as u64;
     assert!(est >= true_p99, "estimate {est} below true p99 {true_p99}");
     assert!(
         est - true_p99 < true_p99.max(1),
@@ -151,21 +140,21 @@ fn observability_end_to_end_under_concurrent_load() {
     let _ = SLO_RECENT_WINDOWS; // burn-rate window constant is public API
 
     // ---- metrics invariants ----
-    assert_eq!(get_int(metrics, "requests"), Some(13));
-    assert_eq!(get_int(metrics, "started_requests"), Some(14));
-    assert_eq!(get_int(metrics, "in_flight"), Some(1));
-    assert_eq!(get_int(metrics, "format_version"), Some(2));
-    assert_eq!(get_int(metrics, "service_count"), Some(13));
+    assert_eq!(metrics.int("requests"), Some(13));
+    assert_eq!(metrics.int("started_requests"), Some(14));
+    assert_eq!(metrics.int("in_flight"), Some(1));
+    assert_eq!(metrics.int("format_version"), Some(2));
+    assert_eq!(metrics.int("service_count"), Some(13));
 
     // ---- SLO verdicts, server-side and CI-side ----
-    assert_eq!(get_int(metrics, "slo_count"), Some(2));
-    assert_eq!(get_int(metrics, "slo_p99_ms_violated"), Some(1));
-    assert_eq!(get_int(metrics, "slo_error_rate_violated"), Some(0));
-    assert_eq!(get_int(metrics, "slo_violations"), Some(1));
+    assert_eq!(metrics.int("slo_count"), Some(2));
+    assert_eq!(metrics.int("slo_p99_ms_violated"), Some(1));
+    assert_eq!(metrics.int("slo_error_rate_violated"), Some(0));
+    assert_eq!(metrics.int("slo_violations"), Some(1));
     assert_eq!(check_slo_fields(metrics).unwrap(), vec!["p99_ms"]);
 
     // ---- dashboard: self-contained, with an exemplar flamegraph ----
-    let html = get_str(dashboard, "html").expect("dashboard html");
+    let html = dashboard.str("html").expect("dashboard html");
     assert!(html.starts_with("<!DOCTYPE html>"));
     assert!(!html.contains("http:") && !html.contains("https:"));
     assert!(!html.contains("src=") && !html.contains("href="));

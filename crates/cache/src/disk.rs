@@ -1,8 +1,8 @@
 //! The optional on-disk store: an append-only JSONL file of
 //! checksummed entries.
 //!
-//! One line per entry, in the workspace's flat-JSON dialect
-//! (`marion_trace::json` — scalar values only):
+//! One line per entry, a flat JSON object written and read by
+//! `marion_trace::json`:
 //!
 //! ```text
 //! {"key":"<32 hex digits>","sum":"<16 hex digits>","payload":"..."}
@@ -17,7 +17,7 @@
 
 use crate::hash::{CacheKey, StableHasher};
 use marion_trace::json::{self, ObjWriter};
-use marion_trace::Value;
+use marion_trace::Fields;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -106,18 +106,9 @@ impl DiskStore {
 
 fn parse_entry(line: &str) -> Option<(CacheKey, String)> {
     let fields = json::parse_flat(line).ok()?;
-    let get = |name: &str| -> Option<&str> {
-        fields.iter().find(|(k, _)| k == name).and_then(|(_, v)| {
-            if let Value::Str(s) = v {
-                Some(s.as_str())
-            } else {
-                None
-            }
-        })
-    };
-    let key = CacheKey::from_hex(get("key")?)?;
-    let sum = u64::from_str_radix(get("sum")?, 16).ok()?;
-    let payload = get("payload")?;
+    let key = CacheKey::from_hex(fields.str("key")?)?;
+    let sum = u64::from_str_radix(fields.str("sum")?, 16).ok()?;
+    let payload = fields.str("payload")?;
     if checksum(payload) != sum {
         return None;
     }

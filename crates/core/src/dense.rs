@@ -274,35 +274,26 @@ impl Csr {
     }
 }
 
-/// SplitMix64: the deterministic generator used by the property tests
-/// and the randomized cache-correctness suite.
-pub fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use marion_rng::SplitMix64;
     use std::collections::HashSet;
 
     /// Random insert/remove sequences agree with a `HashSet` model:
     /// membership, length, union, intersection and iteration order.
     #[test]
     fn bitset_matches_hashset_model() {
-        let mut rng = 0x5eed_0001u64;
+        let mut rng = SplitMix64::new(0x5eed_0001);
         for trial in 0..50 {
-            let nbits = 1 + (splitmix64(&mut rng) % 300) as usize;
+            let nbits = 1 + (rng.next_u64() % 300) as usize;
             let mut a = BitSet::new(nbits);
             let mut b = BitSet::new(nbits);
             let mut ma: HashSet<usize> = HashSet::new();
             let mut mb: HashSet<usize> = HashSet::new();
             for _ in 0..200 {
-                let i = (splitmix64(&mut rng) as usize) % nbits;
-                match splitmix64(&mut rng) % 4 {
+                let i = (rng.next_u64() as usize) % nbits;
+                match rng.next_u64() % 4 {
                     0 => {
                         assert_eq!(a.insert(i), ma.insert(i), "insert {i} trial {trial}");
                     }
@@ -345,15 +336,15 @@ mod tests {
     /// The fused dataflow transfer equals its set-algebra spelling.
     #[test]
     fn assign_union_minus_is_gen_union_out_minus_kill() {
-        let mut rng = 0x5eed_0002u64;
+        let mut rng = SplitMix64::new(0x5eed_0002);
         for _ in 0..50 {
-            let nbits = 1 + (splitmix64(&mut rng) % 200) as usize;
+            let nbits = 1 + (rng.next_u64() % 200) as usize;
             let mut gen = BitSet::new(nbits);
             let mut out = BitSet::new(nbits);
             let mut kill = BitSet::new(nbits);
             for _ in 0..nbits {
-                let i = (splitmix64(&mut rng) as usize) % nbits;
-                match splitmix64(&mut rng) % 3 {
+                let i = (rng.next_u64() as usize) % nbits;
+                match rng.next_u64() % 3 {
                     0 => {
                         gen.insert(i);
                     }
@@ -381,14 +372,14 @@ mod tests {
     /// same neighbors, same degrees, sorted rows.
     #[test]
     fn csr_matches_matrix() {
-        let mut rng = 0x5eed_0003u64;
+        let mut rng = SplitMix64::new(0x5eed_0003);
         for _ in 0..25 {
-            let n = 1 + (splitmix64(&mut rng) % 120) as usize;
+            let n = 1 + (rng.next_u64() % 120) as usize;
             let mut m = BitMatrix::new(n, n);
             let mut model: Vec<HashSet<usize>> = vec![HashSet::new(); n];
             for _ in 0..(n * 3) {
-                let a = (splitmix64(&mut rng) as usize) % n;
-                let b = (splitmix64(&mut rng) as usize) % n;
+                let a = (rng.next_u64() as usize) % n;
+                let b = (rng.next_u64() as usize) % n;
                 if a == b {
                     continue;
                 }

@@ -43,7 +43,7 @@ use crate::strategy::StrategyKind;
 use marion_cache::{CacheKey, DiskStore, ShardedCache, StableHasher};
 use marion_ir as ir;
 use marion_maril::Machine;
-use marion_trace::{Record, TraceData};
+use marion_trace::{Fields, Record, TraceData};
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -517,39 +517,27 @@ pub fn encode_entry(entry: &CachedFunc) -> String {
 /// caller treats the entry as corrupt and recompiles.
 pub fn decode_entry(payload: &str) -> Option<CachedFunc> {
     let fields = marion_trace::json::parse_flat(payload).ok()?;
-    let get_int = |name: &str| -> Option<i64> {
-        fields
-            .iter()
-            .find(|(k, _)| k == name)
-            .and_then(|(_, v)| v.as_int())
-    };
-    let get_str = |name: &str| -> Option<&str> {
-        fields
-            .iter()
-            .find(|(k, _)| k == name)
-            .and_then(|(_, v)| v.as_str())
-    };
-    if get_int("v")? != FORMAT_VERSION {
+    if fields.int("v")? != FORMAT_VERSION {
         return None;
     }
-    let name = get_str("name")?.to_string();
+    let name = fields.str("name")?.to_string();
     let usize_of = |v: i64| usize::try_from(v).ok();
     let stats = FuncStats {
         name: name.clone(),
-        insts_generated: usize_of(get_int("insts_generated")?)?,
-        spills: usize_of(get_int("spills")?)?,
-        schedule_passes: usize_of(get_int("schedule_passes")?)?,
-        estimated_cycles: u64::try_from(get_int("estimated_cycles")?).ok()?,
-        delay_slots_filled: usize_of(get_int("delay_slots_filled")?)?,
-        nops_emitted: usize_of(get_int("nops_emitted")?)?,
-        blocks: decode_quality(get_str("quality")?)?,
+        insts_generated: usize_of(fields.int("insts_generated")?)?,
+        spills: usize_of(fields.int("spills")?)?,
+        schedule_passes: usize_of(fields.int("schedule_passes")?)?,
+        estimated_cycles: u64::try_from(fields.int("estimated_cycles")?).ok()?,
+        delay_slots_filled: usize_of(fields.int("delay_slots_filled")?)?,
+        nops_emitted: usize_of(fields.int("nops_emitted")?)?,
+        blocks: decode_quality(fields.str("quality")?)?,
     };
     let asm = AsmFunc {
         name,
-        blocks: decode_blocks(get_str("blocks")?)?,
-        frame_size: u32::try_from(get_int("frame_size")?).ok()?,
+        blocks: decode_blocks(fields.str("blocks")?)?,
+        frame_size: u32::try_from(fields.int("frame_size")?).ok()?,
     };
-    let trace = match get_str("trace") {
+    let trace = match fields.str("trace") {
         Some(text) => Some(TraceData::parse_jsonl(text).ok()?),
         None => None,
     };

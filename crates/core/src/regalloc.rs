@@ -1259,26 +1259,26 @@ mod tests {
     /// phys conflicts, same costs) on SplitMix64-random functions.
     #[test]
     fn dense_graph_matches_reference_model() {
-        use crate::dense::splitmix64;
+        use marion_rng::SplitMix64;
         let m = toy();
         let r = RegClassId(0);
-        let mut rng = 0x5eed_0b0bu64;
+        let mut rng = SplitMix64::new(0x5eed_0b0b);
         for _ in 0..40 {
-            let nv = 2 + (splitmix64(&mut rng) % 12) as u32;
-            let nblocks = 1 + (splitmix64(&mut rng) % 4) as usize;
+            let nv = 2 + (rng.next_u64() % 12) as u32;
+            let nblocks = 1 + (rng.next_u64() % 4) as usize;
             let mut f = CodeFunc::new("t");
             for _ in 0..nv {
                 f.new_vreg(r, VregKind::Local);
             }
             let sp = Operand::Phys(PhysReg::new(r, 7));
             for bi in 0..nblocks {
-                let ninsts = 3 + (splitmix64(&mut rng) % 20) as usize;
+                let ninsts = 3 + (rng.next_u64() % 20) as usize;
                 let mut insts = Vec::new();
                 for _ in 0..ninsts {
-                    let a = (splitmix64(&mut rng) % nv as u64) as u32;
-                    let b = (splitmix64(&mut rng) % nv as u64) as u32;
-                    let c = (splitmix64(&mut rng) % nv as u64) as u32;
-                    match splitmix64(&mut rng) % 4 {
+                    let a = (rng.next_u64() % nv as u64) as u32;
+                    let b = (rng.next_u64() % nv as u64) as u32;
+                    let c = (rng.next_u64() % nv as u64) as u32;
+                    match rng.next_u64() % 4 {
                         0 => insts.push(inst(&m, "ld", vec![v(a), sp, imm(4)])),
                         1 => insts.push(inst(&m, "st", vec![v(a), sp, imm(8)])),
                         2 => insts.push(inst(&m, "add", vec![v(a), v(b), v(c)])),
@@ -1292,8 +1292,8 @@ mod tests {
                 }
                 // Random successors, including back edges.
                 let mut succs = Vec::new();
-                if nblocks > 1 && !splitmix64(&mut rng).is_multiple_of(3) {
-                    succs.push(BlockId((splitmix64(&mut rng) % nblocks as u64) as u32));
+                if nblocks > 1 && !rng.next_u64().is_multiple_of(3) {
+                    succs.push(BlockId((rng.next_u64() % nblocks as u64) as u32));
                 }
                 if bi + 1 < nblocks {
                     succs.push(BlockId((bi + 1) as u32));

@@ -422,127 +422,6 @@ pub fn schedule_block_scratch(
     })
 }
 
-/// Verifies that a schedule satisfies every constraint the paper
-/// imposes (used by tests and property checks):
-///
-/// 1. **dependence** — for every DAG edge `(x, y, l)`,
-///    `cycle(y) ≥ cycle(x) + l`;
-/// 2. **structural** — no resource is claimed twice in any cycle
-///    (§4.3);
-/// 3. **packing** — the classes of all classed sub-operations issued
-///    in one cycle have a non-empty intersection (§4.5);
-/// 4. **Rule 1** — no instruction affecting clock `k` issues strictly
-///    between the source and destination cycles of a temporal edge on
-///    `k` (§4.6).
-///
-/// Returns a description of the first violation.
-pub fn verify_schedule(
-    machine: &Machine,
-    block: &CodeBlock,
-    dag: &CodeDag,
-    schedule: &Schedule,
-) -> Result<(), String> {
-    verify_schedule_with(machine, block, dag, schedule, true)
-}
-
-/// [`verify_schedule`] with Rule 1 optional: schedules produced under
-/// the latch name-dependence fallback discipline get their latch
-/// safety from DAG edges instead, so constraint 4 does not apply.
-pub fn verify_schedule_with(
-    machine: &Machine,
-    block: &CodeBlock,
-    dag: &CodeDag,
-    schedule: &Schedule,
-    check_rule1: bool,
-) -> Result<(), String> {
-    let n = block.insts.len();
-    if schedule.inst_cycle.len() != n {
-        return Err(format!(
-            "schedule covers {} of {} instructions",
-            schedule.inst_cycle.len(),
-            n
-        ));
-    }
-    // 1. Dependences.
-    for e in &dag.edges {
-        let (cf, ct) = (schedule.inst_cycle[e.from], schedule.inst_cycle[e.to]);
-        if ct < cf + e.latency {
-            return Err(format!(
-                "edge {} -> {} (lat {}) violated: cycles {cf} -> {ct} ({:?})",
-                e.from, e.to, e.latency, e.kind
-            ));
-        }
-    }
-    // 2. Structural hazards (cycle-indexed reservation timeline).
-    let mut usage: Vec<ResSet> = Vec::new();
-    for (i, inst) in block.insts.iter().enumerate() {
-        let t = machine.template(inst.template);
-        for (c, need) in t.rsrc.iter().enumerate() {
-            let at = (schedule.inst_cycle[i] + c as u32) as usize;
-            if usage.len() <= at {
-                usage.resize(at + 1, ResSet::EMPTY);
-            }
-            if usage[at].intersects(need) {
-                return Err(format!(
-                    "resource conflict at cycle {at} caused by instruction {i}"
-                ));
-            }
-            usage[at].union_with(need);
-        }
-    }
-    // 3. Class packing (cycle-indexed membership lists).
-    let max_cycle = schedule.inst_cycle.iter().copied().max().unwrap_or(0) as usize;
-    let mut per_cycle: Vec<Vec<usize>> = vec![Vec::new(); max_cycle + 1];
-    for (i, c) in schedule.inst_cycle.iter().enumerate() {
-        per_cycle[*c as usize].push(i);
-    }
-    for (cycle, members) in per_cycle.iter().enumerate() {
-        let mut word: Option<ResSet> = None;
-        for &i in members {
-            if let Some(cid) = machine.template(block.insts[i].template).class {
-                let elems = machine.class(cid).elements;
-                word = Some(match word {
-                    None => elems,
-                    Some(w) => {
-                        let inter = w.intersection(&elems);
-                        if inter.is_empty() {
-                            return Err(format!(
-                                "illegal packing at cycle {cycle}: classes do not intersect"
-                            ));
-                        }
-                        inter
-                    }
-                });
-            }
-        }
-    }
-    // 4. Rule 1.
-    if !check_rule1 {
-        return Ok(());
-    }
-    for e in &dag.edges {
-        let EdgeKind::TrueTemporal(k) = e.kind else {
-            continue;
-        };
-        let (cf, ct) = (schedule.inst_cycle[e.from], schedule.inst_cycle[e.to]);
-        for (z, inst) in block.insts.iter().enumerate() {
-            if z == e.to || z == e.from {
-                continue;
-            }
-            if machine.template(inst.template).affects_clock == Some(k) {
-                let cz = schedule.inst_cycle[z];
-                if cz > cf && cz < ct {
-                    return Err(format!(
-                        "Rule 1 violated: instruction {z} (affects clock {k}) at cycle                          {cz} sits inside temporal edge {} -> {} (cycles {cf} -> {ct})",
-                        e.from, e.to
-                    ));
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
 /// Schedules a block with the full fallback ladder the strategies
 /// use: Rule 1 list scheduling, then same-clock sequence
 /// serialisation, then the latch name-dependence discipline, then a

@@ -4,9 +4,9 @@
 //! under all three strategies with three independent cross-checks:
 //!
 //! * **block legality** — every scheduled block is re-checked with
-//!   both `sched::verify_schedule_with` and `explain::audit_schedule`
-//!   (the independent checker that also validates provenance) against
-//!   the DAG its scheduling discipline used;
+//!   `explain::audit_schedule` (dependence, resource, packing class
+//!   and Rule 1 legality, coverage and provenance) against the DAG its
+//!   scheduling discipline used;
 //! * **differential execution** — the compiled program runs on the
 //!   pipeline simulator and its `main` result must equal the IR
 //!   interpreter's checksum (computed once per workload, machines
@@ -28,7 +28,7 @@
 use marion_core::driver::{CompileStats, CompiledProgram};
 use marion_core::emit::{emit_func, fill_delay_slots, render_program, AsmProgram};
 use marion_core::strategy::strategy_for;
-use marion_core::{explain, glue, sched, select, EscapeRegistry, StrategyKind};
+use marion_core::{explain, glue, select, EscapeRegistry, StrategyKind};
 use marion_ir::interp::{Interp, Value};
 use marion_maril::{Machine, Ty};
 use marion_sim::{run_program, SimConfig};
@@ -108,7 +108,7 @@ pub enum FailureKind {
     /// Glue, selection, scheduling, allocation or emission refused a
     /// machine the front door accepted.
     Compile,
-    /// `verify_schedule_with` or `audit_schedule` rejected a block.
+    /// `audit_schedule` rejected a block.
     BlockAudit,
     /// Simulator result differs from the interpreter checksum.
     Differential,
@@ -439,14 +439,6 @@ pub fn compile_audited(
             }
             let discipline = schedule.explanation.discipline;
             let (dag, check_rule1) = explain::dag_for_discipline(machine, block, discipline);
-            sched::verify_schedule_with(machine, block, &dag, schedule, check_rule1).map_err(
-                |e| {
-                    (
-                        FailureKind::BlockAudit,
-                        format!("{}/b{bi}: verify_schedule: {e}", f.name),
-                    )
-                },
-            )?;
             explain::audit_schedule(machine, block, &dag, schedule, check_rule1).map_err(|e| {
                 (
                     FailureKind::BlockAudit,

@@ -41,11 +41,9 @@ use std::time::Instant;
 
 pub mod hist;
 pub mod json;
-pub mod sink;
 pub mod timeseries;
 
 pub use hist::Histogram;
-pub use sink::{JsonlSink, Sink, TextSink};
 pub use timeseries::{TimeSeries, WindowStats};
 
 /// What the tracer should collect beyond the always-on spans,
@@ -82,6 +80,29 @@ impl Value {
             Value::Str(s) => Some(s),
             _ => None,
         }
+    }
+}
+
+/// Typed lookups on a flat field list: an event's fields or a
+/// [`json::parse_flat`] result. The first field with the name wins.
+pub trait Fields {
+    /// The value of field `name`.
+    fn field(&self, name: &str) -> Option<&Value>;
+
+    /// Field `name` when it is a string.
+    fn str(&self, name: &str) -> Option<&str> {
+        self.field(name).and_then(Value::as_str)
+    }
+
+    /// Field `name` when it is an integer.
+    fn int(&self, name: &str) -> Option<i64> {
+        self.field(name).and_then(Value::as_int)
+    }
+}
+
+impl Fields for [(String, Value)] {
+    fn field(&self, name: &str) -> Option<&Value> {
+        self.iter().find(|(k, _)| k == name).map(|(_, v)| v)
     }
 }
 
@@ -1014,16 +1035,13 @@ impl TraceData {
             let fields = json::parse_flat(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
             let get_str = |key: &str| -> Result<String, String> {
                 fields
-                    .iter()
-                    .find(|(k, _)| k == key)
-                    .and_then(|(_, v)| v.as_str().map(str::to_string))
+                    .str(key)
+                    .map(str::to_string)
                     .ok_or_else(|| format!("line {}: missing string {key:?}", lineno + 1))
             };
             let get_int = |key: &str| -> Result<i64, String> {
                 fields
-                    .iter()
-                    .find(|(k, _)| k == key)
-                    .and_then(|(_, v)| v.as_int())
+                    .int(key)
                     .ok_or_else(|| format!("line {}: missing integer {key:?}", lineno + 1))
             };
             let tag = get_str("t")?;

@@ -8,11 +8,11 @@
 //! defined. Floating expressions avoid division entirely (values stay
 //! in ranges where double rounding is exact enough to compare).
 //!
-//! Randomness comes from the in-repo [`crate::rng::SplitMix64`]
+//! Randomness comes from the workspace's [`marion_rng::SplitMix64`]
 //! generator, so generation is deterministic across platforms and the
 //! crate builds with no external dependencies.
 
-use crate::rng::SplitMix64;
+use marion_rng::SplitMix64;
 
 /// Parameters for the generator.
 #[derive(Debug, Clone)]

@@ -17,6 +17,8 @@
 //!   execution cycles of generated code;
 //! * [`workloads`] — the Livermore loops and compile-suite programs
 //!   used by the paper's evaluation;
+//! * [`rng`] — the workspace's one SplitMix64, behind every seeded
+//!   generator and randomized test;
 //! * [`trace`] — zero-dependency span/counter/event collection wired
 //!   through the whole pipeline (see `CompileOptions::trace`);
 //! * [`cache`] — the content-addressed compile cache's storage layer
@@ -49,6 +51,7 @@ pub use marion_frontend as frontend;
 pub use marion_ir as ir;
 pub use marion_machines as machines;
 pub use marion_maril as maril;
+pub use marion_rng as rng;
 pub use marion_sim as sim;
 pub use marion_trace as trace;
 pub use marion_workloads as workloads;

@@ -4,8 +4,8 @@
 
 use marion::backend::{CompileOptions, CompiledProgram, Compiler, FuncCache, StrategyKind};
 use marion::cache::{CacheKey, StableHasher};
+use marion::rng::SplitMix64;
 use marion::trace::{Record, TraceConfig};
-use marion::workloads::rng::SplitMix64;
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 

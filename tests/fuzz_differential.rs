@@ -9,15 +9,15 @@
 //! register pairs) and the simulator in one property.
 //!
 //! Seeds are drawn deterministically from the in-repo
-//! [`marion::workloads::rng::SplitMix64`] generator (no external
+//! [`marion::rng::SplitMix64`] generator (no external
 //! fuzzing dependency), so failures reproduce exactly: re-run with the
 //! printed seed via `check_seed`.
 
 use marion::backend::{Compiler, StrategyKind};
 use marion::ir::interp::{Interp, Value};
+use marion::rng::SplitMix64;
 use marion::sim::{run_program, SimConfig};
 use marion::workloads::gen::{random_program, GenConfig};
-use marion::workloads::rng::SplitMix64;
 
 /// Cases per machine/strategy pair (the proptest suite ran 24).
 const CASES: u64 = 24;

@@ -6,7 +6,7 @@
 //! round trip of a whole compile trace.
 
 use marion::backend::{CompileOptions, Compiler, StrategyKind};
-use marion::trace::{TraceConfig, TraceData};
+use marion::trace::{Fields, TraceConfig, TraceData};
 
 /// Enough simultaneously-live values to exceed TOYP's five allocable
 /// integer registers, plus a call and branches for delay slots.
@@ -152,11 +152,7 @@ fn reservation_tables_recorded_for_dual_issue_i860() {
     assert!(!tables.is_empty(), "no reservation tables recorded");
     for (ctx, fields) in &tables {
         assert!(ctx.starts_with("i860/"), "table ctx {ctx}");
-        let table = fields
-            .iter()
-            .find(|(k, _)| k == "table")
-            .and_then(|(_, v)| v.as_str())
-            .expect("table field");
+        let table = fields.str("table").expect("table field");
         // Header plus at least one cycle row, mentioning a resource.
         assert!(table.lines().count() >= 2, "thin table:\n{table}");
         assert!(table.contains("cycle |"), "missing header:\n{table}");
@@ -165,13 +161,7 @@ fn reservation_tables_recorded_for_dual_issue_i860() {
     let blocks = trace.events_named("sched_block");
     assert!(!blocks.is_empty());
     for (_, fields) in &blocks {
-        let get = |key: &str| {
-            fields
-                .iter()
-                .find(|(k, _)| k == key)
-                .and_then(|(_, v)| v.as_int())
-                .unwrap_or_else(|| panic!("missing {key}"))
-        };
+        let get = |key: &str| fields.int(key).unwrap_or_else(|| panic!("missing {key}"));
         assert!(get("dag_nodes") > 0);
         assert!(get("issue_slots_used") == get("insts"));
         assert!(get("issue_cycles") <= get("length"));

@@ -1,8 +1,9 @@
 //! Schedule provenance properties:
 //!
 //! * `audit_schedule` is a real, independent checker — mutate a valid
-//!   schedule (swap two cycles, issue under a latency) and it must
-//!   pinpoint the offending instruction and constraint family;
+//!   schedule (swap two cycles, issue under a latency, double-claim a
+//!   resource, pack an illegal word, issue inside a temporal edge) and
+//!   it must pinpoint the offending instruction and constraint family;
 //! * corrupted stall records are caught by the provenance audit;
 //! * the acceptance identity `issue − ready == Σ stall cycles` holds
 //!   for every instruction of every block over SplitMix64-generated
@@ -10,7 +11,7 @@
 //! * the annotated DOT export is structurally well-formed and
 //!   `check_dot` rejects tampering.
 
-use marion::backend::dag::{build_dag, CodeDag};
+use marion::backend::dag::{build_dag, CodeDag, Edge, EdgeKind};
 use marion::backend::explain::{self, StallReason};
 use marion::backend::regalloc::allocate;
 use marion::backend::sched::{self, Schedule};
@@ -18,8 +19,8 @@ use marion::backend::select::select_func;
 use marion::backend::{audit_schedule, code::CodeBlock};
 use marion::machines::MachineSpec;
 use marion::maril::Machine;
+use marion::rng::SplitMix64;
 use marion::workloads::gen::{random_program, GenConfig};
-use marion::workloads::rng::SplitMix64;
 
 const DOT_PRODUCT: &str = "int a[64]; int b[64];
 int main() {
@@ -120,6 +121,148 @@ fn audit_pinpoints_swapped_cycles() {
         tested += 1;
     }
     assert!(tested > 0, "no block with a dependence edge found");
+}
+
+/// Issue cycles this far apart keep every reservation row clear of
+/// the next instruction's.
+const STRIDE: u32 = 64;
+
+/// `schedule` re-issued one instruction per `STRIDE` cycles, so a
+/// mutation on top of it trips only the constraint family it targets.
+fn spread(machine: &Machine, block: &CodeBlock, schedule: &Schedule) -> Schedule {
+    for inst in &block.insts {
+        assert!(machine.template(inst.template).rsrc.len() < STRIDE as usize / 2);
+    }
+    let mut s = schedule.clone();
+    let n = s.inst_cycle.len();
+    s.cycles = vec![Vec::new(); n * STRIDE as usize];
+    for i in 0..n {
+        s.inst_cycle[i] = i as u32 * STRIDE;
+        s.cycles[i * STRIDE as usize].push(i);
+    }
+    s
+}
+
+/// `dag` with only `edges` left.
+fn with_edges(dag: &CodeDag, edges: Vec<Edge>) -> CodeDag {
+    CodeDag {
+        n: dag.n,
+        edges,
+        succs: vec![Vec::new(); dag.n],
+        preds: vec![Vec::new(); dag.n],
+    }
+}
+
+/// Every block of the Livermore kernels on i860, the machine with
+/// packing classes and temporal clocks.
+fn i860_blocks(spec: &MachineSpec) -> Vec<(CodeBlock, CodeDag, Schedule)> {
+    marion::workloads::livermore::kernels()
+        .iter()
+        .flat_map(|k| scheduled_blocks(spec, &k.source))
+        .collect()
+}
+
+#[test]
+fn audit_pinpoints_resource_conflict() {
+    let spec = marion::machines::load("toyp");
+    let machine = &spec.machine;
+    let mut tested = 0;
+    for (block, dag, schedule) in &scheduled_blocks(&spec, DOT_PRODUCT) {
+        let first_row = |i: usize| machine.template(block.insts[i].template).rsrc.first();
+        let n = block.insts.len();
+        let Some((i, j)) = (0..n).flat_map(|j| (0..j).map(move |i| (i, j))).find(
+            |&(i, j)| matches!((first_row(i), first_row(j)), (Some(a), Some(b)) if a.intersects(b)),
+        ) else {
+            continue;
+        };
+        let mut bad = spread(machine, block, schedule);
+        let to = bad.inst_cycle[i];
+        move_inst(&mut bad, j, to);
+        let err = audit_schedule(machine, block, &with_edges(dag, Vec::new()), &bad, true)
+            .expect_err("a doubly claimed resource must be caught");
+        assert_eq!(err.kind, "resource", "wrong family: {err}");
+        assert_eq!(err.inst, Some(j), "wrong instruction: {err}");
+        tested += 1;
+    }
+    assert!(
+        tested > 0,
+        "no block with two instructions sharing a resource"
+    );
+}
+
+#[test]
+fn audit_pinpoints_unpackable_word() {
+    let spec = marion::machines::load("i860");
+    let machine = &spec.machine;
+    let mut tested = 0;
+    for (block, dag, schedule) in &i860_blocks(&spec) {
+        let template = |i: usize| machine.template(block.insts[i].template);
+        let class = |i: usize| Some(machine.class(template(i).class?).elements);
+        let n = block.insts.len();
+        // Two classed sub-operations with disjoint classes and no
+        // shared resource: only the packing check can object.
+        let Some((i, j)) = (0..n)
+            .flat_map(|j| (0..n).map(move |i| (i, j)))
+            .find(|&(i, j)| {
+                let (Some(ci), Some(cj)) = (class(i), class(j)) else {
+                    return false;
+                };
+                !ci.intersects(&cj)
+                    && template(i)
+                        .rsrc
+                        .iter()
+                        .zip(&template(j).rsrc)
+                        .all(|(a, b)| !a.intersects(b))
+            })
+        else {
+            continue;
+        };
+        let mut bad = spread(machine, block, schedule);
+        let to = bad.inst_cycle[i];
+        move_inst(&mut bad, j, to);
+        let err = audit_schedule(machine, block, &with_edges(dag, Vec::new()), &bad, true)
+            .expect_err("an unpackable word must be caught");
+        assert_eq!(err.kind, "class", "wrong family: {err}");
+        assert_eq!(err.inst, Some(j), "wrong instruction: {err}");
+        tested += 1;
+    }
+    assert!(tested > 0, "no block with two unpackable sub-operations");
+}
+
+#[test]
+fn audit_pinpoints_rule1_violation() {
+    let spec = marion::machines::load("i860");
+    let machine = &spec.machine;
+    let mut tested = 0;
+    for (block, dag, schedule) in &i860_blocks(&spec) {
+        // A temporal edge on clock k and another instruction that
+        // advances k.
+        let Some((e, z)) = dag.edges.iter().find_map(|e| {
+            let EdgeKind::TrueTemporal(k) = e.kind else {
+                return None;
+            };
+            let z = (0..block.insts.len()).find(|&z| {
+                z != e.from
+                    && z != e.to
+                    && machine.template(block.insts[z].template).affects_clock == Some(k)
+            })?;
+            (e.from < e.to).then_some((*e, z))
+        }) else {
+            continue;
+        };
+        let mut bad = spread(machine, block, schedule);
+        let inside = bad.inst_cycle[e.from] + STRIDE / 2;
+        move_inst(&mut bad, z, inside);
+        let err = audit_schedule(machine, block, &with_edges(dag, vec![e]), &bad, true)
+            .expect_err("an instruction inside a temporal edge must be caught");
+        assert_eq!(err.kind, "rule1", "wrong family: {err}");
+        assert_eq!(err.inst, Some(z), "wrong instruction: {err}");
+        tested += 1;
+    }
+    assert!(
+        tested > 0,
+        "no block with a temporal edge and a third user of its clock"
+    );
 }
 
 #[test]

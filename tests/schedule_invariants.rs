@@ -1,17 +1,18 @@
 //! Property: every schedule the compiler produces satisfies the
 //! paper's constraints — dependences, structural hazards, packing
-//! classes and Rule 1 — as checked by
-//! [`marion::backend::sched::verify_schedule`]. Random programs on
-//! every machine, plus the Livermore kernels on the EAP machine.
+//! classes and Rule 1 — and carries provenance that accounts for every
+//! stall, as checked by [`marion::backend::audit_schedule`]. Random
+//! programs on every machine, plus the Livermore kernels on the EAP
+//! machine.
 //!
 //! Random programs come from deterministic in-repo seeds
-//! ([`marion::workloads::rng::SplitMix64`]); a failure names its seed
+//! ([`marion::rng::SplitMix64`]); a failure names its seed
 //! and reproduces exactly.
 
 use marion::backend::{audit_schedule, sched::Schedule};
 use marion::backend::{dag::build_dag, regalloc::allocate, sched, select::select_func};
+use marion::rng::SplitMix64;
 use marion::workloads::gen::{random_program, GenConfig};
-use marion::workloads::rng::SplitMix64;
 
 /// Every placed instruction's stall tiles must exactly account for
 /// the gap between its ready and issue cycles (the provenance
@@ -54,12 +55,8 @@ fn check_all_schedules(machine_name: &str, src: &str) {
             let dag = build_dag(&spec.machine, block, true);
             match sched::schedule_block(&spec.machine, &code, block, &dag, &Default::default()) {
                 Ok(schedule) => {
-                    sched::verify_schedule(&spec.machine, block, &dag, &schedule)
-                        .unwrap_or_else(|e| panic!("{machine_name}: invalid schedule: {e}"));
-                    // The independent auditor must agree, including
-                    // with every recorded stall reason.
                     audit_schedule(&spec.machine, block, &dag, &schedule, true)
-                        .unwrap_or_else(|e| panic!("{machine_name}: audit disagrees: {e}"));
+                        .unwrap_or_else(|e| panic!("{machine_name}: invalid schedule: {e}"));
                     assert_stalls_account(machine_name, &schedule);
                 }
                 Err(_) => {
@@ -77,11 +74,8 @@ fn check_all_schedules(machine_name: &str, src: &str) {
                             Ok(s) => s,
                             Err(_) => sched::serial_schedule(&spec.machine, block, &dag2),
                         };
-                    sched::verify_schedule_with(&spec.machine, block, &dag2, &schedule, false)
+                    audit_schedule(&spec.machine, block, &dag2, &schedule, false)
                         .unwrap_or_else(|e| panic!("{machine_name}: invalid fallback: {e}"));
-                    audit_schedule(&spec.machine, block, &dag2, &schedule, false).unwrap_or_else(
-                        |e| panic!("{machine_name}: fallback audit disagrees: {e}"),
-                    );
                     assert_stalls_account(machine_name, &schedule);
                 }
             }
@@ -131,17 +125,15 @@ fn serial_fallback_schedules_are_valid_too() {
             // The serial fallback must satisfy dependences and
             // resources; Rule 1 is intentionally waived for it (the
             // simulator's per-word semantics make thread order safe),
-            // so check the first two constraint families only via a
-            // full verify on blocks without temporal edges.
+            // so only blocks without temporal edges get the full
+            // audit.
             let has_temporal = dag
                 .edges
                 .iter()
                 .any(|e| matches!(e.kind, marion::backend::dag::EdgeKind::TrueTemporal(_)));
             if !has_temporal {
-                sched::verify_schedule(&spec.machine, block, &dag, &schedule)
-                    .unwrap_or_else(|e| panic!("serial schedule invalid: {e}"));
                 audit_schedule(&spec.machine, block, &dag, &schedule, true)
-                    .unwrap_or_else(|e| panic!("serial audit disagrees: {e}"));
+                    .unwrap_or_else(|e| panic!("serial schedule invalid: {e}"));
             }
             assert_stalls_account("i860", &schedule);
         }
