@@ -21,7 +21,7 @@ cargo test --workspace -q --offline
 echo "==> marion-explain --demo smoke (narrative + audit + DOT well-formedness)"
 cargo run --release --offline -q -p marion-bench --bin marion-explain -- --demo --check > /dev/null
 
-echo "==> selection cross-check (indexed == brute-force on every machine x workload x strategy)"
+echo "==> selection cross-check (indexed == brute-force reference machine on every machine x workload x strategy)"
 cargo run --release --offline -q -p marion-bench --bin marion-bench -- crosscheck
 
 echo "==> compile bench smoke (single iteration, writes BENCH_compile_smoke.json)"

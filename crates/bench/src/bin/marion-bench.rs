@@ -5,15 +5,16 @@
 //!
 //! * `compile [--smoke] [--iters K] [--out PATH]` — times end-to-end
 //!   compilation of the multi-function Livermore and generated suites
-//!   on every bundled machine, comparing serial brute-force selection,
-//!   serial indexed selection, and `jobs=4` parallel compilation, and
-//!   writes the result trajectory to `BENCH_compile.json`
-//!   (median-of-K wall times, functions/sec, per-phase span split).
-//! * `crosscheck` — asserts that indexed vs brute-force selection and
-//!   memoized vs unmemoized matching all produce identical programs
-//!   (same template choices, same stats, byte-identical assembly) for
-//!   every bundled machine × workload; exits non-zero on the first
-//!   divergence.
+//!   on every bundled machine, comparing serial brute-force selection
+//!   (through `Machine::brute_force_reference`), serial indexed
+//!   selection, and `jobs=4` parallel compilation, and writes the
+//!   result trajectory to `BENCH_compile.json` (median-of-K wall
+//!   times, functions/sec, per-phase span split).
+//! * `crosscheck` — compiles every bundled machine × workload ×
+//!   strategy twice, once on the machine and once on its brute-force
+//!   reference machine, and asserts identical programs (same template
+//!   choices, same stats, byte-identical assembly); exits non-zero on
+//!   the first divergence.
 //! * `diff OLD.json NEW.json [--tolerance PCT]` — the perf-regression
 //!   gate: compares two `BENCH_*.json` files metric by metric
 //!   (`*_ms`/`*_cycles` higher-is-worse, `per_sec`/`speedup`
@@ -43,6 +44,7 @@ use marion_bench::serve::{run_stream, ServeConfig, Service};
 use marion_core::{CompileOptions, Compiler, StrategyKind};
 use marion_ir::Module;
 use marion_machines::MachineSpec;
+use marion_maril::Machine;
 use marion_trace::json::{parse_flat, ObjWriter};
 use marion_trace::{Fields, Record, TraceConfig};
 use std::num::NonZeroUsize;
@@ -213,21 +215,20 @@ fn main() {
     }
 }
 
-fn options(jobs: usize, indexed: bool) -> CompileOptions {
+fn options(jobs: usize) -> CompileOptions {
     CompileOptions {
         jobs: NonZeroUsize::new(jobs),
-        indexed_select: indexed,
         ..CompileOptions::default()
     }
 }
 
 /// Median wall-clock milliseconds over `iters` compilations.
-fn time_compile(spec: &MachineSpec, module: &Module, opts: CompileOptions, iters: usize) -> f64 {
+fn time_compile(spec: &MachineSpec, module: &Module, jobs: usize, iters: usize) -> f64 {
     let compiler = Compiler::with_options(
         spec.machine.clone(),
         spec.escapes.clone(),
         StrategyKind::Ips,
-        opts,
+        options(jobs),
     );
     let mut times: Vec<f64> = (0..iters)
         .map(|_| {
@@ -250,10 +251,10 @@ fn time_compile(spec: &MachineSpec, module: &Module, opts: CompileOptions, iters
 /// Per-phase and per-subphase `(name, milliseconds)` splits.
 type PhaseSplits = (Vec<(&'static str, f64)>, Vec<(&'static str, f64)>);
 
-fn phase_split(spec: &MachineSpec, module: &Module, indexed: bool, iters: usize) -> PhaseSplits {
+fn phase_split(spec: &MachineSpec, module: &Module, iters: usize) -> PhaseSplits {
     let opts = CompileOptions {
         trace: Some(TraceConfig::default()),
-        ..options(1, indexed)
+        ..options(1)
     };
     let compiler = Compiler::with_options(
         spec.machine.clone(),
@@ -325,7 +326,8 @@ struct Row {
     phases: Vec<(&'static str, f64)>,
     /// Per-subphase self-time of the same run (profile trie).
     subphases: Vec<(&'static str, f64)>,
-    /// The select phase alone, brute-force matching (trace spans).
+    /// The select phase alone on the brute-force reference machine
+    /// (trace spans).
     brute_select_ms: f64,
 }
 
@@ -369,12 +371,16 @@ fn bench_compile(iters: usize, out: &str) {
 
     let mut rows = Vec::new();
     for spec in &machines {
+        let brute = MachineSpec {
+            machine: spec.machine.brute_force_reference(),
+            escapes: spec.escapes.clone(),
+        };
         for (name, module) in &workloads {
-            let serial_brute_ms = time_compile(spec, module, options(1, false), iters);
-            let serial_indexed_ms = time_compile(spec, module, options(1, true), iters);
-            let parallel4_ms = time_compile(spec, module, options(4, true), iters);
-            let (phases, subphases) = phase_split(spec, module, true, iters);
-            let brute_select_ms = phase_split(spec, module, false, iters)
+            let serial_brute_ms = time_compile(&brute, module, 1, iters);
+            let serial_indexed_ms = time_compile(spec, module, 1, iters);
+            let parallel4_ms = time_compile(spec, module, 4, iters);
+            let (phases, subphases) = phase_split(spec, module, iters);
+            let brute_select_ms = phase_split(&brute, module, iters)
                 .0
                 .iter()
                 .find(|(p, _)| *p == "select")
@@ -693,9 +699,9 @@ fn bench_quality(smoke: bool, out: &str) {
     println!("wrote {out}");
 }
 
-/// Compiles every bundled machine × workload under each matcher
-/// configuration — indexed vs brute-force selection, memoized vs
-/// unmemoized matching — and asserts the results are identical.
+/// Compiles every bundled machine × workload × strategy on the machine
+/// and on its brute-force reference machine, and asserts the results
+/// are identical.
 fn crosscheck() {
     let machines = marion_machines::load_extended();
     let mut workloads: Vec<(String, Module)> = marion_workloads::livermore::kernels()
@@ -714,41 +720,35 @@ fn crosscheck() {
 
     let mut checked = 0usize;
     for spec in &machines {
+        let reference = spec.machine.brute_force_reference();
         for (name, module) in &workloads {
             for strategy in [
                 StrategyKind::Postpass,
                 StrategyKind::Ips,
                 StrategyKind::Rase,
             ] {
-                let compile = |indexed: bool, memo: bool| {
+                let compile = |machine: &Machine| {
                     Compiler::with_options(
-                        spec.machine.clone(),
+                        machine.clone(),
                         spec.escapes.clone(),
                         strategy,
-                        CompileOptions {
-                            memo_select: memo,
-                            ..options(1, indexed)
-                        },
+                        options(1),
                     )
                     .compile_module(module)
                     .unwrap_or_else(|e| panic!("{} on {}: {e}", name, spec.machine.name()))
                 };
-                let baseline = compile(true, true);
-                for (label, variant) in [
-                    ("brute-force selection", compile(false, true)),
-                    ("unmemoized matching", compile(true, false)),
-                ] {
-                    if baseline.render(&spec.machine) != variant.render(&spec.machine)
-                        || baseline.stats != variant.stats
-                    {
-                        eprintln!(
-                            "CROSSCHECK FAILED: {} on {} ({strategy:?}): {label} diverges \
-                             from the indexed memoized baseline",
-                            name,
-                            spec.machine.name()
-                        );
-                        std::process::exit(1);
-                    }
+                let indexed = compile(&spec.machine);
+                let brute = compile(&reference);
+                if indexed.render(&spec.machine) != brute.render(&spec.machine)
+                    || indexed.stats != brute.stats
+                {
+                    eprintln!(
+                        "CROSSCHECK FAILED: {} on {} ({strategy:?}): brute-force selection \
+                         diverges from indexed selection",
+                        name,
+                        spec.machine.name()
+                    );
+                    std::process::exit(1);
                 }
                 checked += 1;
             }
@@ -756,6 +756,6 @@ fn crosscheck() {
     }
     println!(
         "crosscheck ok: {checked} machine x workload x strategy combinations, \
-         indexed == brute-force, memoized == unmemoized"
+         indexed == brute-force"
     );
 }

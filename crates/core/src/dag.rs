@@ -21,7 +21,7 @@
 //! sequence's head — exactly the dashed `(p, q)` edge of the paper's
 //! Figure 6 — so a non-backtracking scheduler cannot deadlock.
 
-use crate::code::{CodeBlock, CodeFunc, Inst, Operand, Vreg};
+use crate::code::{CodeBlock, Inst, Operand, Vreg};
 use marion_maril::machine::{ClockId, TemporalId};
 use marion_maril::Machine;
 use std::collections::HashMap;
@@ -651,46 +651,6 @@ pub fn serialize_same_clock_sequences(dag: &mut CodeDag) {
     for (from, to) in new_edges {
         dag.add_edge(from, to, 1, EdgeKind::Order);
     }
-}
-
-/// Stronger fallback: serialises *all* temporal sequences, across
-/// clocks, in thread order (cycle-creating edges skipped). EAP
-/// operations lose overlap with each other but every non-EAP
-/// instruction still schedules freely around them.
-pub fn serialize_all_sequences(dag: &mut CodeDag) {
-    let mut seqs = temporal_sequences(dag);
-    seqs.sort_by_key(|s| s.members.iter().min().copied().unwrap_or(0));
-    let mut new_edges: Vec<(usize, usize)> = Vec::new();
-    for pair in seqs.windows(2) {
-        let tail = *pair[0].members.iter().max().unwrap();
-        let head = pair[1].head;
-        if !dag.reaches(head, tail) {
-            new_edges.push((tail, head));
-        }
-    }
-    for (from, to) in new_edges {
-        dag.add_edge(from, to, 1, EdgeKind::Order);
-    }
-}
-
-/// Groups instructions by (cycle-ordered) code thread for debugging.
-pub fn dump_dag(func: &CodeFunc, machine: &Machine, dag: &CodeDag, block: &CodeBlock) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(out, "dag for {} ({} nodes)", func.name, dag.n);
-    for (i, inst) in block.insts.iter().enumerate() {
-        let t = machine.template(inst.template);
-        let _ = write!(out, "  [{i}] {}", t.mnemonic);
-        for op in &inst.ops {
-            let _ = write!(out, " {op}");
-        }
-        let _ = writeln!(out);
-        for &ei in &dag.succs[i] {
-            let e = dag.edges[ei];
-            let _ = writeln!(out, "      -> [{}] lat {} {:?}", e.to, e.latency, e.kind);
-        }
-    }
-    out
 }
 
 #[cfg(test)]

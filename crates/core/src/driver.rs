@@ -124,16 +124,6 @@ pub struct CompileOptions {
     /// collected in module order regardless, so the emitted assembly
     /// is byte-identical at any job count.
     pub jobs: Option<NonZeroUsize>,
-    /// Select instructions through the machine's precomputed
-    /// [`marion_maril::SelectionIndex`] (the default) instead of the
-    /// brute-force scan over every template. Both pick identical
-    /// instructions; the flag exists for benchmarking and
-    /// cross-checking.
-    pub indexed_select: bool,
-    /// Memoize per-node template match attempts during selection (the
-    /// default). Output-identical to unmemoized selection; the flag
-    /// exists for benchmarking and cross-checking.
-    pub memo_select: bool,
     /// Consult (and populate) a content-addressed compile cache: each
     /// function's key covers the machine description, strategy,
     /// output-relevant options and the function body, so a hit returns
@@ -149,8 +139,6 @@ impl Default for CompileOptions {
             fill_delay_slots: true,
             trace: None,
             jobs: None,
-            indexed_select: true,
-            memo_select: true,
             cache: None,
         }
     }
@@ -407,15 +395,8 @@ impl Compiler {
         }
         let mut code: CodeFunc = {
             let _span = tracer.span(&ctx, "select");
-            crate::select::select_func_traced(
-                &self.machine,
-                &self.escapes,
-                module,
-                &func,
-                self.options.indexed_select,
-                self.options.memo_select,
-                tracer,
-            )?
+            let _m = tracer.mspan("match_cover");
+            crate::select::select_func(&self.machine, &self.escapes, module, &func)?
         };
         let (schedules, s): (_, StrategyStats) = {
             let _span = tracer.span(&ctx, "strategy");

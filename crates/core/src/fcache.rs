@@ -22,11 +22,14 @@
 //!   meaningful against the same table).
 //!
 //! Deliberately **excluded**: `jobs` (module-order collection makes
-//! output identical at any worker count), `indexed_select` and
-//! `memo_select` (both crosschecked output-identical), and the cache
-//! handle itself. Invalidation is therefore automatic: change the
-//! machine description, strategy, relevant options or the function
-//! body and the key changes; stale entries age out of the LRU.
+//! output identical at any worker count), the machine's
+//! `SelectionIndex` (it only prunes candidate lists, so it cannot
+//! change output: `Machine::brute_force_reference`, whose index returns
+//! every template, compiles byte-identical code, which the selection
+//! crosscheck asserts), and the cache handle itself. Invalidation is
+//! therefore automatic: change the machine description, strategy,
+//! relevant options or the function body and the key changes; stale
+//! entries age out of the LRU.
 //!
 //! ## What an entry holds
 //!

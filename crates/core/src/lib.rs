@@ -35,8 +35,5 @@ pub use explain::{
 };
 pub use fcache::{CacheLoad, CacheSummary, CachedFunc, FuncCache};
 pub use quality::{BlockQuality, ProgramQuality, QualityRecord, StallBreakdown};
-pub use select::{
-    select_func, select_func_opts, select_func_traced, select_func_with, EscapeCtx, EscapeFn,
-    EscapeRegistry,
-};
+pub use select::{select_func, EscapeCtx, EscapeFn, EscapeRegistry};
 pub use strategy::{Strategy, StrategyKind};

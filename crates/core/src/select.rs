@@ -4,6 +4,8 @@
 //! Patterns are the semantic expressions of the machine description's
 //! `%instr` directives, tried **in description order**; the first
 //! matching pattern wins and its subtrees are selected recursively.
+//! Candidates come from the machine's [`marion_maril::SelectionIndex`],
+//! which skips templates that cannot match but never reorders them.
 //! Local common subexpressions (IR nodes with more than one parent)
 //! are forced into registers, unless they are constants that can be
 //! subsumed by an addressing mode or an immediate operand.
@@ -72,7 +74,13 @@ impl EscapeRegistry {
     }
 }
 
-/// Selects code for one IR function.
+/// Selects code for one IR function, walking the candidate lists of
+/// `machine`'s [`marion_maril::SelectionIndex`] in description order.
+/// The index only prunes templates that cannot match, so selecting
+/// against [`Machine::brute_force_reference`] (every lookup returns
+/// every template) picks the same instructions; the selection
+/// crosscheck asserts this. `_module` is the function's enclosing
+/// module; selection reads only `func`.
 ///
 /// # Errors
 ///
@@ -82,77 +90,8 @@ impl EscapeRegistry {
 pub fn select_func(
     machine: &Machine,
     escapes: &EscapeRegistry,
-    module: &ir::Module,
+    _module: &ir::Module,
     func: &ir::Function,
-) -> Result<CodeFunc, CodegenError> {
-    select_func_with(machine, escapes, module, func, true)
-}
-
-/// [`select_func`] with explicit matcher choice: `use_index` selects
-/// via the machine's precomputed [`marion_maril::SelectionIndex`]
-/// dispatch table; `false` falls back to the brute-force scan over
-/// every template. Both must pick identical templates (the index is a
-/// pruning, not a reordering) — the cross-check harness asserts this
-/// on every bundled machine × workload.
-///
-/// # Errors
-///
-/// Same failure modes as [`select_func`].
-pub fn select_func_with(
-    machine: &Machine,
-    escapes: &EscapeRegistry,
-    module: &ir::Module,
-    func: &ir::Function,
-    use_index: bool,
-) -> Result<CodeFunc, CodegenError> {
-    select_func_opts(machine, escapes, module, func, use_index, true)
-}
-
-/// [`select_func_with`] with explicit memoization choice: `use_memo`
-/// records each `(value node, template)` match attempt in a
-/// per-function table, so shared subtrees revisited across blocks skip
-/// templates already known not to match. Memoization is sound because
-/// a top-level value match depends only on the immutable machine
-/// description and IR — the cross-check harness asserts memoized and
-/// unmemoized selection pick identical instructions.
-///
-/// # Errors
-///
-/// Same failure modes as [`select_func`].
-pub fn select_func_opts(
-    machine: &Machine,
-    escapes: &EscapeRegistry,
-    module: &ir::Module,
-    func: &ir::Function,
-    use_index: bool,
-    use_memo: bool,
-) -> Result<CodeFunc, CodegenError> {
-    select_func_traced(
-        machine,
-        escapes,
-        module,
-        func,
-        use_index,
-        use_memo,
-        &marion_trace::Tracer::off(),
-    )
-}
-
-/// [`select_func_opts`] with micro-span attribution: the pattern-match
-/// tree cover itself folds into the tracer's self-profile as
-/// `match_cover`.
-///
-/// # Errors
-///
-/// Same failure modes as [`select_func`].
-pub fn select_func_traced(
-    machine: &Machine,
-    escapes: &EscapeRegistry,
-    module: &ir::Module,
-    func: &ir::Function,
-    use_index: bool,
-    use_memo: bool,
-    tracer: &marion_trace::Tracer,
 ) -> Result<CodeFunc, CodegenError> {
     let parents = func.parent_counts();
     let mut out = CodeFunc::new(&func.name);
@@ -163,21 +102,14 @@ pub fn select_func_traced(
     let mut ctx = SelCtx {
         machine,
         escapes,
-        module,
         irf: func,
         out,
         cur: 0,
         vmap: vec![None; func.vreg_tys.len()],
         cache: HashMap::new(),
         parents,
-        use_index,
-        use_memo,
-        memo: HashMap::new(),
     };
-    {
-        let _m = tracer.mspan("match_cover");
-        ctx.run()?;
-    }
+    ctx.run()?;
     Ok(ctx.out)
 }
 
@@ -276,22 +208,12 @@ impl MatchPlan {
 struct SelCtx<'a> {
     machine: &'a Machine,
     escapes: &'a EscapeRegistry,
-    #[allow(dead_code)]
-    module: &'a ir::Module,
     irf: &'a ir::Function,
     out: CodeFunc,
     cur: usize,
     vmap: Vec<Option<Vreg>>,
     cache: HashMap<NodeId, Operand>,
     parents: Vec<u32>,
-    use_index: bool,
-    use_memo: bool,
-    /// Top-level value-match outcomes, `(node, template) -> matched?`.
-    /// Persists for the whole function (unlike the per-block operand
-    /// `cache`): a match attempt at depth 0 is a pure function of the
-    /// machine description and the IR, so revisited shared subtrees
-    /// skip templates already known not to match.
-    memo: HashMap<(NodeId, TemplateId), bool>,
 }
 
 impl<'a> SelCtx<'a> {
@@ -368,7 +290,7 @@ impl<'a> SelCtx<'a> {
                             .cwvm()
                             .result_reg(ty)
                             .ok_or_else(|| err(format!("no %result register for {ty}")))?;
-                        let src = self.select_operand(*n)?;
+                        let src = self.select_reg(*n)?;
                         self.emit_move_phys(result, src)?;
                     }
                     self.out.blocks[bi].succs = vec![epilogue];
@@ -479,12 +401,6 @@ impl<'a> SelCtx<'a> {
         )
     }
 
-    /// Selects `id` as either an immediate-capable operand (constant)
-    /// or a register.
-    fn select_operand(&mut self, id: NodeId) -> Result<Operand, CodegenError> {
-        self.select_reg(id)
-    }
-
     /// Selects `id` writing the result into `dest`.
     fn select_into(&mut self, dest: Vreg, id: NodeId) -> Result<(), CodegenError> {
         if self.cache.contains_key(&id) || self.parents[id.0 as usize] > 1 {
@@ -530,21 +446,8 @@ impl<'a> SelCtx<'a> {
             .map(|(p, _)| *p)
     }
 
-    /// Every template, in description order — the brute-force
-    /// candidate list.
-    fn all_templates(&self) -> Vec<TemplateId> {
-        (0..self.machine.templates().len())
-            .map(|i| TemplateId(i as u32))
-            .collect()
-    }
-
-    /// Candidate templates for value node `id`, in description order:
-    /// the precomputed index lookup, or every template when
-    /// brute-forcing.
+    /// Candidate templates for value node `id`, in description order.
     fn value_candidates(&self, id: NodeId) -> Vec<TemplateId> {
-        if !self.use_index {
-            return self.all_templates();
-        }
         let shape = match &self.irf.node(id).kind {
             NodeKind::Bin(op, _, _) => RootShape::Bin(*op),
             NodeKind::Un(op, _) => RootShape::Un(match op {
@@ -600,16 +503,9 @@ impl<'a> SelCtx<'a> {
                     continue;
                 }
             }
-            if self.use_memo && self.memo.get(&(id, tid)) == Some(&false) {
-                continue;
-            }
             let mut plan = MatchPlan::new(tid, t.operands.len());
             plan.ops[0] = OpPlan::Def;
-            let matched = self.match_expr(rhs, id, &mut plan, false);
-            if self.use_memo {
-                self.memo.insert((id, tid), matched);
-            }
-            if matched {
+            if self.match_expr(rhs, id, &mut plan, false) {
                 return self.emit_plan(&plan, dest);
             }
         }
@@ -790,15 +686,7 @@ impl<'a> SelCtx<'a> {
                 let Some(tid) = machine.temporal_by_name(name) else {
                     return false;
                 };
-                let producers: Vec<TemplateId> = if self.use_index {
-                    machine
-                        .selection_index()
-                        .temporal_def_candidates(tid)
-                        .to_vec()
-                } else {
-                    self.all_templates()
-                };
-                for utid in producers {
+                for &utid in machine.selection_index().temporal_def_candidates(tid) {
                     let u = machine.template(utid);
                     if !u.effects.temporal_defs.contains(&tid) {
                         continue;
@@ -935,12 +823,7 @@ impl<'a> SelCtx<'a> {
 
     fn select_store(&mut self, addr: NodeId, value: NodeId, ty: Ty) -> Result<(), CodegenError> {
         let machine = self.machine;
-        let candidates = if self.use_index {
-            machine.selection_index().store_candidates().to_vec()
-        } else {
-            self.all_templates()
-        };
-        for tid in candidates {
+        for &tid in machine.selection_index().store_candidates() {
             let t = machine.template(tid);
             if t.escape.is_some() || !ty_match(t.ty, ty) {
                 continue;
@@ -994,12 +877,7 @@ impl<'a> SelCtx<'a> {
         target: ir::BlockId,
     ) -> Result<(), CodegenError> {
         let machine = self.machine;
-        let candidates = if self.use_index {
-            machine.selection_index().cond_branch_candidates().to_vec()
-        } else {
-            self.all_templates()
-        };
-        for tid in candidates {
+        for &tid in machine.selection_index().cond_branch_candidates() {
             let t = machine.template(tid);
             if t.escape.is_some() {
                 continue;
@@ -1042,12 +920,7 @@ impl<'a> SelCtx<'a> {
 
     fn emit_goto(&mut self, target: ir::BlockId) -> Result<(), CodegenError> {
         let machine = self.machine;
-        let candidates = if self.use_index {
-            machine.selection_index().goto_candidates().to_vec()
-        } else {
-            self.all_templates()
-        };
-        for tid in candidates {
+        for &tid in machine.selection_index().goto_candidates() {
             let t = machine.template(tid);
             if let [Stmt::Goto(k)] = t.sem.as_slice() {
                 let mut ops = self.fixed_ops(tid);
@@ -1191,13 +1064,10 @@ impl<'a> SelCtx<'a> {
     /// Finds a `$1 = $2 + #imm` template for `class` whose immediate
     /// range contains `value`.
     fn find_addi(&self, class: RegClassId, value: i64) -> Option<TemplateId> {
-        let candidates = if self.use_index {
-            self.machine
-                .selection_index()
-                .value_candidates(RootShape::Bin(BinOp::Add), false)
-        } else {
-            self.all_templates()
-        };
+        let candidates = self
+            .machine
+            .selection_index()
+            .value_candidates(RootShape::Bin(BinOp::Add), false);
         candidates.into_iter().find(|&tid| {
             let t = self.machine.template(tid);
             if t.escape.is_some() || t.def_class() != Some(class) {
@@ -1287,12 +1157,7 @@ impl<'a> SelCtx<'a> {
         imm: ImmVal,
     ) -> Result<(), CodegenError> {
         let machine = self.machine;
-        let candidates = if self.use_index {
-            machine.selection_index().load_imm_candidates().to_vec()
-        } else {
-            self.all_templates()
-        };
-        for tid in candidates {
+        for &tid in machine.selection_index().load_imm_candidates() {
             let t = machine.template(tid);
             if t.def_class() != Some(class) {
                 continue;
@@ -1394,9 +1259,6 @@ impl<'a, 'b> EscapeCtx<'a, 'b> {
             Operand::Vreg(v) => {
                 let class = self.sel.out.vreg(v).class;
                 if self.sel.machine.reg_class(class).unit_width < 2 {
-                    if std::env::var("MARION_HALF_PANIC").is_ok() {
-                        panic!("half of single-unit vreg {v}");
-                    }
                     return Err(err(format!(
                         "half of single-unit vreg {v} (class `{}`)",
                         self.sel.machine.reg_class(class).name

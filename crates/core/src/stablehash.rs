@@ -19,8 +19,10 @@
 //! (operand shapes, semantics, resource vectors, latencies, slots,
 //! effects), auxiliary latencies, glue rules and the CWVM. It
 //! deliberately skips `DescriptionStats` (Table 1 metadata — no
-//! codegen effect) and the `SelectionIndex` (a pure function of the
-//! templates already hashed).
+//! codegen effect) and the `SelectionIndex` (no codegen effect either:
+//! it prunes candidate lists without reordering them, so a machine and
+//! its `Machine::brute_force_reference` compile identical code and
+//! share every key).
 
 use marion_cache::StableHasher;
 use marion_ir as ir;

@@ -331,9 +331,6 @@ fn schedule_all(
                 &mut scratch,
             );
             if discipline != "rule1" {
-                if std::env::var("MARION_SCHED_DEBUG").is_ok() {
-                    eprintln!("fallback: {discipline} ({} insts)", block.insts.len());
-                }
                 // Temporal sequence protection failed to keep plain
                 // Rule 1 scheduling live; record which fallback
                 // discipline rescued the block.

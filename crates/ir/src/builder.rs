@@ -101,11 +101,6 @@ impl FuncBuilder {
         self.load_cache.clear();
     }
 
-    /// The current insertion block.
-    pub fn current_block(&self) -> BlockId {
-        self.current
-    }
-
     fn intern(&mut self, key: CseKey, kind: NodeKind, ty: Ty) -> NodeId {
         if let Some(id) = self.cse.get(&key) {
             return *id;

@@ -667,6 +667,24 @@ impl SelectionIndex {
         ix
     }
 
+    /// The brute-force reference index: every lookup returns every
+    /// template in description order, so the selector tries them all
+    /// and its own filters do the rejecting — the paper's plain ordered
+    /// scan, expressed as data. Every template sits in the `chained`
+    /// bucket (merged into each value lookup) and in every side list.
+    fn brute_force(template_count: usize, temporal_count: usize) -> SelectionIndex {
+        let all: Vec<TemplateId> = (0..template_count as u32).map(TemplateId).collect();
+        SelectionIndex {
+            chained: all.clone(),
+            load_imm: all.clone(),
+            stores: all.clone(),
+            cond_branches: all.clone(),
+            gotos: all.clone(),
+            temporal_defs: vec![all; temporal_count],
+            ..SelectionIndex::default()
+        }
+    }
+
     /// Candidate value templates for a node of the given root shape,
     /// in description order. `foldable` marks nodes that fold to an
     /// integer constant (an `Un(Neg)` over a literal also matches
@@ -826,6 +844,19 @@ impl Machine {
     /// description-compile time).
     pub fn selection_index(&self) -> &SelectionIndex {
         &self.index
+    }
+
+    /// A copy of this machine whose selection index is the brute-force
+    /// reference: every lookup returns every template in description
+    /// order. It selects exactly what `self` selects, only slower — the
+    /// real index prunes templates that cannot match and never reorders
+    /// — so it is the reference the selection crosscheck compiles
+    /// against.
+    pub fn brute_force_reference(&self) -> Machine {
+        Machine {
+            index: SelectionIndex::brute_force(self.templates.len(), self.temporals.len()),
+            ..self.clone()
+        }
     }
 
     /// The machine's name.

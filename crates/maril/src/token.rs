@@ -93,24 +93,6 @@ pub enum TokenKind {
     Eof,
 }
 
-impl TokenKind {
-    /// Returns the directive name if this token is a directive.
-    pub fn as_directive(&self) -> Option<&str> {
-        match self {
-            TokenKind::Directive(name) => Some(name),
-            _ => None,
-        }
-    }
-
-    /// Returns the identifier text if this token is an identifier.
-    pub fn as_ident(&self) -> Option<&str> {
-        match self {
-            TokenKind::Ident(name) => Some(name),
-            _ => None,
-        }
-    }
-}
-
 impl fmt::Display for TokenKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

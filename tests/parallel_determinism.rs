@@ -3,7 +3,7 @@
 //! compile, the statistics agree, and the merged trace counters sum
 //! to the serial totals. Also pins the indexed-selection cross-check:
 //! the `SelectionIndex` fast path picks exactly the templates the
-//! brute-force matcher would.
+//! brute-force reference machine would.
 
 use marion::backend::{CompileOptions, CompiledProgram, Compiler, StrategyKind};
 use marion::ir::Module;
@@ -22,7 +22,6 @@ fn compile(
     strategy: StrategyKind,
     module: &Module,
     jobs: usize,
-    indexed: bool,
     trace: bool,
 ) -> CompiledProgram {
     let spec = marion::machines::load(machine);
@@ -32,7 +31,6 @@ fn compile(
         strategy,
         CompileOptions {
             jobs: NonZeroUsize::new(jobs),
-            indexed_select: indexed,
             trace: trace.then(TraceConfig::default),
             ..CompileOptions::default()
         },
@@ -51,8 +49,8 @@ fn parallel_assembly_is_byte_identical_to_serial() {
     let module = marion::workloads::multi::combined_livermore();
     for machine in MACHINES {
         for strategy in STRATEGIES {
-            let serial = compile(machine, strategy, &module, 1, true, false);
-            let parallel = compile(machine, strategy, &module, 8, true, false);
+            let serial = compile(machine, strategy, &module, 1, false);
+            let parallel = compile(machine, strategy, &module, 8, false);
             assert_eq!(
                 render(machine, &serial),
                 render(machine, &parallel),
@@ -69,8 +67,8 @@ fn parallel_assembly_is_byte_identical_to_serial() {
 #[test]
 fn parallel_trace_counters_match_serial() {
     let module = marion::workloads::multi::combined_livermore();
-    let serial = compile("r2000", StrategyKind::Ips, &module, 1, true, true);
-    let parallel = compile("r2000", StrategyKind::Ips, &module, 8, true, true);
+    let serial = compile("r2000", StrategyKind::Ips, &module, 1, true);
+    let parallel = compile("r2000", StrategyKind::Ips, &module, 8, true);
     let st = serial.trace.expect("serial trace");
     let pt = parallel.trace.expect("parallel trace");
     for counter in [
@@ -103,8 +101,8 @@ fn compiling_the_same_module_twice_is_deterministic() {
     let module = marion::workloads::multi::combined_generated(6, 42);
     for machine in MACHINES {
         for strategy in STRATEGIES {
-            let a = compile(machine, strategy, &module, 1, true, false);
-            let b = compile(machine, strategy, &module, 1, true, false);
+            let a = compile(machine, strategy, &module, 1, false);
+            let b = compile(machine, strategy, &module, 1, false);
             assert_eq!(
                 render(machine, &a),
                 render(machine, &b),
@@ -126,11 +124,11 @@ fn fifty_repeated_compiles_per_strategy_are_byte_identical() {
     let module = marion::workloads::multi::combined_generated(2, 9);
     let machine = "i860";
     for strategy in STRATEGIES {
-        let baseline = compile(machine, strategy, &module, 1, true, false);
+        let baseline = compile(machine, strategy, &module, 1, false);
         let expected = render(machine, &baseline);
         for run in 1..50usize {
             let jobs = if run % 2 == 0 { 1 } else { 4 };
-            let again = compile(machine, strategy, &module, jobs, true, false);
+            let again = compile(machine, strategy, &module, jobs, false);
             assert_eq!(
                 expected,
                 render(machine, &again),
@@ -148,8 +146,19 @@ fn fifty_repeated_compiles_per_strategy_are_byte_identical() {
 fn indexed_selection_matches_brute_force() {
     let module = marion::workloads::multi::combined_livermore();
     for machine in MACHINES {
-        let indexed = compile(machine, StrategyKind::Ips, &module, 1, true, false);
-        let brute = compile(machine, StrategyKind::Ips, &module, 1, false, false);
+        let indexed = compile(machine, StrategyKind::Ips, &module, 1, false);
+        let spec = marion::machines::load(machine);
+        let brute = Compiler::with_options(
+            spec.machine.brute_force_reference(),
+            spec.escapes,
+            StrategyKind::Ips,
+            CompileOptions {
+                jobs: NonZeroUsize::new(1),
+                ..CompileOptions::default()
+            },
+        )
+        .compile_module(&module)
+        .unwrap_or_else(|e| panic!("{machine} brute-force reference: {e}"));
         assert_eq!(
             render(machine, &indexed),
             render(machine, &brute),
