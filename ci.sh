@@ -36,6 +36,12 @@ echo "==> retargeting fuzz smoke (marion-fuzz --smoke: generated machines throug
 cargo run --release --offline -q -p marion-bench --bin marion-fuzz -- --smoke --out BENCH_retarget_smoke.json
 grep -q '"bench": "retarget"' BENCH_retarget_smoke.json
 grep -q '"failing_machines": 0' BENCH_retarget_smoke.json
+# The block audit replays every schedule for its provenance; a smoke
+# run that audited no block proves nothing.
+if grep -Eq '"blocks_audited": 0([^0-9]|$)' BENCH_retarget_smoke.json; then
+  echo "fuzz smoke audited no blocks" >&2
+  exit 1
+fi
 # Cross-strategy quality differentials on every generated machine:
 # zero unexplained anomalies on the committed smoke seed range.
 grep -q '"quality_anomalies": 0' BENCH_retarget_smoke.json

@@ -7,10 +7,12 @@
 //! waited), each instruction's ready/earliest/issue cycles, the
 //! per-reason stall histogram, the DAG critical path, and — after the
 //! blocks — the delay-slot fill provenance (which instruction moved
-//! into which branch's slot, per §4.4). Every block
-//! is re-audited with `audit_schedule`, an independent legality
-//! checker that also validates the recorded provenance — the tool
-//! refuses to explain a schedule it cannot prove.
+//! into which branch's slot, per §4.4). The placement records come
+//! from `sched::explain_schedule`, which re-runs the scheduler with
+//! recording on; every replay is re-audited with `audit_schedule`, an
+//! independent legality checker that also validates the recorded
+//! provenance — the tool refuses to explain a schedule it cannot
+//! prove.
 //!
 //! Usage:
 //!
@@ -227,10 +229,21 @@ fn placements_for(
         by_key: BTreeMap::new(),
     };
     for (bi, (block, schedule)) in code.blocks.iter().zip(&schedules).enumerate() {
+        // Every strategy's final pass runs with default options.
+        let schedule =
+            match sched::explain_schedule(machine, &code, block, schedule, &Default::default()) {
+                Ok(replay) => replay,
+                Err(e) => {
+                    eprintln!("marion-explain: {} on {}/b{bi}: {e}", kind.name(), f.name);
+                    return None;
+                }
+            };
         out.total_length += schedule.length as u64;
-        out.total_stalls += schedule.explanation.total_stall_cycles();
-        for (key, cycles) in schedule.explanation.stall_histogram() {
-            *out.reason_totals.entry(key).or_insert(0) += cycles;
+        out.total_stalls += schedule.explanation.stalls.total();
+        for (key, cycles) in schedule.explanation.stalls.as_pairs() {
+            if cycles > 0 {
+                *out.reason_totals.entry(key).or_insert(0) += cycles;
+            }
         }
         let mut seen: BTreeMap<&str, usize> = BTreeMap::new();
         for record in &schedule.explanation.records {
@@ -366,16 +379,29 @@ fn explain_func(machine: &Machine, code: &CodeFunc, opts: &Options) -> usize {
     // Every block gets a schedule (empty ones trivially) so the
     // function can be emitted afterwards for delay-slot provenance.
     let mut schedules: Vec<sched::Schedule> = Vec::with_capacity(code.blocks.len());
+    let sched_opts = sched::SchedOptions::default();
     for (bi, block) in code.blocks.iter().enumerate() {
         let (schedule, discipline) =
-            sched::schedule_block_robust(machine, code, block, &Default::default());
+            sched::schedule_block_robust(machine, code, block, &sched_opts);
         if block.insts.is_empty() {
             schedules.push(schedule);
             continue;
         }
+        // Records come from a recording replay of the schedule.
+        let schedule = match sched::explain_schedule(machine, code, block, &schedule, &sched_opts) {
+            Ok(replay) => replay,
+            Err(e) => {
+                eprintln!("marion-explain: b{bi}: {e}");
+                failures += 1;
+                schedules.push(schedule);
+                continue;
+            }
+        };
         failures += audit_block(machine, block, &schedule, bi);
-        for (key, cycles) in schedule.explanation.stall_histogram() {
-            *totals.entry(key).or_insert(0) += cycles;
+        for (key, cycles) in schedule.explanation.stalls.as_pairs() {
+            if cycles > 0 {
+                *totals.entry(key).or_insert(0) += cycles;
+            }
         }
         let show = opts.limit.is_none_or(|lim| explained < lim);
         if show {

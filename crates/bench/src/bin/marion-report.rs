@@ -432,12 +432,15 @@ fn demo_dag_svgs() -> Vec<(String, String)> {
         if block.insts.is_empty() {
             continue;
         }
-        let (schedule, discipline) = marion_core::sched::schedule_block_robust(
-            machine,
-            &code,
-            block,
-            &marion_core::sched::SchedOptions::default(),
-        );
+        let opts = marion_core::sched::SchedOptions::default();
+        let (schedule, discipline) =
+            marion_core::sched::schedule_block_robust(machine, &code, block, &opts);
+        // The SVG annotates ready cycles and slack: replay for records.
+        let Ok(schedule) =
+            marion_core::sched::explain_schedule(machine, &code, block, &schedule, &opts)
+        else {
+            continue;
+        };
         let (dag, _) = marion_core::explain::dag_for_discipline(machine, block, discipline);
         let svg = marion_bench::dagviz::dag_to_svg(
             machine,

@@ -37,8 +37,10 @@ const V_GAP: f64 = 46.0;
 const MARGIN: f64 = 10.0;
 
 /// Renders the DAG as a standalone inline SVG with schedule
-/// annotations. Layering is by earliest start cycle (dependence
-/// depth), so an edge always points downward or sideways-down.
+/// annotations — ready cycles, slack and stall tooltips come from the
+/// placement records of a `sched::explain_schedule` replay. Layering
+/// is by earliest start cycle (dependence depth), so an edge always
+/// points downward or sideways-down.
 pub fn dag_to_svg(
     machine: &Machine,
     block: &CodeBlock,
@@ -236,7 +238,7 @@ fn topo(dag: &CodeDag) -> Vec<usize> {
 mod tests {
     use super::*;
     use marion_core::dag::build_dag;
-    use marion_core::sched::{schedule_block, SchedOptions};
+    use marion_core::sched::{explain_schedule, schedule_block, SchedOptions};
 
     fn demo_pieces() -> (Machine, marion_core::CodeFunc) {
         let spec = marion_machines::load("r2000");
@@ -269,8 +271,10 @@ mod tests {
             .max_by_key(|b| b.insts.len())
             .expect("has blocks");
         let dag = build_dag(&machine, block, true);
-        let schedule =
-            schedule_block(&machine, &code, block, &dag, &SchedOptions::default()).unwrap();
+        let opts = SchedOptions::default();
+        let schedule = schedule_block(&machine, &code, block, &dag, &opts).unwrap();
+        let schedule = explain_schedule(&machine, &code, block, &schedule, &opts).unwrap();
+        assert_eq!(schedule.explanation.records.len(), block.insts.len());
         let svg = dag_to_svg(&machine, block, &dag, &schedule, "demo block");
         assert!(svg.starts_with("<svg ") && svg.ends_with("</svg>\n"));
         assert_eq!(svg.matches("<rect ").count(), dag.n, "one rect per node");

@@ -293,12 +293,16 @@ pub fn render_html_with(
     }
 
     // ---- stall reasons per strategy pass ----
-    // Final sched_block events carry a per-pass label ("sched:ips",
-    // "sched:postpass-final", …) and typed stall cycles; summing per
-    // (pass, reason) gives the strategy-by-strategy breakdown.
+    // sched_block events, one per block of a final scheduling pass,
+    // carry the pass label ("sched:ips-final", "sched:postpass", …)
+    // and typed stall cycles; summing per (pass, reason) gives the
+    // strategy-by-strategy breakdown.
     let mut by_pass: BTreeMap<String, BTreeMap<&str, i64>> = BTreeMap::new();
     for (_, fields) in data.events_named("sched_block") {
-        if fields.int("final") != Some(1) {
+        // Only traces from older builds (saved JSONL, disk-cache
+        // entries) carry `final`; their estimate passes, marked
+        // `final: 0`, would count twice.
+        if fields.int("final") == Some(0) {
             continue;
         }
         let pass = fields.str("pass").unwrap_or("?").to_string();
@@ -1125,9 +1129,18 @@ mod tests {
             "sched_block",
             &[
                 ("pass", Value::from("sched:ips-final")),
-                ("final", Value::Int(1)),
                 ("stall_dependence", Value::Int(5)),
                 ("stall_resource", Value::Int(2)),
+            ],
+        );
+        // An estimate pass as traces from older builds recorded it.
+        t.event(
+            "r2000/kernel/b0",
+            "sched_block",
+            &[
+                ("pass", Value::from("sched:ips-prepass")),
+                ("final", Value::Int(0)),
+                ("stall_dependence", Value::Int(9)),
             ],
         );
         t.event(
@@ -1203,6 +1216,10 @@ mod tests {
         ] {
             assert!(html.contains(needle), "missing section `{needle}`");
         }
+        assert!(
+            !html.contains("sched:ips-prepass"),
+            "old estimate pass counted"
+        );
         // Raw event text is escaped, not injected.
         assert!(html.contains("&lt;raw&gt; &amp; stuff"));
         assert!(!html.contains("<raw>"));

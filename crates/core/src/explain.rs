@@ -1,9 +1,12 @@
 //! Schedule provenance: *why* each instruction issued when it did.
 //!
-//! The list scheduler (paper §4.2–§4.6) records, for every placed
-//! instruction, a [`PlacementRecord`]: the cycle it became ready, the
-//! cycle its dependence latencies were satisfied, the cycle it
-//! actually issued, and a typed [`StallReason`] for every cycle in
+//! Every schedule carries a [`StallBreakdown`]: stalled cycles per
+//! reason, tallied by the list scheduler's candidate scan. On request,
+//! [`crate::sched::explain_schedule`] re-runs the deterministic
+//! scheduler (paper §4.2–§4.6) with recording on and builds, for every
+//! placed instruction, a [`PlacementRecord`]: the cycle it became
+//! ready, the cycle its dependence latencies were satisfied, the cycle
+//! it actually issued, and a typed [`StallReason`] for every cycle in
 //! between — a data/anti/output edge naming the producing DAG node, a
 //! resource-vector conflict naming the contended resource (§4.3), an
 //! instruction-word packing rejection (§4.5), Rule-1 / temporal
@@ -16,21 +19,22 @@
 //! ```
 //!
 //! [`audit_schedule`] is an *independent* cross-check: it re-derives
-//! schedule legality from the machine description alone (a different
-//! implementation from `sched::verify_schedule`, replaying the
-//! reservation timeline cycle by cycle) and then validates every
-//! recorded stall against the final schedule — provenance that lies
-//! is worse than none. [`dag_to_dot`] renders the annotated code DAG
+//! schedule legality from the machine description alone (replaying
+//! the reservation timeline cycle by cycle rather than reusing the
+//! scheduler's checks) and then validates every recorded stall
+//! against the final schedule — provenance that lies is worse than
+//! none. [`dag_to_dot`] renders the annotated code DAG
 //! (scheduled cycles, edge kinds, the critical path, stall tooltips)
 //! and [`explain_block_text`] produces the cycle-by-cycle narrative
 //! used by the `marion-explain` tool.
 
 use crate::code::CodeBlock;
 use crate::dag::{CodeDag, EdgeKind};
+use crate::quality::StallBreakdown;
 use crate::sched::Schedule;
 use marion_maril::machine::ClockId;
 use marion_maril::{Machine, ResSet};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fmt::Write as _;
 
 /// Why one instruction could not issue in one particular cycle.
@@ -182,40 +186,161 @@ impl PlacementRecord {
 }
 
 /// Everything the scheduler can explain about one block's schedule.
+/// Every schedule carries the discipline, the stall breakdown and the
+/// critical-path bound; the records, slack and critical-path chain
+/// are built only by [`crate::sched::explain_schedule`].
 #[derive(Debug, Clone, Default)]
 pub struct ScheduleExplanation {
-    /// One record per instruction, indexed by instruction.
+    /// One record per instruction, indexed by instruction (empty
+    /// unless replayed).
     pub records: Vec<PlacementRecord>,
-    /// Per-node slack against the DAG critical path: 0 = on it.
+    /// Per-node slack against the DAG critical path: 0 = on it (empty
+    /// unless replayed).
     pub slack: Vec<u32>,
-    /// One maximal zero-slack chain through the DAG, in issue order.
+    /// One maximal zero-slack chain through the DAG, in issue order
+    /// (empty unless replayed).
     pub critical_path: Vec<usize>,
     /// The DAG critical path in cycles — the dependence-only lower
     /// bound on any legal schedule's length for this block (see
     /// [`critical_path_cycles`]). Zero for empty blocks.
     pub critical_path_cycles: u32,
-    /// Scheduling discipline that produced the schedule (`"rule1"`,
-    /// `"serialized"`, `"name-deps"` or `"serial"`; see
-    /// `sched::schedule_block_robust`).
+    /// Stalled cycles per reason over the block: what the records'
+    /// tiles sum to, counted without building them.
+    pub stalls: StallBreakdown,
+    /// Scheduling discipline that produced the schedule: a
+    /// [`Discipline::name`], or empty for a hand-built schedule.
     pub discipline: &'static str,
 }
 
-impl ScheduleExplanation {
-    /// Total stalled cycles per [`StallReason::key`], over the block.
-    pub fn stall_histogram(&self) -> BTreeMap<&'static str, u64> {
-        let mut h = BTreeMap::new();
-        for r in &self.records {
-            for s in &r.stalls {
-                *h.entry(s.reason.key()).or_insert(0u64) += s.cycles as u64;
-            }
+/// The scheduling disciplines: the four rungs of the strategies'
+/// fallback ladder (`sched::schedule_block_robust`) and the NoSched
+/// baseline. A schedule records its discipline's name, and the name
+/// alone fixes the code DAG the schedule was placed against, whether
+/// Rule 1 holds of it, and which scheduler placed it — so a replay or
+/// an audit rebuilds exactly what the scheduler saw.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Discipline {
+    /// List scheduling under Rule 1 over the plain DAG.
+    Rule1,
+    /// Rule 1 over the plain DAG with same-clock sequences serialised.
+    Serialized,
+    /// List scheduling without Rule 1 over the DAG with latch
+    /// name-dependences, which keep latch order instead.
+    NameDeps,
+    /// Serial thread order over the name-dependence DAG: the ladder's
+    /// last rung.
+    Serial,
+    /// Serial thread order over the plain DAG: the NoSched baseline.
+    NoSched,
+}
+
+impl Discipline {
+    /// The name a schedule's explanation records.
+    pub fn name(self) -> &'static str {
+        match self {
+            Discipline::Rule1 => "rule1",
+            Discipline::Serialized => "serialized",
+            Discipline::NameDeps => "name-deps",
+            Discipline::Serial => "serial",
+            Discipline::NoSched => "nosched",
         }
-        h
     }
 
-    /// Total stalled cycles of every kind.
-    pub fn total_stall_cycles(&self) -> u64 {
-        self.records.iter().map(|r| r.stall_cycles() as u64).sum()
+    /// The discipline `name` denotes; `None` for anything else, such
+    /// as a hand-built schedule's empty name.
+    pub fn parse(name: &str) -> Option<Discipline> {
+        [
+            Discipline::Rule1,
+            Discipline::Serialized,
+            Discipline::NameDeps,
+            Discipline::Serial,
+            Discipline::NoSched,
+        ]
+        .into_iter()
+        .find(|d| d.name() == name)
     }
+
+    /// The code DAG this discipline's schedules are placed against.
+    /// The ladder builds the same DAGs, serialising rung 1's in place
+    /// for rung 2.
+    pub fn dag(self, machine: &Machine, block: &CodeBlock) -> CodeDag {
+        match self {
+            Discipline::Rule1 | Discipline::NoSched => crate::dag::build_dag(machine, block, true),
+            Discipline::Serialized => {
+                let mut dag = crate::dag::build_dag(machine, block, true);
+                crate::dag::serialize_same_clock_sequences(&mut dag);
+                dag
+            }
+            Discipline::NameDeps | Discipline::Serial => {
+                crate::dag::build_dag_with(machine, block, true, true)
+            }
+        }
+    }
+
+    /// Whether Rule 1 holds of this discipline's schedules (and the
+    /// list scheduler enforces it).
+    pub fn checks_rule1(self) -> bool {
+        matches!(self, Discipline::Rule1 | Discipline::Serialized)
+    }
+
+    /// Whether the serial scheduler, not the list scheduler, places
+    /// this discipline's schedules.
+    pub fn is_serial(self) -> bool {
+        matches!(self, Discipline::Serial | Discipline::NoSched)
+    }
+}
+
+impl ScheduleExplanation {
+    /// Stalled cycles per reason summed over the placement records;
+    /// equal to [`ScheduleExplanation::stalls`] on a replayed
+    /// schedule.
+    pub fn record_stalls(&self) -> StallBreakdown {
+        let mut b = StallBreakdown::default();
+        for r in &self.records {
+            for s in &r.stalls {
+                b.add(s.reason.key(), u64::from(s.cycles));
+            }
+        }
+        b
+    }
+}
+
+/// Instruction `i`'s dependence window in a finished schedule: the
+/// cycle its last DAG predecessor issued (0 for roots), the cycle its
+/// last latency is satisfied, and the binding edge — the predecessor
+/// whose `issue + latency` sets that cycle.
+fn dependence_window(
+    dag: &CodeDag,
+    inst_cycle: &[u32],
+    i: usize,
+) -> (u32, u32, Option<(usize, EdgeKind, u32)>) {
+    let mut ready = 0u32;
+    let mut earliest = 0u32;
+    let mut binding: Option<(usize, EdgeKind, u32)> = None;
+    for &ei in &dag.preds[i] {
+        let e = dag.edges[ei];
+        ready = ready.max(inst_cycle[e.from]);
+        let satisfied = inst_cycle[e.from] + e.latency;
+        if satisfied > earliest || binding.is_none() {
+            earliest = earliest.max(satisfied);
+            if satisfied == earliest {
+                binding = Some((e.from, e.kind, e.latency));
+            }
+        }
+    }
+    (ready, earliest, binding)
+}
+
+/// Cycles the block's instructions spent waiting out dependence
+/// latencies: `Σ earliest − ready` — the dependence tiles of the
+/// records, without the records.
+pub(crate) fn dependence_stall_cycles(dag: &CodeDag, inst_cycle: &[u32]) -> u64 {
+    (0..inst_cycle.len())
+        .map(|i| {
+            let (ready, earliest, _) = dependence_window(dag, inst_cycle, i);
+            u64::from(earliest - ready)
+        })
+        .sum()
 }
 
 /// Builds per-instruction records from the final cycle assignment plus
@@ -225,26 +350,11 @@ impl ScheduleExplanation {
 pub(crate) fn build_records(
     dag: &CodeDag,
     inst_cycle: &[u32],
-    mut hazard: Vec<Vec<Stall>>,
+    hazard: Vec<Vec<Stall>>,
 ) -> Vec<PlacementRecord> {
-    let n = inst_cycle.len();
-    hazard.resize(n, Vec::new());
-    let mut records = Vec::with_capacity(n);
+    let mut records = Vec::with_capacity(inst_cycle.len());
     for (i, hz) in hazard.into_iter().enumerate() {
-        let mut ready = 0u32;
-        let mut earliest = 0u32;
-        let mut binding: Option<(usize, EdgeKind, u32)> = None;
-        for &ei in &dag.preds[i] {
-            let e = dag.edges[ei];
-            ready = ready.max(inst_cycle[e.from]);
-            let satisfied = inst_cycle[e.from] + e.latency;
-            if satisfied > earliest || binding.is_none() {
-                earliest = earliest.max(satisfied);
-                if satisfied == earliest {
-                    binding = Some((e.from, e.kind, e.latency));
-                }
-            }
-        }
+        let (ready, earliest, binding) = dependence_window(dag, inst_cycle, i);
         let mut stalls = Vec::new();
         if earliest > ready {
             let (pred, kind, latency) = binding.expect("earliest > ready implies a pred");
@@ -286,22 +396,22 @@ pub(crate) fn log_stall(log: &mut Vec<Stall>, at: u32, reason: StallReason) {
     });
 }
 
-/// Computes per-node slack and one zero-slack chain for a DAG.
 /// The DAG critical path in cycles: `max(est[i] + ltl[i]) + 1` over
 /// the nodes, where `est` is the earliest dependence-legal issue cycle
-/// and `ltl` the longest latency chain to a leaf. No legal schedule of
-/// the block can finish in fewer issue cycles, so this is the quality
-/// subsystem's per-block lower bound (`critical_path ≤ est_cycles`).
-/// Zero for empty blocks.
-pub fn critical_path_cycles(dag: &CodeDag) -> u32 {
+/// and `ltl` (`dag.critical_path()`, the scheduler's priority) the
+/// longest latency chain to a leaf. No legal schedule of the block can
+/// finish in fewer issue cycles, so this is the quality subsystem's
+/// per-block lower bound (`critical_path ≤ est_cycles`). Zero for
+/// empty blocks.
+pub fn critical_path_cycles(dag: &CodeDag, ltl: &[u32]) -> u32 {
     if dag.n == 0 {
         return 0;
     }
     let est = dag.earliest_starts();
-    let ltl = dag.critical_path();
     (0..dag.n).map(|i| est[i] + ltl[i]).max().unwrap_or(0) + 1
 }
 
+/// Computes per-node slack and one zero-slack chain for a DAG.
 pub fn critical_path_slack(dag: &CodeDag) -> (Vec<u32>, Vec<usize>) {
     if dag.n == 0 {
         return (Vec::new(), Vec::new());
@@ -374,13 +484,15 @@ fn fail(inst: Option<usize>, kind: &'static str, detail: String) -> Result<(), A
 /// 4. **class** — packed words have intersecting classes;
 /// 5. **rule1** — (when `check_rule1`) no instruction affecting a
 ///    clock issues strictly inside an open temporal edge on it;
-/// 6. **provenance** — when the schedule carries placement records:
-///    each record's `ready`/`earliest` match a recomputation from the
-///    DAG, the stall tiles exactly partition `[ready, issue)`, and
-///    every Dependence / Resource / Temporal / ClassPacking stall is
-///    corroborated against the final schedule (pressure and
-///    thread-order stalls reflect transient scheduler state and are
-///    checked arithmetically only).
+/// 6. **provenance** — each record's `ready`/`earliest` match a
+///    recomputation from the DAG, the stall tiles exactly partition
+///    `[ready, issue)`, and every Dependence / Resource / Temporal /
+///    ClassPacking stall is corroborated against the final schedule
+///    (pressure and thread-order stalls reflect transient scheduler
+///    state and are checked arithmetically only). A schedule whose
+///    discipline names a scheduler rung must carry records — audit
+///    its [`crate::sched::explain_schedule`] replay; only hand-built
+///    schedules may have none.
 pub fn audit_schedule(
     machine: &Machine,
     block: &CodeBlock,
@@ -534,7 +646,15 @@ fn audit_provenance(
 ) -> Result<(), AuditError> {
     let n = block.insts.len();
     let records = &schedule.explanation.records;
-    if records.is_empty() {
+    if records.is_empty() && n > 0 {
+        let discipline = schedule.explanation.discipline;
+        if Discipline::parse(discipline).is_some() {
+            return fail(
+                None,
+                "provenance",
+                format!("{discipline} schedule carries no placement records; audit its replay"),
+            );
+        }
         // Hand-built schedules (tests) carry no provenance; legality
         // alone was audited.
         return Ok(());
@@ -756,27 +876,17 @@ fn audit_stall(
 }
 
 /// Rebuilds the code DAG (and whether Rule 1 applies) for the
-/// discipline named in a schedule's explanation, exactly as
-/// `sched::schedule_block_robust` built it. Returns the DAG and the
+/// discipline named in a schedule's explanation, exactly as the
+/// scheduler built it (see [`Discipline`]); a name that is no
+/// discipline gets the Rule-1 DAG. Returns the DAG and the
 /// `check_rule1` flag to audit or verify against.
 pub fn dag_for_discipline(
     machine: &Machine,
     block: &CodeBlock,
     discipline: &str,
 ) -> (CodeDag, bool) {
-    match discipline {
-        "serialized" => {
-            let mut dag = crate::dag::build_dag(machine, block, true);
-            crate::dag::serialize_same_clock_sequences(&mut dag);
-            (dag, true)
-        }
-        "name-deps" | "serial" => (
-            crate::dag::build_dag_with(machine, block, true, true),
-            false,
-        ),
-        // "rule1" and anything hand-rolled.
-        _ => (crate::dag::build_dag(machine, block, true), true),
-    }
+    let d = Discipline::parse(discipline).unwrap_or(Discipline::Rule1);
+    (d.dag(machine, block), d.checks_rule1())
 }
 
 fn dot_escape(s: &str) -> String {
@@ -799,7 +909,9 @@ pub fn inst_label(machine: &Machine, block: &CodeBlock, i: usize) -> String {
 /// carries its instruction, issue cycle and ready/slack annotation,
 /// stall reasons become tooltips, the critical path is highlighted,
 /// and edges are styled by kind (solid true, bold+labelled temporal,
-/// dashed anti/output, dotted memory/order) with their latency.
+/// dashed anti/output, dotted memory/order) with their latency. The
+/// annotations need a schedule replayed by
+/// [`crate::sched::explain_schedule`].
 pub fn dag_to_dot(
     machine: &Machine,
     block: &CodeBlock,
@@ -919,8 +1031,9 @@ pub fn check_dot(dot: &str, dag: &CodeDag) -> Result<(), String> {
 
 /// The per-block cycle-by-cycle narrative: one row per issue cycle
 /// listing what issued and what was stalled (and why), followed by a
-/// per-instruction placement table, the stall histogram and the
-/// critical path.
+/// per-instruction placement table, the records' stall histogram and
+/// the critical path. The narrative needs a schedule replayed by
+/// [`crate::sched::explain_schedule`].
 pub fn explain_block_text(machine: &Machine, block: &CodeBlock, schedule: &Schedule) -> String {
     let ex = &schedule.explanation;
     let mut out = String::new();
@@ -991,9 +1104,14 @@ pub fn explain_block_text(machine: &Machine, block: &CodeBlock, schedule: &Sched
             r.issue_cycle
         );
     }
-    let hist = ex.stall_histogram();
-    if !hist.is_empty() {
-        let rendered: Vec<String> = hist.iter().map(|(k, v)| format!("{k} {v}")).collect();
+    let rendered: Vec<String> = ex
+        .record_stalls()
+        .as_pairs()
+        .iter()
+        .filter(|(_, v)| *v > 0)
+        .map(|(k, v)| format!("{k} {v}"))
+        .collect();
+    if !rendered.is_empty() {
         let _ = writeln!(out, "  stall cycles by reason: {}", rendered.join(", "));
     }
     if !ex.critical_path.is_empty() {

@@ -7,8 +7,8 @@
 //! schedules are; [`ProgramQuality`] pairs the per-function records
 //! with one simulator run of the whole program and derives the
 //! estimate-vs-measured drift. Everything here is assembled from data
-//! the pipeline already produces (scheduler estimates, placement
-//! provenance, simulator counters) — no new instrumentation runs.
+//! the pipeline already produces (scheduler estimates, stall counts,
+//! simulator counters) — no new instrumentation runs.
 //!
 //! Invariants (checked by [`ProgramQuality::validate`] and the
 //! `quality_telemetry` integration tests):
@@ -118,23 +118,19 @@ pub struct BlockQuality {
     pub issue_slots_used: u32,
     /// Cycles that issued at least one sub-operation.
     pub issue_cycles: u32,
-    /// Stalled cycles by reason, from the placement provenance.
+    /// Stalled cycles by reason, as the scheduler tallied them.
     pub stalls: StallBreakdown,
 }
 
 impl BlockQuality {
     /// Extracts one block's quality from its final schedule.
     pub fn from_schedule(schedule: &Schedule) -> BlockQuality {
-        let mut stalls = StallBreakdown::default();
-        for (key, cycles) in schedule.explanation.stall_histogram() {
-            stalls.add(key, cycles);
-        }
         BlockQuality {
             est_cycles: schedule.length,
             critical_path_cycles: schedule.explanation.critical_path_cycles,
             issue_slots_used: schedule.metrics.issue_slots_used as u32,
             issue_cycles: schedule.metrics.issue_cycles as u32,
-            stalls,
+            stalls: schedule.explanation.stalls,
         }
     }
 }

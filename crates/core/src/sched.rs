@@ -18,7 +18,8 @@
 use crate::code::{CodeBlock, CodeFunc, Operand, VregKind};
 use crate::dag::{CodeDag, EdgeKind};
 use crate::error::{CodegenError, Phase};
-use crate::explain::{log_stall, ScheduleExplanation, Stall, StallReason};
+use crate::explain::{log_stall, Discipline, ScheduleExplanation, Stall, StallReason};
+use crate::quality::StallBreakdown;
 use marion_maril::machine::ClockId;
 use marion_maril::{Machine, ResSet};
 use marion_trace::Tracer;
@@ -95,9 +96,11 @@ pub struct Schedule {
     /// What the scheduler saw and did (cheap to collect; consumers
     /// decide whether to keep it).
     pub metrics: SchedMetrics,
-    /// Per-instruction placement provenance: why each instruction
-    /// issued when it did (see [`crate::explain`]). Empty on
-    /// hand-built schedules.
+    /// Why the schedule looks as it does (see [`crate::explain`]): the
+    /// discipline, the stall breakdown and the critical-path bound
+    /// always; per-instruction placement records, slack and the
+    /// critical-path chain only on a schedule from
+    /// [`explain_schedule`].
     pub explanation: ScheduleExplanation,
 }
 
@@ -167,13 +170,16 @@ impl SchedMetrics {
     }
 }
 
-/// Schedules one block against its code DAG.
+/// Schedules one block against its code DAG. Like every scheduling
+/// entry point except [`explain_schedule`], it builds no
+/// per-instruction provenance: the explanation carries the
+/// discipline, the stall breakdown and the critical-path bound.
 ///
 /// # Errors
 ///
 /// Fails only on internal deadlock (which temporal-sequence
 /// protection is designed to prevent); the error message names the
-/// stuck instructions.
+/// stuck instructions and the cycle from which nothing could issue.
 pub fn schedule_block(
     machine: &Machine,
     func: &CodeFunc,
@@ -198,7 +204,8 @@ pub fn schedule_block(
 /// folds into the tracer's self-profile. The hot loops (`ready_scan`,
 /// `group_scan`, `pick_place`) allocate nothing, and a caller
 /// scheduling many blocks (see [`crate::strategy`]) amortises the
-/// scheduler's working set across all of them.
+/// scheduler's working set across all of them. This is the hot path:
+/// it records nothing per instruction.
 pub fn schedule_block_scratch(
     machine: &Machine,
     func: &CodeFunc,
@@ -208,9 +215,34 @@ pub fn schedule_block_scratch(
     tracer: &Tracer,
     scratch: &mut Scratch,
 ) -> Result<Schedule, CodegenError> {
+    list_schedule(machine, func, block, dag, opts, tracer, scratch, None)
+}
+
+/// The list scheduler. With a `hazard` log it also records, per
+/// instruction, one stall tile for every cycle it was ready but could
+/// not issue — the raw material of [`explain_schedule`]'s placement
+/// records. Placement never depends on the log.
+#[allow(clippy::too_many_arguments)]
+fn list_schedule(
+    machine: &Machine,
+    func: &CodeFunc,
+    block: &CodeBlock,
+    dag: &CodeDag,
+    opts: &SchedOptions,
+    tracer: &Tracer,
+    scratch: &mut Scratch,
+    mut hazard: Option<&mut [Vec<Stall>]>,
+) -> Result<Schedule, CodegenError> {
     let n = block.insts.len();
+    let discipline = if opts.ignore_rule1 {
+        Discipline::NameDeps
+    } else {
+        Discipline::Rule1
+    };
     if n == 0 {
-        return Ok(Schedule::default());
+        let mut empty = Schedule::default();
+        empty.explanation.discipline = discipline.name();
+        return Ok(empty);
     }
     let prep = tracer.mspan("prep");
     let priority = dag.critical_path();
@@ -278,7 +310,7 @@ pub fn schedule_block_scratch(
         machine,
         block,
         dag,
-        priority,
+        priority: &priority,
         scheduled: std::mem::take(&mut scratch.scheduled),
         inst_cycle: vec![0u32; n],
         pred_left: std::mem::take(&mut scratch.pred_left),
@@ -299,19 +331,24 @@ pub fn schedule_block_scratch(
         local_limit: opts.local_reg_limit,
         ignore_rule1: opts.ignore_rule1,
         peak_pressure: 0,
+        scan_stalls: StallBreakdown::default(),
         func,
     };
 
     let mut metrics = SchedMetrics::from_dag(dag);
     drop(prep);
-    // Per-instruction hazard log: one entry per cycle an instruction
-    // was ready but could not issue, stamped just before the clock
-    // advances (when cycle membership is final). Together with the
-    // dependence wait derived afterwards this tiles
-    // `[ready_cycle, issue_cycle)` exactly.
-    let mut hazard: Vec<Vec<Stall>> = vec![Vec::new(); n];
+    // Hazard stalls, one per ready instruction per cycle advanced,
+    // taken from the last pick scan of the cycle. Dependence waits are
+    // added once the schedule is complete.
+    let mut stalls = StallBreakdown::default();
     let mut remaining = n;
+    // Backstop only: quiescence (below) ends a deadlock within a few
+    // cycles of the last issue.
     let max_cycles = (n as u32 + 8) * 64 + 1024;
+    // Consecutive idle cycles, and (debug builds) the cycle at which a
+    // deadlock was detected while stepping on to the backstop.
+    let mut idle_run = 0u32;
+    let mut quiescent_at: Option<u32> = None;
     // Rule-1 destination list, reused across cycles.
     let mut dests = std::mem::take(&mut scratch.dests);
     while remaining > 0 {
@@ -327,6 +364,7 @@ pub fn schedule_block_scratch(
             state.ready.len()
         };
         metrics.ready_high_water = metrics.ready_high_water.max(ready);
+        let remaining_at_start = remaining;
         let mut progress = true;
         while progress {
             progress = false;
@@ -358,55 +396,60 @@ pub fn schedule_block_scratch(
                 progress = true;
             }
         }
+        debug_assert!(
+            quiescent_at.is_none() || remaining == remaining_at_start,
+            "issued at cycle {} after quiescence at cycle {quiescent_at:?}",
+            state.t
+        );
         if remaining > 0 {
             let _m = tracer.mspan("advance");
-            for idx in 0..state.ready.len() {
-                let i = state.ready[idx];
-                log_stall(&mut hazard[i], state.t, state.stall_reason_at(i));
+            // The fixpoint's last pick scan classified every ready
+            // instruction by its first failing check.
+            debug_assert_eq!(state.scan_stalls, state.classify_ready());
+            stalls.add_weighted(&state.scan_stalls, 1);
+            if let Some(log) = hazard.as_deref_mut() {
+                for &i in &state.ready {
+                    log_stall(&mut log[i], state.t, state.stall_reason_at(i));
+                }
+            }
+            // Quiescence: once a cycle issues nothing, has nothing in
+            // flight and leaves no reservation from the next cycle on,
+            // the next cycle starts from a state every later cycle
+            // repeats. If that cycle is idle too, nothing can ever
+            // issue again.
+            if remaining == remaining_at_start && state.quiet_from_next_cycle() {
+                idle_run += 1;
+            } else {
+                idle_run = 0;
+            }
+            if idle_run >= 2 && quiescent_at.is_none() {
+                quiescent_at = Some(state.t);
+                // Debug builds keep stepping to the backstop, asserting
+                // above that nothing issues on the way.
+                if !cfg!(debug_assertions) {
+                    return Err(state.deadlock(scratch, dests, quiescent_at));
+                }
             }
             state.advance_cycle();
             if state.t > max_cycles {
-                let stuck: Vec<usize> = (0..n).filter(|i| !state.scheduled[*i]).collect();
-                state.reclaim(scratch, dests);
-                return Err(CodegenError::new(
-                    Phase::Schedule,
-                    format!("scheduling deadlock; unscheduled instructions {stuck:?}"),
-                ));
+                return Err(state.deadlock(scratch, dests, quiescent_at));
             }
         }
     }
 
     let _m = tracer.mspan("finalize");
     let (cycles, inst_cycle, peak_pressure) = state.reclaim(scratch, dests);
-    // Schedule length: last issue cycle + 1, plus the delay slots of
-    // the block's final control transfer.
-    let mut length = cycles.len() as u32;
-    if let Some(last) = block
-        .insts
-        .iter()
-        .enumerate()
-        .filter(|(_, inst)| inst.is_control(machine))
-        .map(|(i, _)| i)
-        .max()
-    {
-        let slots = machine.template(block.insts[last].template).slots;
-        length = length.max(inst_cycle[last] + 1 + slots.unsigned_abs());
-    }
+    let length = schedule_length(machine, block, &cycles, &inst_cycle);
     metrics.issue_slots_used = n;
     metrics.issue_cycles = cycles.iter().filter(|c| !c.is_empty()).count();
     metrics.packed_words = cycles.iter().filter(|c| c.len() >= 2).count();
     metrics.stall_cycles = cycles.iter().filter(|c| c.is_empty()).count();
-    let (slack, critical_path) = crate::explain::critical_path_slack(dag);
+    stalls.dependence = crate::explain::dependence_stall_cycles(dag, &inst_cycle);
     let explanation = ScheduleExplanation {
-        records: crate::explain::build_records(dag, &inst_cycle, hazard),
-        slack,
-        critical_path,
-        critical_path_cycles: crate::explain::critical_path_cycles(dag),
-        discipline: if opts.ignore_rule1 {
-            "name-deps"
-        } else {
-            "rule1"
-        },
+        critical_path_cycles: crate::explain::critical_path_cycles(dag, &priority),
+        stalls,
+        discipline: discipline.name(),
+        ..ScheduleExplanation::default()
     };
     Ok(Schedule {
         cycles,
@@ -416,6 +459,26 @@ pub fn schedule_block_scratch(
         metrics,
         explanation,
     })
+}
+
+/// Schedule length: last issue cycle + 1, plus the delay slots of the
+/// block's final control transfer.
+fn schedule_length(
+    machine: &Machine,
+    block: &CodeBlock,
+    cycles: &[Vec<usize>],
+    inst_cycle: &[u32],
+) -> u32 {
+    let mut length = cycles.len() as u32;
+    if let Some(last) = block
+        .insts
+        .iter()
+        .rposition(|inst| inst.is_control(machine))
+    {
+        let slots = machine.template(block.insts[last].template).slots;
+        length = length.max(inst_cycle[last] + 1 + slots.unsigned_abs());
+    }
+    length
 }
 
 /// Schedules a block with the full fallback ladder the strategies
@@ -453,30 +516,116 @@ pub fn schedule_block_robust_scratch(
     scratch: &mut Scratch,
 ) -> (Schedule, &'static str) {
     let m = tracer.mspan("dag_build");
-    let dag = crate::dag::build_dag(machine, block, true);
+    let mut dag = Discipline::Rule1.dag(machine, block);
     drop(m);
     if let Ok(s) = schedule_block_scratch(machine, func, block, &dag, opts, tracer, scratch) {
-        return (s, "rule1");
+        return (s, Discipline::Rule1.name());
     }
+    // Rung 2 serialises rung 1's DAG in place.
     let m = tracer.mspan("dag_build");
-    let mut dag2 = crate::dag::build_dag(machine, block, true);
-    crate::dag::serialize_same_clock_sequences(&mut dag2);
+    crate::dag::serialize_same_clock_sequences(&mut dag);
     drop(m);
-    if let Ok(mut s) = schedule_block_scratch(machine, func, block, &dag2, opts, tracer, scratch) {
-        s.explanation.discipline = "serialized";
-        return (s, "serialized");
+    if let Ok(mut s) = schedule_block_scratch(machine, func, block, &dag, opts, tracer, scratch) {
+        s.explanation.discipline = Discipline::Serialized.name();
+        return (s, Discipline::Serialized.name());
     }
     let m = tracer.mspan("dag_build");
-    let dag3 = crate::dag::build_dag_with(machine, block, true, true);
+    let dag3 = Discipline::NameDeps.dag(machine, block);
     drop(m);
     let relaxed = SchedOptions {
         ignore_rule1: true,
         ..opts.clone()
     };
     if let Ok(s) = schedule_block_scratch(machine, func, block, &dag3, &relaxed, tracer, scratch) {
-        return (s, "name-deps");
+        return (s, Discipline::NameDeps.name());
     }
-    (serial_schedule(machine, block, &dag3), "serial")
+    // The serial rung's DAG is the name-deps rung's.
+    (
+        serial_schedule(machine, block, &dag3),
+        Discipline::Serial.name(),
+    )
+}
+
+/// Provenance on demand: re-runs the deterministic scheduler that
+/// produced `schedule` — the one its [`Discipline`] names, against the
+/// DAG the discipline rebuilds, with `opts` as the original run had
+/// them — with recording on, and returns the replay. Its placement
+/// and stall breakdown equal `schedule`'s, and its explanation adds
+/// what the hot path never builds: one
+/// [`crate::explain::PlacementRecord`] per instruction, per-node slack
+/// and a critical-path chain.
+///
+/// # Errors
+///
+/// Fails when `schedule` names no discipline, or when the replay
+/// deadlocks, places any instruction differently, or its records'
+/// stall histogram differs from `schedule`'s breakdown — `schedule`
+/// then did not come from this block, discipline and `opts`.
+pub fn explain_schedule(
+    machine: &Machine,
+    func: &CodeFunc,
+    block: &CodeBlock,
+    schedule: &Schedule,
+    opts: &SchedOptions,
+) -> Result<Schedule, CodegenError> {
+    let name = schedule.explanation.discipline;
+    let Some(discipline) = Discipline::parse(name) else {
+        return Err(CodegenError::new(
+            Phase::Schedule,
+            format!("schedule names no scheduling discipline ({name:?}); nothing to replay"),
+        ));
+    };
+    let dag = discipline.dag(machine, block);
+    let mut hazard = vec![Vec::new(); block.insts.len()];
+    let mut replay = if discipline.is_serial() {
+        serial(machine, block, &dag, Some(&mut hazard))
+    } else {
+        let opts = SchedOptions {
+            ignore_rule1: !discipline.checks_rule1(),
+            ..opts.clone()
+        };
+        let scratch = &mut Scratch::new();
+        let tracer = &Tracer::off();
+        list_schedule(
+            machine,
+            func,
+            block,
+            &dag,
+            &opts,
+            tracer,
+            scratch,
+            Some(&mut hazard),
+        )?
+    };
+    let mismatch = |what: &str, replayed: String, original: String| {
+        Err(CodegenError::new(
+            Phase::Schedule,
+            format!("replaying the {name} schedule gave {what} {replayed}, not {original}"),
+        ))
+    };
+    if replay.inst_cycle != schedule.inst_cycle || replay.cycles != schedule.cycles {
+        return mismatch(
+            "issue cycles",
+            format!("{:?}", replay.inst_cycle),
+            format!("{:?}", schedule.inst_cycle),
+        );
+    }
+    let ex = &mut replay.explanation;
+    ex.discipline = name;
+    ex.records = crate::explain::build_records(&dag, &replay.inst_cycle, hazard);
+    (ex.slack, ex.critical_path) = crate::explain::critical_path_slack(&dag);
+    // The records, and the replay's own tally, must account for
+    // exactly the stalls the hot path tallied: a replay against
+    // another DAG or other options can place alike and still differ
+    // here.
+    let original = schedule.explanation.stalls;
+    if let Some(replayed) = [ex.record_stalls(), ex.stalls]
+        .into_iter()
+        .find(|s| *s != original)
+    {
+        return mismatch("stalls", format!("{replayed:?}"), format!("{original:?}"));
+    }
+    Ok(replay)
 }
 
 /// A degenerate but always-valid schedule: instructions in code-thread
@@ -487,12 +636,23 @@ pub fn schedule_block_robust_scratch(
 /// semantics, thread order preserves the latch dataflow the code DAG
 /// records.
 pub fn serial_schedule(machine: &Machine, block: &CodeBlock, dag: &CodeDag) -> Schedule {
+    serial(machine, block, dag, None)
+}
+
+/// The serial scheduler, logging stall tiles into `hazard` when given
+/// one (see [`list_schedule`]).
+fn serial(
+    machine: &Machine,
+    block: &CodeBlock,
+    dag: &CodeDag,
+    mut hazard: Option<&mut [Vec<Stall>]>,
+) -> Schedule {
     let n = block.insts.len();
     let mut inst_cycle = vec![0u32; n];
     let mut timeline: Vec<ResSet> = Vec::new();
     let mut t = 0u32;
     let mut cycles: Vec<Vec<usize>> = Vec::new();
-    let mut hazard: Vec<Vec<Stall>> = vec![Vec::new(); n];
+    let mut stalls = StallBreakdown::default();
     for i in 0..n {
         let mut dep_at = 0u32;
         for &ei in &dag.preds[i] {
@@ -502,19 +662,25 @@ pub fn serial_schedule(machine: &Machine, block: &CodeBlock, dag: &CodeDag) -> S
         let mut at = dep_at.max(t);
         if at > dep_at {
             // Waiting for the serial cursor, not for a dependence.
-            hazard[i].push(Stall {
-                at: dep_at,
-                cycles: at - dep_at,
-                reason: StallReason::ThreadOrder,
-            });
+            stalls.order += u64::from(at - dep_at);
+            if let Some(log) = hazard.as_deref_mut() {
+                log[i].push(Stall {
+                    at: dep_at,
+                    cycles: at - dep_at,
+                    reason: StallReason::ThreadOrder,
+                });
+            }
         }
         let tmpl = machine.template(block.insts[i].template);
         'search: loop {
             for (c, need) in tmpl.rsrc.iter().enumerate() {
                 let idx = at as usize + c;
                 if timeline.len() > idx && timeline[idx].intersects(need) {
-                    if let Some(r) = timeline[idx].intersection(need).iter().next() {
-                        log_stall(&mut hazard[i], at, StallReason::Resource { resource: r });
+                    stalls.resource += 1;
+                    if let Some(log) = hazard.as_deref_mut() {
+                        if let Some(r) = timeline[idx].intersection(need).iter().next() {
+                            log_stall(&mut log[i], at, StallReason::Resource { resource: r });
+                        }
                     }
                     at += 1;
                     continue 'search;
@@ -537,30 +703,18 @@ pub fn serial_schedule(machine: &Machine, block: &CodeBlock, dag: &CodeDag) -> S
         // Strictly serial: the next instruction issues later.
         t = at + 1;
     }
-    let mut length = cycles.len() as u32;
-    if let Some(last) = block
-        .insts
-        .iter()
-        .enumerate()
-        .filter(|(_, inst)| inst.is_control(machine))
-        .map(|(i, _)| i)
-        .max()
-    {
-        let slots = machine.template(block.insts[last].template).slots;
-        length = length.max(inst_cycle[last] + 1 + slots.unsigned_abs());
-    }
+    let length = schedule_length(machine, block, &cycles, &inst_cycle);
     let mut metrics = SchedMetrics::from_dag(dag);
     metrics.issue_slots_used = n;
     metrics.issue_cycles = cycles.iter().filter(|c| !c.is_empty()).count();
     metrics.packed_words = cycles.iter().filter(|c| c.len() >= 2).count();
     metrics.stall_cycles = cycles.iter().filter(|c| c.is_empty()).count();
-    let (slack, critical_path) = crate::explain::critical_path_slack(dag);
+    stalls.dependence = crate::explain::dependence_stall_cycles(dag, &inst_cycle);
     let explanation = ScheduleExplanation {
-        records: crate::explain::build_records(dag, &inst_cycle, hazard),
-        slack,
-        critical_path,
-        critical_path_cycles: crate::explain::critical_path_cycles(dag),
-        discipline: "serial",
+        critical_path_cycles: crate::explain::critical_path_cycles(dag, &dag.critical_path()),
+        stalls,
+        discipline: Discipline::Serial.name(),
+        ..ScheduleExplanation::default()
     };
     Schedule {
         cycles,
@@ -625,7 +779,7 @@ struct SchedState<'a> {
     machine: &'a Machine,
     block: &'a CodeBlock,
     dag: &'a CodeDag,
-    priority: Vec<u32>,
+    priority: &'a [u32],
     scheduled: Vec<bool>,
     inst_cycle: Vec<u32>,
     pred_left: Vec<usize>,
@@ -663,6 +817,9 @@ struct SchedState<'a> {
     local_limit: Option<usize>,
     ignore_rule1: bool,
     peak_pressure: usize,
+    /// Ready instructions the last [`SchedState::pick_candidate`] scan
+    /// turned down, bucketed by the first check each failed.
+    scan_stalls: StallBreakdown,
     func: &'a CodeFunc,
 }
 
@@ -688,6 +845,41 @@ impl<'a> SchedState<'a> {
         scratch.open_clock_edges = self.open_clock_edges;
         scratch.dests = dests;
         (self.cycles, self.inst_cycle, self.peak_pressure)
+    }
+
+    /// Reclaims the buffers and describes a deadlock: the stuck
+    /// instructions, the cycle from which nothing could issue (the
+    /// quiescence point when one was seen) and the last issue cycle.
+    fn deadlock(
+        self,
+        scratch: &mut Scratch,
+        dests: Vec<usize>,
+        quiescent_at: Option<u32>,
+    ) -> CodegenError {
+        let stopped = quiescent_at.unwrap_or(self.t);
+        let n = self.scheduled.len();
+        let stuck: Vec<usize> = (0..n).filter(|&i| !self.scheduled[i]).collect();
+        let (cycles, _, _) = self.reclaim(scratch, dests);
+        let last_issue = cycles.iter().rposition(|c| !c.is_empty());
+        CodegenError::new(
+            Phase::Schedule,
+            format!(
+                "scheduling deadlock at cycle {stopped} (last issue at cycle {}); unscheduled instructions {stuck:?}",
+                last_issue.map_or_else(|| "none".to_string(), |c| c.to_string())
+            ),
+        )
+    }
+
+    /// Nothing is in flight and the timeline holds no reservation
+    /// from the next cycle on — with nothing issued this cycle, the
+    /// next one starts from the state every later cycle repeats.
+    fn quiet_from_next_cycle(&self) -> bool {
+        self.pending.is_empty()
+            && self
+                .timeline
+                .iter()
+                .skip(self.t as usize + 1)
+                .all(|r| r.is_empty())
     }
 
     /// Destinations of currently open temporal edges on `clock`:
@@ -843,9 +1035,15 @@ impl<'a> SchedState<'a> {
         delta
     }
 
+    /// The best ready candidate for this cycle. The scan also tallies
+    /// each instruction it turns down under the first check it fails
+    /// (Rule 1, resources, packing class, pressure — the order of
+    /// [`SchedState::stall_reason_at`]); when the scan returns `None`
+    /// at the cycle's fixpoint, that tally is the cycle's stalls.
     fn pick_candidate(&mut self, remaining: usize) -> Option<usize> {
         let mut best: Option<usize> = None;
         let mut relax_best: Option<usize> = None;
+        let mut scan = StallBreakdown::default();
         // The winner is the maximum of a total order (priority, then
         // lowest index), so walking the unordered ready list picks the
         // same instruction the full 0..n scan did.
@@ -853,12 +1051,15 @@ impl<'a> SchedState<'a> {
             let i = self.ready[idx];
             debug_assert!(self.is_ready(i));
             if !self.rule1_allows(i) {
+                scan.temporal += 1;
                 continue;
             }
             if !self.resources_fit(i, &[]) {
+                scan.resource += 1;
                 continue;
             }
             if !self.class_fits(i, self.word_elems).0 {
+                scan.class += 1;
                 continue;
             }
             let better = |cur: Option<usize>| {
@@ -871,10 +1072,14 @@ impl<'a> SchedState<'a> {
                 if better(best) {
                     best = Some(i);
                 }
-            } else if better(relax_best) {
-                relax_best = Some(i);
+            } else {
+                scan.pressure += 1;
+                if better(relax_best) {
+                    relax_best = Some(i);
+                }
             }
         }
+        self.scan_stalls = scan;
         // When the register limit blocks everything *and* advancing
         // time cannot make anything new ready (every unscheduled
         // instruction either is already ready-but-blocked or waits on
@@ -1057,9 +1262,8 @@ impl<'a> SchedState<'a> {
             // Nothing can issue until an in-flight result lands: jump
             // straight to the next arrival. The skipped cycles are
             // provably empty, so the schedule is identical — only the
-            // walk is shorter. With nothing pending either this is a
-            // deadlock; stepping once lets the caller's cycle cap
-            // fire with its usual diagnostic.
+            // walk is shorter. (With unscheduled instructions left,
+            // an acyclic DAG always has one ready or pending.)
             self.t = match self.pending.peek() {
                 Some(&Reverse((at, _))) => at,
                 None => self.t + 1,
@@ -1080,7 +1284,8 @@ impl<'a> SchedState<'a> {
     /// recorded reason. Called only at cycle-advance time, when the
     /// inner placement loop has reached a fixpoint, so at least one
     /// check fails for every ready instruction; `Other` is a
-    /// defensive fallback.
+    /// defensive fallback. Only the recording replay and the debug
+    /// cross-check of the pick scan's tally call it.
     fn stall_reason_at(&self, i: usize) -> StallReason {
         if !self.ignore_rule1 {
             if let Some(k) = self
@@ -1121,6 +1326,16 @@ impl<'a> SchedState<'a> {
             return StallReason::RegPressure;
         }
         StallReason::Other
+    }
+
+    /// The ready set classified by [`SchedState::stall_reason_at`]:
+    /// what the cycle's last pick scan must have tallied.
+    fn classify_ready(&self) -> StallBreakdown {
+        let mut b = StallBreakdown::default();
+        for &i in &self.ready {
+            b.add(self.stall_reason_at(i).key(), 1);
+        }
+        b
     }
 }
 
@@ -1406,6 +1621,64 @@ mod tests {
             s.inst_cycle[0], s.inst_cycle[1],
             "compatible classes pack into one word: {s:?}"
         );
+    }
+
+    /// Two launches on one clock whose write-backs share a unit: Rule 1
+    /// packs the second launch with the first, and then the temporal
+    /// group of both write-backs can never be placed.
+    const TWIN: &str = r#"
+        declare {
+            %reg d[0:7] (double);
+            %resource RA; RB; RW;
+            %clock k;
+            %reg t1 (double; k) +temporal;
+            %reg t2 (double; k) +temporal;
+        }
+        cwvm { %general (double) d; }
+        instr {
+            %instr LA d, d (double; k) {t1 = $1 * $2;} [RA;] (1,1,0)
+            %instr LB d, d (double; k) {t2 = $1 + $2;} [RB;] (1,1,0)
+            %instr WA d (double; k) {$1 = t1;} [RW;] (1,1,0)
+            %instr WB d (double; k) {$1 = t2;} [RW;] (1,1,0)
+        }
+    "#;
+
+    #[test]
+    fn deadlock_is_detected_by_quiescence() {
+        let m = Machine::parse("twin", TWIN).unwrap();
+        let insts = vec![
+            inst(&m, "LA", vec![v(0), v(1)]),
+            inst(&m, "WA", vec![v(2)]),
+            inst(&m, "LB", vec![v(3), v(4)]),
+            inst(&m, "WB", vec![v(5)]),
+        ];
+        let (f, block) = dsetup(&m, insts);
+        let dag = build_dag(&m, &block, true);
+        let opts = SchedOptions::default();
+        let msg = schedule_block(&m, &f, &block, &dag, &opts)
+            .expect_err("the write-back group deadlocks under Rule 1")
+            .to_string();
+        assert!(msg.contains("unscheduled instructions [1, 3]"), "{msg}");
+        let cycle_after = |key: &str| -> u32 {
+            msg.split(key)
+                .nth(1)
+                .and_then(|rest| rest.split(|c: char| !c.is_ascii_digit()).next())
+                .and_then(|digits| digits.parse().ok())
+                .unwrap_or_else(|| panic!("no `{key}` in: {msg}"))
+        };
+        let stopped = cycle_after("deadlock at cycle ");
+        let last_issue = cycle_after("last issue at cycle ");
+        assert_eq!(last_issue, 0, "both launches pack into cycle 0: {msg}");
+        assert!(stopped <= last_issue + 3, "{msg}");
+        let cap = (block.insts.len() as u32 + 8) * 64 + 1024;
+        assert!(stopped * 100 < cap, "{msg}");
+        // The ladder's second rung serialises the two sequences, and
+        // its replay passes the audit.
+        let (s, discipline) = schedule_block_robust(&m, &f, &block, &opts);
+        assert_eq!(discipline, "serialized");
+        let replay = explain_schedule(&m, &f, &block, &s, &opts).unwrap();
+        let (dag, check_rule1) = crate::explain::dag_for_discipline(&m, &block, discipline);
+        crate::explain::audit_schedule(&m, &block, &dag, &replay, check_rule1).unwrap();
     }
 
     #[test]

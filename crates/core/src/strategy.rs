@@ -13,8 +13,8 @@
 //!   biasing spill choices, then do final scheduling.
 
 use crate::code::{CodeFunc, Operand, VregKind};
-use crate::dag::build_dag;
 use crate::error::CodegenError;
+use crate::explain::Discipline;
 use crate::regalloc::{allocate_traced, AllocResult};
 use crate::sched::{SchedOptions, Schedule};
 use marion_maril::Machine;
@@ -144,14 +144,19 @@ impl Strategy for NoSchedule {
             for block in &func.blocks {
                 let dag = {
                     let _m = tracer.mspan("dag_build");
-                    build_dag(machine, block, true)
+                    Discipline::NoSched.dag(machine, block)
                 };
-                schedules.push(crate::sched::serial_schedule(machine, block, &dag));
+                // Serial over the plain DAG, not the ladder's serial
+                // rung: name the discipline a replay must rebuild.
+                let mut s = crate::sched::serial_schedule(machine, block, &dag);
+                s.explanation.discipline = Discipline::NoSched.name();
+                schedules.push(s);
             }
         }
         {
             let _m = tracer.mspan("sched_metrics");
-            record_sched_pass(machine, func, &schedules, tracer, ctx, "serial", true);
+            let opts = SchedOptions::default();
+            record_sched_pass(machine, func, &schedules, &opts, tracer, ctx, "serial");
         }
         let stats = StrategyStats {
             spills: alloc.spills,
@@ -194,18 +199,20 @@ fn run_allocate(
     Ok(alloc)
 }
 
-/// Emits per-block scheduler metrics for a completed pass. Aggregate
-/// counters (stalls, slot usage, temporal groups) are only added on
-/// the `final_pass` so estimate passes do not double-count; the
-/// per-block `sched_block` events carry the pass label either way.
+/// Emits per-block scheduler metrics for a function's final
+/// scheduling pass (`pass` names it; `opts` are the options it ran
+/// with): one `sched_block` event per block, the aggregate counters
+/// (stalls, slot usage, temporal groups) and, on request, narratives
+/// and reservation tables. Estimate passes emit nothing here — their
+/// `sched:*` spans remain — so a cached function's trace stays small.
 fn record_sched_pass(
     machine: &Machine,
     func: &CodeFunc,
     schedules: &[Schedule],
+    opts: &SchedOptions,
     tracer: &Tracer,
     ctx: &str,
     pass: &'static str,
-    final_pass: bool,
 ) {
     if !tracer.is_on() {
         return;
@@ -216,21 +223,12 @@ fn record_sched_pass(
         }
         let m = &schedule.metrics;
         let ex = &schedule.explanation;
-        let hist = ex.stall_histogram();
-        let stall_of = |key: &str| hist.get(key).copied().unwrap_or(0) as i64;
-        let critical_path_len = ex
-            .critical_path
-            .last()
-            .and_then(|&i| schedule.inst_cycle.get(i))
-            .map(|c| c + 1)
-            .unwrap_or(0) as i64;
         let bctx = format!("{ctx}/b{bi}");
         tracer.event(
             &bctx,
             "sched_block",
             &[
                 ("pass", Value::from(pass)),
-                ("final", Value::Int(final_pass as i64)),
                 ("insts", Value::from(block.insts.len())),
                 ("length", Value::from(schedule.length as i64)),
                 ("dag_nodes", Value::from(m.dag_nodes)),
@@ -253,56 +251,60 @@ fn record_sched_pass(
                     Value::from(schedule.peak_local_pressure),
                 ),
                 ("discipline", Value::from(ex.discipline)),
-                ("critical_path_len", Value::Int(critical_path_len)),
-                ("stall_total", Value::Int(ex.total_stall_cycles() as i64)),
-                ("stall_dependence", Value::Int(stall_of("dependence"))),
-                ("stall_resource", Value::Int(stall_of("resource"))),
-                ("stall_class", Value::Int(stall_of("class"))),
-                ("stall_temporal", Value::Int(stall_of("temporal"))),
-                ("stall_pressure", Value::Int(stall_of("pressure"))),
-                ("stall_order", Value::Int(stall_of("order"))),
+                (
+                    "critical_path_cycles",
+                    Value::Int(ex.critical_path_cycles.into()),
+                ),
+                ("stall_total", Value::Int(ex.stalls.total() as i64)),
+                ("stall_dependence", Value::Int(ex.stalls.dependence as i64)),
+                ("stall_resource", Value::Int(ex.stalls.resource as i64)),
+                ("stall_class", Value::Int(ex.stalls.class as i64)),
+                ("stall_temporal", Value::Int(ex.stalls.temporal as i64)),
+                ("stall_pressure", Value::Int(ex.stalls.pressure as i64)),
+                ("stall_order", Value::Int(ex.stalls.order as i64)),
             ],
         );
-        if final_pass {
-            // Per-block distributions at function scope: block stall
-            // cycles and final schedule length as log2 histograms, so
-            // reports can show the shape, not just the totals.
-            tracer.observe(ctx, "block_stall_cycles", m.stall_cycles as u64);
-            tracer.observe(ctx, "block_len_cycles", schedule.length as u64);
-            tracer.add(ctx, "sched_stall_cycles", m.stall_cycles as i64);
-            tracer.add(ctx, "sched_temporal_groups", m.temporal_groups as i64);
-            tracer.add(ctx, "issue_slots_used", m.issue_slots_used as i64);
-            tracer.add(ctx, "issue_cycles", m.issue_cycles as i64);
-            tracer.add(ctx, "packed_words", m.packed_words as i64);
-            for (key, cycles) in &hist {
-                tracer.add(ctx, &format!("stall_{key}"), *cycles as i64);
+        // Per-block distributions at function scope: block stall
+        // cycles and final schedule length as log2 histograms, so
+        // reports can show the shape, not just the totals.
+        tracer.observe(ctx, "block_stall_cycles", m.stall_cycles as u64);
+        tracer.observe(ctx, "block_len_cycles", schedule.length as u64);
+        tracer.add(ctx, "sched_stall_cycles", m.stall_cycles as i64);
+        tracer.add(ctx, "sched_temporal_groups", m.temporal_groups as i64);
+        tracer.add(ctx, "issue_slots_used", m.issue_slots_used as i64);
+        tracer.add(ctx, "issue_cycles", m.issue_cycles as i64);
+        tracer.add(ctx, "packed_words", m.packed_words as i64);
+        for (key, cycles) in ex.stalls.as_pairs() {
+            if cycles > 0 {
+                tracer.add(ctx, &format!("stall_{key}"), cycles as i64);
             }
-            if tracer.wants_explanations() {
-                tracer.event(
-                    &bctx,
-                    "sched_explain",
-                    &[
-                        ("pass", Value::from(pass)),
-                        (
-                            "narrative",
-                            Value::Str(crate::explain::explain_block_text(
-                                machine, block, schedule,
-                            )),
-                        ),
-                    ],
-                );
-            }
-            if tracer.wants_reservation_tables() {
-                let rows = crate::sched::reservation_rows(machine, block, schedule);
-                tracer.event(
-                    &bctx,
-                    "reservation_table",
-                    &[
-                        ("pass", Value::from(pass)),
-                        ("table", Value::Str(rows.join("\n"))),
-                    ],
-                );
-            }
+        }
+        if tracer.wants_explanations() {
+            // Narratives need placement records: replay the block.
+            let narrative =
+                match crate::sched::explain_schedule(machine, func, block, schedule, opts) {
+                    Ok(replay) => crate::explain::explain_block_text(machine, block, &replay),
+                    Err(e) => format!("no narrative: {e}"),
+                };
+            tracer.event(
+                &bctx,
+                "sched_explain",
+                &[
+                    ("pass", Value::from(pass)),
+                    ("narrative", Value::Str(narrative)),
+                ],
+            );
+        }
+        if tracer.wants_reservation_tables() {
+            let rows = crate::sched::reservation_rows(machine, block, schedule);
+            tracer.event(
+                &bctx,
+                "reservation_table",
+                &[
+                    ("pass", Value::from(pass)),
+                    ("table", Value::Str(rows.join("\n"))),
+                ],
+            );
         }
     }
 }
@@ -330,7 +332,7 @@ fn schedule_all(
                 tracer,
                 &mut scratch,
             );
-            if discipline != "rule1" {
+            if discipline != Discipline::Rule1.name() {
                 // Temporal sequence protection failed to keep plain
                 // Rule 1 scheduling live; record which fallback
                 // discipline rescued the block.
@@ -348,9 +350,9 @@ fn schedule_all(
             out.push(schedule);
         }
     }
-    {
+    if final_pass {
         let _m = tracer.mspan("sched_metrics");
-        record_sched_pass(machine, func, &out, tracer, ctx, pass, final_pass);
+        record_sched_pass(machine, func, &out, opts, tracer, ctx, pass);
     }
     Ok(out)
 }

@@ -3,7 +3,9 @@
 //! For one generated machine, every workload in the suite is compiled
 //! under all three strategies with three independent cross-checks:
 //!
-//! * **block legality** — every scheduled block is re-checked with
+//! * **block legality** — every scheduled block is replayed with
+//!   recording on (`sched::explain_schedule`, which must reproduce the
+//!   placement) and the replay re-checked with
 //!   `explain::audit_schedule` (dependence, resource, packing class
 //!   and Rule 1 legality, coverage and provenance) against the DAG its
 //!   scheduling discipline used;
@@ -28,7 +30,7 @@
 use marion_core::driver::{CompileStats, CompiledProgram};
 use marion_core::emit::{emit_func, fill_delay_slots, render_program, AsmProgram};
 use marion_core::strategy::strategy_for;
-use marion_core::{explain, glue, select, EscapeRegistry, StrategyKind};
+use marion_core::{explain, glue, sched, select, EscapeRegistry, StrategyKind};
 use marion_ir::interp::{Interp, Value};
 use marion_maril::{Machine, Ty};
 use marion_sim::{run_program, SimConfig};
@@ -437,9 +439,14 @@ pub fn compile_audited(
             if block.insts.is_empty() {
                 continue;
             }
-            let discipline = schedule.explanation.discipline;
+            // The final pass runs with default options; its replay
+            // carries the placement records the audit checks.
+            let replay =
+                sched::explain_schedule(machine, &code, block, schedule, &Default::default())
+                    .map_err(|e| (FailureKind::BlockAudit, format!("{}/b{bi}: {e}", f.name)))?;
+            let discipline = replay.explanation.discipline;
             let (dag, check_rule1) = explain::dag_for_discipline(machine, block, discipline);
-            explain::audit_schedule(machine, block, &dag, schedule, check_rule1).map_err(|e| {
+            explain::audit_schedule(machine, block, &dag, &replay, check_rule1).map_err(|e| {
                 (
                     FailureKind::BlockAudit,
                     format!("{}/b{bi}: audit_schedule: {e}", f.name),

@@ -3,7 +3,8 @@
 //! per-function breakdown, on a tiny machine (TOYP, where spills are
 //! easy to provoke) and a real one (R2000). Also covers the
 //! reservation-table events on the dual-issue i860 and the JSONL
-//! round trip of a whole compile trace.
+//! round trip of a whole compile trace, and that every narrative of a
+//! final schedule replays and agrees with its block's stall counts.
 
 use marion::backend::{CompileOptions, Compiler, StrategyKind};
 use marion::trace::{Fields, TraceConfig, TraceData};
@@ -182,4 +183,89 @@ fn compile_trace_round_trips_through_jsonl() {
         program.stats.insts_generated as i64
     );
     assert_eq!(parsed.counter_total("spills"), program.stats.spills as i64);
+}
+
+/// The `key cycles` pairs of a narrative's `stall cycles by reason:`
+/// line (absent when the block never stalled).
+fn narrative_stalls(narrative: &str) -> Vec<(String, i64)> {
+    let Some(line) = narrative
+        .lines()
+        .find_map(|l| l.trim().strip_prefix("stall cycles by reason: "))
+    else {
+        return Vec::new();
+    };
+    line.split(", ")
+        .map(|pair| {
+            let (key, cycles) = pair.split_once(' ').expect("`key cycles`");
+            (key.to_string(), cycles.parse().expect("stall cycles"))
+        })
+        .collect()
+}
+
+#[test]
+fn narratives_replay_every_final_schedule() {
+    let kernels = marion::workloads::livermore::kernels();
+    let mut sources = vec![PRESSURE.to_string()];
+    sources.extend(
+        kernels
+            .iter()
+            .filter(|k| ["LL7", "LL8"].contains(&k.name.as_str()))
+            .map(|k| k.source.clone()),
+    );
+    assert_eq!(sources.len(), 3);
+    let (mut narratives, mut stalled) = (0usize, 0usize);
+    for machine in ["toyp", "i860"] {
+        let spec = marion::machines::load(machine);
+        for strategy in StrategyKind::ALL
+            .into_iter()
+            .chain([StrategyKind::NoSchedule])
+        {
+            for src in &sources {
+                let module = marion::frontend::compile(src).unwrap();
+                let compiler = Compiler::with_options(
+                    spec.machine.clone(),
+                    spec.escapes.clone(),
+                    strategy,
+                    CompileOptions {
+                        trace: Some(TraceConfig {
+                            reservation_tables: false,
+                            explanations: true,
+                        }),
+                        ..CompileOptions::default()
+                    },
+                );
+                let program = compiler.compile_module(&module).unwrap();
+                let trace = program.trace.as_ref().unwrap();
+                let blocks = trace.events_named("sched_block");
+                let explains = trace.events_named("sched_explain");
+                assert!(!explains.is_empty(), "{machine} {strategy}: no narratives");
+                assert_eq!(explains.len(), blocks.len(), "{machine} {strategy}");
+                for (ctx, fields) in &explains {
+                    let what = format!("{machine} {strategy} {ctx}");
+                    let text = fields.str("narrative").expect("narrative field");
+                    assert!(!text.starts_with("no narrative"), "{what}: {text}");
+                    let [(_, block)] =
+                        blocks.iter().filter(|(c, _)| c == ctx).collect::<Vec<_>>()[..]
+                    else {
+                        panic!("{what}: not one sched_block event");
+                    };
+                    // The replay's records tell the same story as the
+                    // hot path's counts.
+                    let stalls = narrative_stalls(text);
+                    for (key, cycles) in &stalls {
+                        let field = format!("stall_{key}");
+                        assert_eq!(block.int(&field), Some(*cycles), "{what}: {key}");
+                    }
+                    let total: i64 = stalls.iter().map(|(_, c)| c).sum();
+                    assert_eq!(block.int("stall_total"), Some(total), "{what}: total");
+                    narratives += 1;
+                    stalled += usize::from(total > 0);
+                }
+            }
+        }
+    }
+    assert!(
+        stalled > 0 && stalled < narratives,
+        "{stalled} of {narratives} stalled"
+    );
 }

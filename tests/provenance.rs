@@ -8,18 +8,25 @@
 //! * the acceptance identity `issue − ready == Σ stall cycles` holds
 //!   for every instruction of every block over SplitMix64-generated
 //!   TOYP programs, with the auditor agreeing throughout;
+//! * the recording replay (`sched::explain_schedule`) reproduces every
+//!   compiled schedule, NoSched's included, and its records sum to the
+//!   stall counts the hot path tallied without them; a schedule whose
+//!   counts the records miss is refused;
 //! * the annotated DOT export is structurally well-formed and
 //!   `check_dot` rejects tampering.
 
+use marion::backend::code::{CodeBlock, CodeFunc};
 use marion::backend::dag::{build_dag, CodeDag, Edge, EdgeKind};
 use marion::backend::explain::{self, StallReason};
 use marion::backend::regalloc::allocate;
-use marion::backend::sched::{self, Schedule};
+use marion::backend::sched::{self, SchedOptions, Schedule};
 use marion::backend::select::select_func;
-use marion::backend::{audit_schedule, code::CodeBlock};
+use marion::backend::strategy::strategy_for;
+use marion::backend::{audit_schedule, StrategyKind};
 use marion::machines::MachineSpec;
 use marion::maril::Machine;
 use marion::rng::SplitMix64;
+use marion::trace::Tracer;
 use marion::workloads::gen::{random_program, GenConfig};
 
 const DOT_PRODUCT: &str = "int a[64]; int b[64];
@@ -30,9 +37,9 @@ int main() {
 }";
 
 /// Compiles `src` on `machine_name` Postpass-style and returns every
-/// nonempty block with a Rule-1 schedule (blocks that needed a
-/// fallback discipline are skipped — the mutation tests want the
-/// primary path).
+/// nonempty block with a Rule-1 schedule, replayed for its placement
+/// records (blocks that needed a fallback discipline are skipped — the
+/// mutation tests want the primary path).
 fn scheduled_blocks(spec: &MachineSpec, src: &str) -> Vec<(CodeBlock, CodeDag, Schedule)> {
     let mut module = marion::frontend::compile(src).unwrap();
     marion::backend::driver::materialize_float_constants(&mut module);
@@ -49,9 +56,11 @@ fn scheduled_blocks(spec: &MachineSpec, src: &str) -> Vec<(CodeBlock, CodeDag, S
                 continue;
             }
             let dag = build_dag(&spec.machine, block, true);
-            if let Ok(s) =
-                sched::schedule_block(&spec.machine, &code, block, &dag, &Default::default())
-            {
+            let opts = SchedOptions::default();
+            if let Ok(s) = sched::schedule_block(&spec.machine, &code, block, &dag, &opts) {
+                let s = sched::explain_schedule(&spec.machine, &code, block, &s, &opts)
+                    .unwrap_or_else(|e| panic!("replay: {e}"));
+                assert_eq!(s.explanation.records.len(), block.insts.len());
                 out.push((block.clone(), dag, s));
             }
         }
@@ -271,12 +280,9 @@ fn audit_rejects_corrupted_stall_records() {
     let blocks = scheduled_blocks(&spec, DOT_PRODUCT);
     let mut tested = 0;
     for (block, dag, schedule) in &blocks {
-        let Some(victim) = schedule
-            .explanation
-            .records
-            .iter()
-            .position(|r| !r.stalls.is_empty())
-        else {
+        let records = &schedule.explanation.records;
+        assert_eq!(records.len(), block.insts.len());
+        let Some(victim) = records.iter().position(|r| !r.stalls.is_empty()) else {
             continue;
         };
         // Claim the stall was a conflict on a resource the
@@ -324,6 +330,146 @@ fn stalls_account_for_every_wait_cycle_on_toyp() {
     for _ in 0..12 {
         check_toyp_program(&spec, rng.below(100_000));
     }
+}
+
+#[test]
+fn audit_rejects_scheduler_output_without_records() {
+    let spec = marion::machines::load("toyp");
+    let blocks = scheduled_blocks(&spec, DOT_PRODUCT);
+    assert!(!blocks.is_empty());
+    for (block, dag, schedule) in &blocks {
+        // What the hot path hands out: the same schedule, no records.
+        let mut bare = schedule.clone();
+        bare.explanation.records.clear();
+        let err = audit_schedule(&spec.machine, block, dag, &bare, true)
+            .expect_err("a rule1 schedule without records must not pass silently");
+        assert_eq!(err.kind, "provenance", "wrong family: {err}");
+        // A hand-built schedule names no discipline and may omit them.
+        bare.explanation.discipline = "";
+        audit_schedule(&spec.machine, block, dag, &bare, true)
+            .unwrap_or_else(|e| panic!("hand-built schedule rejected: {e}"));
+    }
+}
+
+/// Replays `schedule` and checks the replay against it: the same
+/// placement, one record per instruction, and records that sum to the
+/// stall counts the hot path tallied without building them.
+fn assert_replay_matches(
+    machine: &Machine,
+    code: &CodeFunc,
+    block: &CodeBlock,
+    schedule: &Schedule,
+    opts: &SchedOptions,
+    what: &str,
+) {
+    let replay = sched::explain_schedule(machine, code, block, schedule, opts)
+        .unwrap_or_else(|e| panic!("{what}: {e}"));
+    assert_eq!(replay.inst_cycle, schedule.inst_cycle, "{what}");
+    let ex = &replay.explanation;
+    assert_eq!(ex.records.len(), block.insts.len(), "{what}");
+    assert_eq!(ex.record_stalls(), schedule.explanation.stalls, "{what}");
+}
+
+#[test]
+fn fused_stall_counts_match_replayed_provenance() {
+    let mut programs = marion::workloads::livermore::kernels();
+    programs.extend(marion::workloads::suite::programs());
+    let mut blocks = 0usize;
+    for machine_name in marion::machines::EXTENDED {
+        let spec = marion::machines::load(machine_name);
+        for w in &programs {
+            let mut module = w.module();
+            marion::backend::driver::materialize_float_constants(&mut module);
+            // The three strategies, plus the NoSched baseline, whose
+            // serial schedules use the plain DAG.
+            for kind in StrategyKind::ALL
+                .into_iter()
+                .chain([StrategyKind::NoSchedule])
+            {
+                for f in &module.funcs {
+                    let mut f = f.clone();
+                    marion::backend::glue::apply_glue(&spec.machine, &mut f).unwrap();
+                    let mut code = select_func(&spec.machine, &spec.escapes, &module, &f).unwrap();
+                    let (schedules, _) = strategy_for(kind)
+                        .run(&spec.machine, &mut code, &Tracer::off(), &f.name)
+                        .unwrap();
+                    for (bi, (block, schedule)) in code.blocks.iter().zip(&schedules).enumerate() {
+                        // Every strategy's final pass runs with default
+                        // options.
+                        let what = format!("{machine_name} {} {kind} {}/b{bi}", w.name, f.name);
+                        let opts = SchedOptions::default();
+                        assert_replay_matches(&spec.machine, &code, block, schedule, &opts, &what);
+                        blocks += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(blocks > 0);
+    // Register-pressure stalls: the IPS prepass schedules unallocated
+    // code under a local register limit.
+    let spec = marion::machines::load("toyp");
+    let opts = SchedOptions {
+        local_reg_limit: Some(3),
+        ..SchedOptions::default()
+    };
+    let mut rng = SplitMix64::new(0x1D5);
+    let mut pressure = 0u64;
+    for _ in 0..8 {
+        let seed = rng.below(100_000);
+        let src = random_program(seed, &GenConfig::default());
+        let mut module = marion::frontend::compile(&src).unwrap();
+        marion::backend::driver::materialize_float_constants(&mut module);
+        for f in &module.funcs {
+            let mut f = f.clone();
+            marion::backend::glue::apply_glue(&spec.machine, &mut f).unwrap();
+            let code = select_func(&spec.machine, &spec.escapes, &module, &f).unwrap();
+            for (bi, block) in code.blocks.iter().enumerate() {
+                let (schedule, _) =
+                    sched::schedule_block_robust(&spec.machine, &code, block, &opts);
+                let what = format!("toyp seed {seed} {}/b{bi}", f.name);
+                assert_replay_matches(&spec.machine, &code, block, &schedule, &opts, &what);
+                pressure += schedule.explanation.stalls.pressure;
+            }
+        }
+    }
+    assert!(
+        pressure > 0,
+        "the register limit never stalled an instruction"
+    );
+}
+
+#[test]
+fn replay_refuses_a_schedule_it_does_not_reproduce() {
+    let spec = marion::machines::load("toyp");
+    let mut module = marion::frontend::compile(DOT_PRODUCT).unwrap();
+    marion::backend::driver::materialize_float_constants(&mut module);
+    let opts = SchedOptions::default();
+    let mut tested = 0;
+    for f in &module.funcs {
+        let mut f = f.clone();
+        marion::backend::glue::apply_glue(&spec.machine, &mut f).unwrap();
+        let code = select_func(&spec.machine, &spec.escapes, &module, &f).unwrap();
+        for block in code.blocks.iter().filter(|b| !b.insts.is_empty()) {
+            let (schedule, _) = sched::schedule_block_robust(&spec.machine, &code, block, &opts);
+            let replay =
+                |s: &Schedule| sched::explain_schedule(&spec.machine, &code, block, s, &opts);
+            replay(&schedule).unwrap_or_else(|e| panic!("replay: {e}"));
+            // The same placement with a breakdown the records do not
+            // sum to, as a replay against the wrong DAG would give.
+            let mut bad = schedule.clone();
+            bad.explanation.stalls.dependence += 1;
+            let err = replay(&bad).expect_err("a breakdown the records miss must be refused");
+            assert!(err.to_string().contains("stalls"), "{err}");
+            // A schedule that names no discipline has nothing to
+            // replay.
+            let mut bad = schedule.clone();
+            bad.explanation.discipline = "";
+            replay(&bad).expect_err("a hand-built schedule has no replay");
+            tested += 1;
+        }
+    }
+    assert!(tested > 0);
 }
 
 fn dot_for(machine: &Machine, block: &CodeBlock, dag: &CodeDag, schedule: &Schedule) -> String {
