@@ -123,14 +123,23 @@ rm -f metrics_violated.json
 echo "==> dashboard HTML (extracted via marion-report, must be fully self-contained)"
 ./target/release/marion-report --dashboard dashboard_response.jsonl --out dashboard.html
 test -s dashboard.html
-! grep -Eq 'http://|https://' dashboard.html
-! grep -Eq 'src=|href=' dashboard.html
+# `! cmd` never trips `set -e`, so each negated check exits by hand.
+if grep -Eq 'http://|https://' dashboard.html; then
+  echo "dashboard.html references the network" >&2
+  exit 1
+fi
+if grep -Eq 'src=|href=' dashboard.html; then
+  echo "dashboard.html links or embeds an external resource" >&2
+  exit 1
+fi
 grep -q '<style>' dashboard.html
 grep -q 'marion-serve dashboard' dashboard.html
 grep -q '<svg' dashboard.html
-# The slowest request was tail-sampled and rendered as a flamegraph.
+# Both compiles were tail-sampled and replayed to a flamegraph: the
+# cold one and the fully warm one.
 grep -q 'Slowest requests' dashboard.html
-grep -q 'wall-clock attribution' dashboard.html
+grep -q 'r1 replay: wall-clock attribution' dashboard.html
+grep -q 'r2 replay: wall-clock attribution' dashboard.html
 rm -f dashboard_response.jsonl
 
 echo "==> HTML report from demo trace (flamegraph + DAG SVG + subphase diff, must be fully self-contained)"
@@ -141,8 +150,14 @@ cargo run --release --offline -q -p marion-bench --bin marion-report -- \
   --quality BENCH_quality.json --out report.html
 test -s report.html
 # Self-containment contract: no network references, no external assets.
-! grep -Eq 'http://|https://' report.html
-! grep -Eq 'src=|href=' report.html
+if grep -Eq 'http://|https://' report.html; then
+  echo "report.html references the network" >&2
+  exit 1
+fi
+if grep -Eq 'src=|href=' report.html; then
+  echo "report.html links or embeds an external resource" >&2
+  exit 1
+fi
 grep -q '<style>' report.html
 grep -q 'Compile service' report.html
 # The self-profile flamegraph and dependence-DAG SVGs are embedded.

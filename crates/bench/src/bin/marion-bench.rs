@@ -506,8 +506,8 @@ fn bench_serve(smoke: bool, out: &str) {
         StrategyKind::Ips,
         StrategyKind::Rase,
     ];
-    // Baseline passes run with observability off (no request tracing,
-    // no access log) so cold/warm numbers measure the compile service
+    // Baseline passes run with observability off (no tail sampling, no
+    // access log) so cold/warm numbers measure the compile service
     // itself; the observability cost is measured separately below.
     let service = Service::new(&ServeConfig {
         exemplars: false,
@@ -584,7 +584,7 @@ fn bench_serve(smoke: bool, out: &str) {
     println!("geomean warm speedup: {geomean:.1}x   total: {total_speedup:.1}x");
 
     // Honesty pass: the same warm requests through a service with full
-    // observability (request tracing, tail sampling, access log) so
+    // observability (tail sampling, access log) so
     // the recorded numbers include what the features cost, not just
     // what they provide. The observed service is primed cold first;
     // only its warm pass is compared against the baseline warm pass.

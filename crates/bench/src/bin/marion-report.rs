@@ -9,9 +9,7 @@
 //! * every per-block reservation table (cycles × resource vector)
 //!   recorded in the trace, with the scheduler's cycle-by-cycle
 //!   stall narrative (`sched_explain`, when `TraceConfig::explanations`
-//!   was on) rendered next to its table;
-//! * compile-cache effectiveness (hits, misses, evictions) when the
-//!   trace came from a cached compile.
+//!   was on) rendered next to its table.
 //!
 //! Usage:
 //!
@@ -660,56 +658,6 @@ fn report(data: &TraceData) -> String {
         out.push('\n');
     }
 
-    // ---- compile-cache effectiveness ----
-    let cache_cols = [
-        ("cache_hit", "hits"),
-        ("cache_miss", "misses"),
-        ("cache_evict", "evicted"),
-    ];
-    let mut cache_totals = [0i64; 3];
-    for counters in funcs.values() {
-        for (i, (key, _)) in cache_cols.iter().enumerate() {
-            cache_totals[i] += counters.get(key).copied().unwrap_or(0);
-        }
-    }
-    if cache_totals.iter().any(|&t| t > 0) {
-        let mut widths = vec![28usize];
-        widths.extend(cache_cols.iter().map(|(_, h)| h.len().max(7)));
-        out.push_str("compile-cache effectiveness\n");
-        let mut header: Vec<String> = vec!["machine/function".into()];
-        header.extend(cache_cols.iter().map(|(_, h)| h.to_string()));
-        out.push_str(&row(&header, &widths));
-        out.push('\n');
-        for (ctx, counters) in &funcs {
-            if !cache_cols
-                .iter()
-                .any(|(key, _)| counters.get(key).copied().unwrap_or(0) > 0)
-            {
-                continue;
-            }
-            let mut cells: Vec<String> = vec![(*ctx).into()];
-            cells.extend(
-                cache_cols
-                    .iter()
-                    .map(|(key, _)| counters.get(key).copied().unwrap_or(0).to_string()),
-            );
-            out.push_str(&row(&cells, &widths));
-            out.push('\n');
-        }
-        let lookups = cache_totals[0] + cache_totals[1];
-        out.push_str(&format!(
-            "  total: {} hit(s), {} miss(es), {} eviction(s) — {:.0}% hit rate\n\n",
-            cache_totals[0],
-            cache_totals[1],
-            cache_totals[2],
-            if lookups > 0 {
-                cache_totals[0] as f64 * 100.0 / lookups as f64
-            } else {
-                0.0
-            }
-        ));
-    }
-
     // ---- reservation tables, with scheduler narratives alongside ----
     // `(ctx, pass) -> narratives`, drained as tables consume them so
     // leftovers (explanations on, tables off) still render below.
@@ -840,29 +788,6 @@ mod tests {
             "unpaired narrative gets its own section:\n{rendered}"
         );
         assert!(rendered.contains("no stalls"));
-    }
-
-    #[test]
-    fn cache_counters_render_an_effectiveness_section() {
-        let t = Tracer::new(TraceConfig::default());
-        t.add("m/f1", "cache_hit", 1);
-        t.add("m/f2", "cache_miss", 1);
-        t.add("m/f2", "insts_generated", 12);
-        let rendered = report(&t.finish().unwrap());
-        assert!(
-            rendered.contains("compile-cache effectiveness"),
-            "{rendered}"
-        );
-        assert!(
-            rendered.contains("total: 1 hit(s), 1 miss(es), 0 eviction(s) — 50% hit rate"),
-            "{rendered}"
-        );
-    }
-
-    #[test]
-    fn traces_without_cache_counters_skip_the_cache_section() {
-        let rendered = report(&trace_with("m/f", 3, 0));
-        assert!(!rendered.contains("compile-cache"), "{rendered}");
     }
 
     #[test]

@@ -40,10 +40,11 @@ OBSERVABILITY:
     --slo SPEC            comma-separated objectives over the rolling
                           windows, e.g. p99_ms=50,error_rate=0.1%
     --tail N              keep the N slowest requests per window as
-                          exemplar traces                [default: 4]
+                          exemplars                      [default: 4]
     --window-ms N         rolling time-series window width [default: 1000]
     --windows N           rolling windows retained         [default: 60]
-    --no-exemplars        disable request tracing / tail sampling
+    --no-exemplars        disable tail sampling (compiles always run
+                          untraced; the dashboard replays exemplars)
     -h, --help            print this help
 
 Request lines look like:

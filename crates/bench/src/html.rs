@@ -12,10 +12,11 @@
 //! Sections mirror the text report (`marion-report`): phase wall-clock
 //! timing, per-function counters, stall attribution per scheduling
 //! strategy, the log2 sample distributions recorded by
-//! `Tracer::observe`, cache effectiveness, reservation tables with
-//! their scheduler narratives — and, when serve metrics are supplied,
-//! request-latency distributions and worker utilization.
+//! `Tracer::observe`, reservation tables with their scheduler
+//! narratives — and, when serve metrics are supplied, request-latency
+//! distributions and worker utilization.
 
+use crate::serve::Replay;
 use marion_trace::json::Json;
 use marion_trace::{hist, Fields, Histogram, Record, TraceData, Value};
 use std::collections::BTreeMap;
@@ -299,9 +300,8 @@ pub fn render_html_with(
     // strategy-by-strategy breakdown.
     let mut by_pass: BTreeMap<String, BTreeMap<&str, i64>> = BTreeMap::new();
     for (_, fields) in data.events_named("sched_block") {
-        // Only traces from older builds (saved JSONL, disk-cache
-        // entries) carry `final`; their estimate passes, marked
-        // `final: 0`, would count twice.
+        // Only traces from older builds (saved JSONL) carry `final`;
+        // their estimate passes, marked `final: 0`, would count twice.
         if fields.int("final") == Some(0) {
             continue;
         }
@@ -373,26 +373,6 @@ pub fn render_html_with(
             );
         }
         table_close(&mut out);
-    }
-
-    // ---- cache effectiveness ----
-    let hits = total("cache_hit");
-    let misses = total("cache_miss");
-    let evicts = total("cache_evict");
-    if hits + misses + evicts > 0 {
-        section(&mut out, "Compile-cache effectiveness");
-        let lookups = hits + misses;
-        let rate = if lookups > 0 {
-            hits as f64 * 100.0 / lookups as f64
-        } else {
-            0.0
-        };
-        out.push_str("<div class=\"tiles\">\n");
-        tile(&mut out, "hits", &hits.to_string());
-        tile(&mut out, "misses", &misses.to_string());
-        tile(&mut out, "evictions", &evicts.to_string());
-        tile(&mut out, "hit rate", &format!("{rate:.0}%"));
-        out.push_str("</div>\n");
     }
 
     // ---- reservation tables + narratives ----
@@ -942,7 +922,8 @@ fn fmt_value(v: f64) -> String {
 
 /// Renders the `dashboard` protocol command's page: a self-contained
 /// HTML status view of one running service — summary tiles, rolling
-/// sparklines, SLO budgets, and tail-sampled exemplar flamegraphs.
+/// sparklines, SLO budgets, and flamegraphs of replayed tail
+/// exemplars.
 /// Same self-containment contract as [`render_html`] (CI grep-asserts
 /// it): inline CSS/SVG only, no links, no external assets.
 pub fn render_dashboard(d: &crate::serve::DashboardData) -> String {
@@ -1058,11 +1039,16 @@ pub fn render_dashboard(d: &crate::serve::DashboardData) -> String {
     section(&mut out, "Slowest requests (tail exemplars)");
     if d.exemplars.is_empty() {
         out.push_str(
-            "<p class=\"muted\">no exemplars yet \u{2014} compiles are traced \
-             and the slowest per window are kept here.</p>\n",
+            "<p class=\"muted\">no exemplars yet \u{2014} the slowest compiles \
+             per window are kept here and replayed on demand.</p>\n",
         );
     } else {
-        for ex in &d.exemplars {
+        out.push_str(
+            "<p class=\"muted\">each flame is a replay: the request re-run on a \
+             traced compiler with no cache, which must reproduce the served \
+             statistics.</p>\n",
+        );
+        for (ex, replay) in &d.exemplars {
             out.push_str(&format!(
                 "<details open><summary>r{} \u{2014} {}/{} \u{2014} {:.1} ms \
                  <span class=\"muted\">(queue {:.1} ms, {} hit / {} miss, \
@@ -1077,18 +1063,20 @@ pub fn render_dashboard(d: &crate::serve::DashboardData) -> String {
                 ex.funcs,
                 ex.window
             ));
-            let tree = crate::flame::flame_tree(&ex.trace);
-            if tree.children.is_empty() {
-                out.push_str(
-                    "<p class=\"muted\">no profile for this request: every \
-                     function replayed from the cache, and cached entries \
-                     carry no timing.</p>\n",
-                );
-            } else {
-                out.push_str(&crate::flame::render_svg(
-                    &tree,
-                    &format!("r{} wall-clock attribution", ex.request_id),
-                ));
+            match replay {
+                Replay::Reproduced(trace) => out.push_str(&crate::flame::render_svg(
+                    &crate::flame::flame_tree(trace),
+                    &format!("r{} replay: wall-clock attribution", ex.request_id),
+                )),
+                Replay::Diverged(replayed) => out.push_str(&format!(
+                    "<p class=\"bad\">r{} replay diverged: served {}, replay {}.</p>\n",
+                    ex.request_id, ex.served, replayed
+                )),
+                Replay::Failed(e) => out.push_str(&format!(
+                    "<p class=\"bad\">r{} replay failed: {}</p>\n",
+                    ex.request_id,
+                    esc(e)
+                )),
             }
             out.push_str("</details>\n");
         }
@@ -1120,7 +1108,6 @@ mod tests {
         });
         t.add("r2000/kernel", "insts_generated", 42);
         t.add("r2000/kernel", "sched_stall_cycles", 7);
-        t.add("r2000/kernel", "cache_miss", 1);
         t.observe("r2000", "block_stall_cycles", 3);
         t.observe("r2000", "block_stall_cycles", 900);
         t.gauge("module", "workers", 4);
@@ -1211,7 +1198,6 @@ mod tests {
             "Sample distributions",
             "block_stall_cycles",
             "Gauges",
-            "Compile-cache effectiveness",
             "Reservation tables",
         ] {
             assert!(html.contains(needle), "missing section `{needle}`");

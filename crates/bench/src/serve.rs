@@ -17,8 +17,9 @@
 //! `machines`, `capabilities`, `dashboard`, or `shutdown`. `compile`
 //! takes a `machine` name, a `strategy` name, and either a named
 //! `workload` (`livermore` for the combined Livermore suite, or
-//! `gen:<count>:<seed>` for the deterministic generator) or inline C
-//! `source`; `emit_asm:1` adds the rendered assembly to the response.
+//! `gen:<count>:<seed>` for the deterministic generator, with `count`
+//! at most [`MAX_GEN_COUNT`]) or inline C `source`; `emit_asm:1` adds
+//! the rendered assembly to the response.
 //! `metrics` answers a service-level snapshot — request counts,
 //! queue-wait and service-time log2 histograms with p50/p90/p99,
 //! rolling-window rates and percentiles, SLO budget/burn figures, live
@@ -48,14 +49,19 @@
 //! [`run_stream`] appends exactly one JSONL line to the access log —
 //! the line count always equals the requests served — rotating
 //! `PATH` → `PATH.1` when `access_log_max_bytes` would be exceeded.
-//! With `exemplars` on (the default), compiles are traced and a tail
-//! sampler keeps the K slowest requests per window with their full
-//! `TraceData`, which the `dashboard` page renders as per-request
-//! flamegraphs. Declarative SLOs ([`parse_slos`]) are evaluated over
-//! the rolling [`TimeSeries`] windows; see DESIGN.md "Metrics model"
-//! for the exact semantics.
+//! Compiles always run untraced. With `exemplars` on (the default), a
+//! tail sampler keeps the K slowest compile requests per window, each
+//! with its request line and the statistics it was served. The
+//! `dashboard` command re-runs every kept request on a traced compiler
+//! with no cache ([`Service::replay`]), checks that the replay
+//! reproduces the served statistics, and renders its flamegraph,
+//! titled as a replay. Declarative SLOs ([`parse_slos`]) are evaluated
+//! over the rolling [`TimeSeries`] windows; see DESIGN.md "Metrics
+//! model" for the exact semantics.
 
-use marion_core::{CompileOptions, Compiler, FuncCache, StrategyKind};
+use marion_core::{
+    CompileOptions, CompileStats, CompiledProgram, Compiler, FuncCache, StrategyKind,
+};
 use marion_trace::json::{parse_flat, ObjWriter};
 use marion_trace::{Fields, Histogram, TimeSeries, TraceConfig, TraceData, Value};
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -79,6 +85,11 @@ pub const METRICS_FORMAT_VERSION: i64 = 2;
 /// SLO burn rate ("latency over the last ~10 windows").
 pub const SLO_RECENT_WINDOWS: usize = 10;
 
+/// Largest `count` a `gen:<count>:<seed>` workload may ask for. Compile
+/// time grows with the count (`gen:300:1` takes most of a second), so
+/// larger requests are refused before any program is generated.
+pub const MAX_GEN_COUNT: u64 = 64;
+
 /// How to build a [`Service`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -98,8 +109,9 @@ pub struct ServeConfig {
     /// Rotate the access log (`PATH` → `PATH.1`) before exceeding this
     /// many bytes. Default 4 MiB.
     pub access_log_max_bytes: u64,
-    /// Trace compiles and keep tail-sampled exemplars for the
-    /// `dashboard` command (on by default).
+    /// Keep the slowest compile requests per window as exemplars,
+    /// which the `dashboard` command replays on a traced compiler (on
+    /// by default). Served compiles run untraced either way.
     pub exemplars: bool,
     /// Slowest requests kept per window by the tail sampler.
     pub tail_k: usize,
@@ -308,9 +320,46 @@ pub struct Outcome {
     pub cache_misses: u64,
     /// The request failed.
     pub failed: bool,
-    /// Per-request trace (compiles with exemplars enabled), consumed
-    /// by the tail sampler.
-    pub trace: Option<TraceData>,
+    /// The statistics a compile answered with.
+    pub served: Served,
+    /// The request line of a successful compile with exemplars on,
+    /// which the tail sampler keeps for replay.
+    pub request_line: Option<String>,
+}
+
+/// The statistics a compile response carries (`insts`, `spills`,
+/// `estimated_cycles`, `nops`): what a replay must reproduce.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Served {
+    /// Machine instructions generated.
+    pub insts: u64,
+    /// Virtual registers spilled.
+    pub spills: u64,
+    /// Estimated cycles.
+    pub estimated_cycles: u64,
+    /// `nop`s emitted.
+    pub nops: u64,
+}
+
+impl Served {
+    fn of(stats: &CompileStats) -> Served {
+        Served {
+            insts: stats.insts_generated as u64,
+            spills: stats.spills as u64,
+            estimated_cycles: stats.estimated_cycles,
+            nops: stats.nops_emitted as u64,
+        }
+    }
+}
+
+impl std::fmt::Display for Served {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} insts, {} spills, {} est. cycles, {} nops",
+            self.insts, self.spills, self.estimated_cycles, self.nops
+        )
+    }
 }
 
 fn outcome(request_id: u64, client_id: i64, cmd: &'static str) -> Outcome {
@@ -700,8 +749,8 @@ impl AccessLog {
     }
 }
 
-/// One tail-sampled slow request: the access-log facts plus the full
-/// per-request trace, so a latency outlier links to its flamegraph.
+/// One tail-sampled slow request: the access-log facts plus what a
+/// replay needs, so a latency outlier links to its flamegraph.
 #[derive(Debug, Clone)]
 pub struct Exemplar {
     /// Server-assigned request id.
@@ -724,10 +773,22 @@ pub struct Exemplar {
     pub cache_misses: u64,
     /// Absolute rolling-window id the request completed in.
     pub window: u64,
-    /// The request's trace (spans/prof cold; counters only when every
-    /// function replayed from the cache — cached entries carry no
-    /// timing).
-    pub trace: TraceData,
+    /// The request line as received.
+    pub request_line: String,
+    /// The statistics the request was served.
+    pub served: Served,
+}
+
+/// What re-running an exemplar's request on a traced compiler with no
+/// cache found ([`Service::replay`]).
+#[derive(Debug, Clone)]
+pub enum Replay {
+    /// The replay reproduced the served statistics; its trace.
+    Reproduced(TraceData),
+    /// The replay compiled to other statistics than were served.
+    Diverged(Served),
+    /// The replay did not compile.
+    Failed(String),
 }
 
 /// Rolling windows retained by the tail sampler beyond the current
@@ -817,8 +878,8 @@ pub struct DashboardData {
     pub series: Vec<SeriesView>,
     /// Evaluated objectives.
     pub slos: Vec<SloEval>,
-    /// Tail-sampled slow requests, slowest first.
-    pub exemplars: Vec<Exemplar>,
+    /// Tail-sampled slow requests, slowest first, each with its replay.
+    pub exemplars: Vec<(Exemplar, Replay)>,
     /// Lifetime cache hit rate, when the cache is enabled.
     pub cache_hit_rate: Option<f64>,
 }
@@ -897,7 +958,7 @@ impl Service {
 
     /// Records a completed request everywhere at once: metrics (and
     /// time series), one access-log line, and — when the outcome
-    /// carries a trace — the tail sampler. [`run_stream`] calls this
+    /// carries a request line — the tail sampler. [`run_stream`] calls this
     /// exactly once per request, which is what makes "access-log lines
     /// == requests served" exact.
     pub fn observe_request(&self, queue_wait_us: u64, service_us: u64, outcome: &mut Outcome) {
@@ -926,7 +987,7 @@ impl Service {
                 eprintln!("marion-serve: access log write failed: {e}");
             }
         }
-        if let Some(trace) = outcome.trace.take() {
+        if let Some(request_line) = outcome.request_line.take() {
             if !outcome.failed {
                 self.tail.lock().unwrap().offer(
                     now_us / 1000,
@@ -941,19 +1002,30 @@ impl Service {
                         cache_hits: outcome.cache_hits,
                         cache_misses: outcome.cache_misses,
                         window: 0, // set by offer
-                        trace,
+                        request_line,
+                        served: outcome.served,
                     },
                 );
             }
         }
     }
 
-    /// Everything the dashboard page shows, gathered consistently.
+    /// Everything the dashboard page shows, gathered consistently;
+    /// every retained exemplar is replayed ([`Service::replay`]).
     pub fn dashboard_data(&self) -> DashboardData {
         let snap = self.metrics.snapshot();
         let windowed = snap.windowed(SLO_RECENT_WINDOWS);
         let slos = evaluate_slos(&snap, &self.slos);
+        // Release the sampler's lock before replaying: replays take
+        // milliseconds, and every served request offers to the sampler.
         let exemplars = self.tail.lock().unwrap().exemplars();
+        let exemplars = exemplars
+            .into_iter()
+            .map(|ex| {
+                let replay = self.replay(&ex);
+                (ex, replay)
+            })
+            .collect();
         let cache_hit_rate = self.cache.as_ref().map(|c| c.stats().hit_rate());
         let n = snap.service_ts.num_windows();
         let service: Vec<_> = snap.service_ts.series(snap.now_ms, n);
@@ -1025,35 +1097,44 @@ impl Service {
         }
     }
 
+    /// Re-runs an exemplar's request on a traced compiler with no
+    /// cache (same machine and strategy), so its profile describes a
+    /// cold compile of what was served. The replay must reproduce the
+    /// served statistics; otherwise it reports how it diverged.
+    pub fn replay(&self, ex: &Exemplar) -> Replay {
+        let run = || -> Result<CompiledProgram, String> {
+            let req = parse_request(&ex.request_line)?;
+            let module = self.module_for(&req)?;
+            let options = CompileOptions {
+                jobs: self.jobs,
+                trace: Some(TraceConfig::default()),
+                ..CompileOptions::default()
+            };
+            let compiler = build_compiler(&req.machine, &req.strategy, options)?;
+            compiler
+                .compile_module(&module)
+                .map_err(|e| format!("compile: {e}"))
+        };
+        match run() {
+            Err(e) => Replay::Failed(e),
+            Ok(program) if Served::of(&program.stats) != ex.served => {
+                Replay::Diverged(Served::of(&program.stats))
+            }
+            Ok(program) => Replay::Reproduced(program.trace.unwrap_or_default()),
+        }
+    }
+
     fn compiler(&self, machine: &str, strategy: &str) -> Result<Arc<Compiler>, String> {
         let key = (machine.to_string(), strategy.to_string());
         if let Some(c) = self.compilers.lock().unwrap().get(&key) {
             return Ok(c.clone());
         }
-        if !marion_machines::EXTENDED.contains(&machine) {
-            return Err(format!(
-                "unknown machine `{machine}` (have: {})",
-                marion_machines::EXTENDED.join(", ")
-            ));
-        }
-        let kind = StrategyKind::parse(strategy)
-            .ok_or_else(|| format!("unknown strategy `{strategy}`"))?;
-        let spec = marion_machines::load(machine);
-        // One trace config for every compile: the cache key covers the
-        // trace config, so mixing traced and untraced requests would
-        // split the cache and break warm==cold outputs.
         let options = CompileOptions {
             jobs: self.jobs,
             cache: self.cache.clone(),
-            trace: self.exemplars_on.then(TraceConfig::default),
             ..CompileOptions::default()
         };
-        let compiler = Arc::new(Compiler::with_options(
-            spec.machine,
-            spec.escapes,
-            kind,
-            options,
-        ));
+        let compiler = Arc::new(build_compiler(machine, strategy, options)?);
         self.compilers
             .lock()
             .unwrap()
@@ -1077,6 +1158,11 @@ impl Service {
                 let (count, seed) = rest.split_once(':')?;
                 Some((count.parse::<u64>().ok()?, seed.parse::<u64>().ok()?))
             }) {
+                Some((count, _)) if count > MAX_GEN_COUNT => {
+                    return Err(format!(
+                        "workload `{w}`: count {count} is over the limit of {MAX_GEN_COUNT}"
+                    ))
+                }
                 Some((count, seed)) => marion_workloads::multi::combined_generated(count, seed),
                 None => {
                     return Err(format!(
@@ -1113,7 +1199,7 @@ impl Service {
             }
         };
         match req.cmd {
-            Cmd::Compile => self.handle_compile(&req, rid),
+            Cmd::Compile => self.handle_compile(&req, line, rid),
             Cmd::Stats => (
                 self.stats_response(req.id, rid),
                 outcome(rid, req.id, "stats"),
@@ -1145,7 +1231,7 @@ impl Service {
         }
     }
 
-    fn handle_compile(&self, req: &Request, rid: u64) -> (String, Outcome) {
+    fn handle_compile(&self, req: &Request, line: &str, rid: u64) -> (String, Outcome) {
         let fail = |e: String| {
             let mut out = outcome(rid, req.id, "compile");
             out.failed = true;
@@ -1168,6 +1254,7 @@ impl Service {
         };
         let wall_us = start.elapsed().as_micros() as i64;
         let summary = program.cache.unwrap_or_default();
+        let served = Served::of(&program.stats);
         let mut obj = ObjWriter::new();
         obj.int("id", req.id);
         write_request_id(&mut obj, rid);
@@ -1175,10 +1262,10 @@ impl Service {
         obj.str("machine", &program.machine_name);
         obj.str("strategy", program.strategy.name());
         obj.int("funcs", program.stats.per_func.len() as i64);
-        obj.int("insts", program.stats.insts_generated as i64);
-        obj.int("spills", program.stats.spills as i64);
-        obj.int("estimated_cycles", program.stats.estimated_cycles as i64);
-        obj.int("nops", program.stats.nops_emitted as i64);
+        obj.int("insts", served.insts as i64);
+        obj.int("spills", served.spills as i64);
+        obj.int("estimated_cycles", served.estimated_cycles as i64);
+        obj.int("nops", served.nops as i64);
         obj.int("cache_hits", summary.hits as i64);
         obj.int("cache_misses", summary.misses as i64);
         obj.int("wall_us", wall_us);
@@ -1197,7 +1284,8 @@ impl Service {
                 cache_hits: summary.hits,
                 cache_misses: summary.misses,
                 failed: false,
-                trace: program.trace,
+                served,
+                request_line: self.exemplars_on.then(|| line.to_string()),
             },
         )
     }
@@ -1295,6 +1383,29 @@ impl Service {
         obj.str("html", &html);
         obj.finish()
     }
+}
+
+/// Builds a compiler for a served machine and a strategy name.
+fn build_compiler(
+    machine: &str,
+    strategy: &str,
+    options: CompileOptions,
+) -> Result<Compiler, String> {
+    if !marion_machines::EXTENDED.contains(&machine) {
+        return Err(format!(
+            "unknown machine `{machine}` (have: {})",
+            marion_machines::EXTENDED.join(", ")
+        ));
+    }
+    let kind =
+        StrategyKind::parse(strategy).ok_or_else(|| format!("unknown strategy `{strategy}`"))?;
+    let spec = marion_machines::load(machine);
+    Ok(Compiler::with_options(
+        spec.machine,
+        spec.escapes,
+        kind,
+        options,
+    ))
 }
 
 fn write_request_id(obj: &mut ObjWriter, rid: u64) {
@@ -1961,7 +2072,8 @@ mod tests {
             cache_hits: 0,
             cache_misses: 1,
             window: 0,
-            trace: TraceData::default(),
+            request_line: String::new(),
+            served: Served::default(),
         };
         let mut sampler = TailSampler::new(2, 1000);
         for (rid, us) in [(1, 5), (2, 50), (3, 20), (4, 40)] {
@@ -2011,19 +2123,85 @@ mod tests {
         );
         assert!(html.starts_with("<!DOCTYPE html>"));
         assert!(html.contains("marion-serve dashboard"));
-        // The cold compile was traced, tail-sampled, and rendered as a
-        // flamegraph.
+        // The compile was tail-sampled, replayed traced, and rendered
+        // as a flamegraph titled as a replay.
         assert!(html.contains("Slowest requests"));
         assert!(html.contains("r1 \u{2014} toyp/Postpass"));
         assert!(html.contains("<svg"), "sparkline + flamegraph SVGs");
         assert!(
-            html.contains("wall-clock attribution"),
+            html.contains("r1 replay: wall-clock attribution"),
             "flamegraph present"
         );
         // Same self-containment contract as report.html.
         assert!(!html.contains("http:") && !html.contains("https:"));
         assert!(!html.contains("src=") && !html.contains("href="));
         assert!(html.contains("<style>"));
+    }
+
+    #[test]
+    fn warm_hit_exemplar_gets_a_replay_flame() {
+        let service = Service::new(&ServeConfig::default()).unwrap();
+        let req = r#"{"id":1,"machine":"r2000","strategy":"IPS","source":"int main() { int a; a = 3; return a * 7; }"}"#;
+        let requests = format!("{req}\n{req}\n{{\"id\":3,\"cmd\":\"dashboard\"}}\n");
+        let (lines, _) = respond(&service, &requests, 1);
+        assert_eq!(field(&lines[1], "cache_misses"), Some(Value::Int(0)));
+        let html = field(&lines[2], "html").unwrap();
+        let html = html.as_str().unwrap();
+        // Both the cold request and the fully warm one replay to a flame.
+        assert!(html.contains("r1 replay: wall-clock attribution"), "{html}");
+        assert!(html.contains("r2 replay: wall-clock attribution"), "{html}");
+        assert!(!html.contains("diverged") && !html.contains("replay failed"));
+        // The replay compiled cold, traced, and left the cache alone.
+        let stats = service.cache().unwrap().stats();
+        assert_eq!((stats.hits, stats.misses), (1, 1));
+    }
+
+    #[test]
+    fn doctored_exemplars_are_shown_as_diverged_or_failed() {
+        let service = Service::new(&ServeConfig::default()).unwrap();
+        let req = r#"{"id":1,"machine":"toyp","strategy":"Postpass","source":"int main() { return 5; }"}"#;
+        respond(&service, &format!("{req}\n"), 1);
+        let ex = service.tail.lock().unwrap().cur[0].clone();
+        assert!(matches!(service.replay(&ex), Replay::Reproduced(_)));
+        // Record one instruction more than was really served.
+        service.tail.lock().unwrap().cur[0].served.insts += 1;
+        let (lines, _) = respond(&service, "{\"id\":2,\"cmd\":\"dashboard\"}\n", 1);
+        let html = field(&lines[0], "html").unwrap();
+        let html = html.as_str().unwrap();
+        assert!(html.contains("r1 replay diverged"), "{html}");
+        assert!(
+            !html.contains("r1 replay: wall-clock attribution"),
+            "{html}"
+        );
+        let doctored = service.tail.lock().unwrap().cur[0].clone();
+        assert!(matches!(service.replay(&doctored), Replay::Diverged(s) if s == ex.served));
+        // A request that no longer compiles is shown as failed.
+        let broken = Exemplar {
+            request_line: "not json".to_string(),
+            ..ex
+        };
+        assert!(matches!(service.replay(&broken), Replay::Failed(_)));
+    }
+
+    #[test]
+    fn gen_counts_are_bounded_and_seeds_wrap() {
+        let service = Service::new(&ServeConfig::default()).unwrap();
+        let over = MAX_GEN_COUNT + 1;
+        let requests = format!(
+            "{{\"id\":1,\"machine\":\"toyp\",\"strategy\":\"Postpass\",\"workload\":\"gen:{over}:1\"}}\n\
+             {{\"id\":2,\"machine\":\"toyp\",\"strategy\":\"Postpass\",\"workload\":\"gen:2:{}\"}}\n\
+             {{\"id\":3,\"cmd\":\"stats\"}}\n",
+            u64::MAX
+        );
+        let (lines, stats) = respond(&service, &requests, 1);
+        assert_eq!(lines.len(), 3);
+        assert_eq!(field(&lines[0], "ok"), Some(Value::Int(0)));
+        assert!(field(&lines[0], "error")
+            .and_then(|v| v.as_str().map(|s| s.contains("over the limit")))
+            .unwrap_or(false));
+        assert_eq!(field(&lines[1], "ok"), Some(Value::Int(1)));
+        assert_eq!(field(&lines[2], "ok"), Some(Value::Int(1)));
+        assert_eq!(stats.failures, 1);
     }
 
     #[test]

@@ -84,9 +84,9 @@ fn observability_end_to_end_under_concurrent_load() {
     let dashboard = &lines2[2];
 
     // Warm output is byte-identical to cold: same asm, same structural
-    // counters, despite tracing/observability being on.
+    // counters, with observability on.
     assert_eq!(Some(asm_cold), warm.str("asm"), "warm == cold asm");
-    for key in ["insts", "spills", "est_cycles", "funcs", "ok"] {
+    for key in ["insts", "spills", "estimated_cycles", "nops", "funcs", "ok"] {
         assert_eq!(
             cold.field(key),
             warm.field(key),

@@ -1,21 +1,16 @@
 //! End-to-end checks on the self-profiler: the flame tree built from a
 //! compile trace must be structurally identical at any `jobs` count,
 //! its self-times must telescope exactly to the enclosing `strategy`
-//! span, the micro-spans must account for nearly all of the strategy's
-//! wall time on a real workload, and timing rows must never leak into
-//! (or out of) the compile cache.
+//! span, and the micro-spans must account for nearly all of the
+//! strategy's wall time on a real workload. (A traced compile never
+//! touches the compile cache; `tests/cache_correctness.rs` checks that.)
 
 use marion_bench::flame::flame_tree;
-use marion_core::{CompileOptions, CompiledProgram, Compiler, FuncCache, StrategyKind};
-use marion_trace::{Record, TraceConfig};
+use marion_core::{CompileOptions, CompiledProgram, Compiler, StrategyKind};
+use marion_trace::TraceConfig;
 use std::num::NonZeroUsize;
-use std::sync::Arc;
 
-fn compile_livermore(
-    strategy: StrategyKind,
-    jobs: usize,
-    cache: Option<Arc<FuncCache>>,
-) -> CompiledProgram {
+fn compile_livermore(strategy: StrategyKind, jobs: usize) -> CompiledProgram {
     let spec = marion_machines::load("r2000");
     let compiler = Compiler::with_options(
         spec.machine.clone(),
@@ -24,7 +19,6 @@ fn compile_livermore(
         CompileOptions {
             trace: Some(TraceConfig::default()),
             jobs: NonZeroUsize::new(jobs),
-            cache,
             ..CompileOptions::default()
         },
     );
@@ -44,8 +38,8 @@ fn tree_of(program: &CompiledProgram) -> marion_bench::flame::FlameNode {
 #[test]
 fn flame_tree_structure_is_identical_across_jobs_counts() {
     for strategy in [StrategyKind::Postpass, StrategyKind::Ips] {
-        let serial = tree_of(&compile_livermore(strategy, 1, None));
-        let parallel = tree_of(&compile_livermore(strategy, 8, None));
+        let serial = tree_of(&compile_livermore(strategy, 1));
+        let parallel = tree_of(&compile_livermore(strategy, 8));
         assert!(
             !serial.children.is_empty(),
             "{strategy:?}: profiler produced an empty flame tree"
@@ -63,7 +57,7 @@ fn flame_tree_structure_is_identical_across_jobs_counts() {
 /// (no double counting, nothing lost).
 #[test]
 fn strategy_subtree_self_times_sum_to_span_total() {
-    let program = compile_livermore(StrategyKind::Rase, 1, None);
+    let program = compile_livermore(StrategyKind::Rase, 1);
     let tree = tree_of(&program);
     let strategy = tree
         .find("compile_func/strategy")
@@ -86,7 +80,7 @@ fn micro_spans_attribute_at_least_90_percent_of_strategy_time() {
         StrategyKind::Ips,
         StrategyKind::Rase,
     ] {
-        let program = compile_livermore(strategy, 1, None);
+        let program = compile_livermore(strategy, 1);
         let tree = tree_of(&program);
         let node = tree
             .find("compile_func/strategy")
@@ -98,47 +92,4 @@ fn micro_spans_attribute_at_least_90_percent_of_strategy_time() {
             node.total_us
         );
     }
-}
-
-/// Timing rows stay out of the cache in both directions: a cold
-/// compile records profile rows but strips them from the entries it
-/// inserts, so a warm compile — which replays cached traces instead of
-/// running the back end — sees none below `compile_func`. (The bare
-/// `compile_module` row survives: that is the driver's own live wall
-/// time, re-measured on every run, not a replayed timing.)
-#[test]
-fn profile_rows_never_round_trip_through_the_cache() {
-    let cache = Arc::new(FuncCache::in_memory(1024));
-    let count_profs = |p: &CompiledProgram| {
-        p.trace
-            .as_ref()
-            .expect("tracing was on")
-            .records
-            .iter()
-            .filter(|r| matches!(r, Record::Prof { path, .. } if path.contains("compile_func")))
-            .count()
-    };
-    let cold = compile_livermore(StrategyKind::Ips, 1, Some(cache.clone()));
-    assert!(count_profs(&cold) > 0, "cold compile should self-profile");
-    let warm = compile_livermore(StrategyKind::Ips, 1, Some(cache));
-    let hits: i64 = warm
-        .trace
-        .as_ref()
-        .unwrap()
-        .records
-        .iter()
-        .filter_map(|r| match r {
-            Record::Counter { name, value, .. } if name == "cache_hit" => Some(*value),
-            _ => None,
-        })
-        .sum();
-    assert!(hits > 0, "second compile should hit the cache");
-    assert_eq!(
-        count_profs(&warm),
-        0,
-        "cached traces must carry no timing rows"
-    );
-    // And the cache stayed invisible where it matters: the output.
-    let machine = marion_machines::load("r2000").machine;
-    assert_eq!(cold.render(&machine), warm.render(&machine));
 }

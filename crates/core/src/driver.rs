@@ -4,9 +4,7 @@
 use crate::code::CodeFunc;
 use crate::emit::{emit_func, AsmFunc, AsmProgram};
 use crate::error::CodegenError;
-use crate::fcache::{
-    base_fingerprint, func_key, strip_spans, CacheSummary, CacheTally, CachedFunc, FuncCache,
-};
+use crate::fcache::{base_fingerprint, func_key, CacheSummary, CacheTally, CachedFunc, FuncCache};
 use crate::glue::apply_glue;
 use crate::select::EscapeRegistry;
 use crate::strategy::{strategy_for, Strategy, StrategyKind, StrategyStats};
@@ -38,7 +36,8 @@ pub struct CompiledProgram {
     /// [`CompileOptions::trace`] was set.
     pub trace: Option<TraceData>,
     /// Cache accounting for this compile, when
-    /// [`CompileOptions::cache`] was set. Kept out of [`CompileStats`]
+    /// [`CompileOptions::cache`] was set and tracing was off (a traced
+    /// compile never touches the cache). Kept out of [`CompileStats`]
     /// so warm and cold statistics stay byte-identical.
     pub cache: Option<CacheSummary>,
 }
@@ -116,7 +115,9 @@ pub struct CompileOptions {
     /// Collect a trace (phase spans, counters, per-block scheduler
     /// metrics) during compilation; the result lands in
     /// [`CompiledProgram::trace`]. `None` (the default) collects
-    /// nothing and costs nothing.
+    /// nothing and costs nothing. A traced compile bypasses
+    /// [`CompileOptions::cache`] entirely, so every trace describes a
+    /// cold compile.
     pub trace: Option<TraceConfig>,
     /// Worker threads for per-function compilation. `None` (the
     /// default) uses [`std::thread::available_parallelism`]. `1`
@@ -129,7 +130,9 @@ pub struct CompileOptions {
     /// output-relevant options and the function body, so a hit returns
     /// output byte-identical to a cold compile. `None` (the default)
     /// compiles everything cold. The cache is shared — clone the `Arc`
-    /// into as many compilers as you like.
+    /// into as many compilers as you like. Consulted only when
+    /// [`CompileOptions::trace`] is `None`: a traced compile neither
+    /// probes nor fills it.
     pub cache: Option<Arc<FuncCache>>,
 }
 
@@ -224,13 +227,17 @@ impl Compiler {
             .unwrap_or(1);
         let workers = jobs.min(module.funcs.len()).max(1);
 
-        // The cache key's request-invariant prefix (machine, strategy,
-        // options) is hashed once; each function extends a clone.
-        let base: Option<StableHasher> = self
+        // A traced compile never touches the cache, so every trace
+        // describes a cold compile. Otherwise the cache key's
+        // request-invariant prefix (machine, strategy, options) is
+        // hashed once; each function extends a clone.
+        let cache = self
             .options
             .cache
-            .as_ref()
-            .map(|_| base_fingerprint(&self.machine, self.strategy, &self.options));
+            .as_deref()
+            .filter(|_| self.options.trace.is_none());
+        let base = cache.map(|_| base_fingerprint(&self.machine, self.strategy, &self.options));
+        let cached = cache.zip(base.as_ref());
         let tally = CacheTally::default();
 
         let mut asm = AsmProgram::default();
@@ -245,7 +252,7 @@ impl Compiler {
                     func,
                     strategy.as_ref(),
                     &tracer,
-                    base.as_ref(),
+                    cached,
                     &tally,
                 )?;
                 stats.accumulate(&fs);
@@ -258,7 +265,6 @@ impl Compiler {
             let slots: Mutex<Vec<Slot>> = Mutex::new((0..n).map(|_| None).collect());
             let module_ref = &module;
             let strategy_ref: &(dyn Strategy + Send + Sync) = strategy.as_ref();
-            let base_ref = base.as_ref();
             let tally_ref = &tally;
             std::thread::scope(|s| {
                 for _ in 0..workers {
@@ -274,7 +280,7 @@ impl Compiler {
                                 &module_ref.funcs[i],
                                 strategy_ref,
                                 &shard,
-                                base_ref,
+                                cached,
                                 tally_ref,
                             )
                             .map(|(emitted, fs)| (emitted, fs, shard.finish()));
@@ -313,60 +319,40 @@ impl Compiler {
             strategy: self.strategy,
             stats,
             trace,
-            cache: self.options.cache.as_ref().map(|_| tally.summary()),
+            cache: cached.map(|_| tally.summary()),
         })
     }
 
-    /// [`Compiler::compile_func`] behind the cache: serves a hit when
-    /// [`CompileOptions::cache`] holds the function, compiles and
-    /// inserts on a miss. Both paths return byte-identical output.
+    /// [`Compiler::compile_func`] behind the cache, when `cached` holds
+    /// one (only ever for untraced compiles): serves a hit, compiles
+    /// and inserts on a miss. Both paths return byte-identical output.
     fn compile_func_cached(
         &self,
         module: &ir::Module,
         func: &ir::Function,
         strategy: &(dyn Strategy + Send + Sync),
         tracer: &Tracer,
-        base: Option<&StableHasher>,
+        cached: Option<(&FuncCache, &StableHasher)>,
         tally: &CacheTally,
     ) -> Result<(AsmFunc, FuncStats), CodegenError> {
-        let Some((cache, base)) = self.options.cache.as_deref().zip(base) else {
+        let Some((cache, base)) = cached else {
             return self.compile_func(module, func, strategy, tracer);
         };
         let key = func_key(base, module, func);
-        let ctx = format!("{}/{}", self.machine.name(), func.name);
         if let Some(entry) = cache.get(key) {
             tally.hit();
-            tracer.add(&ctx, "cache_hit", 1);
-            if let Some(data) = &entry.trace {
-                // Replay the recorded counters and events so a warm
-                // trace matches a cold one (spans were stripped at
-                // insert — their timings belonged to the cold run).
-                tracer.import(data);
-            }
             return Ok((entry.asm, entry.stats));
         }
-        // Miss: compile into a fresh shard so the cache entry can keep
-        // a replayable copy of the function's counters and events.
-        let shard = self.new_tracer();
-        let (emitted, fs) = self.compile_func(module, func, strategy, &shard)?;
-        let recorded = shard.finish();
+        let (emitted, fs) = self.compile_func(module, func, strategy, tracer)?;
         let evicted = cache.insert(
             key,
             CachedFunc {
                 asm: emitted.clone(),
                 stats: fs.clone(),
-                trace: recorded.as_ref().map(strip_spans),
             },
         );
         tally.miss();
         tally.evict(evicted as u64);
-        tracer.add(&ctx, "cache_miss", 1);
-        if evicted > 0 {
-            tracer.add(&ctx, "cache_evict", evicted as i64);
-        }
-        if let Some(data) = &recorded {
-            tracer.import(data);
-        }
         Ok((emitted, fs))
     }
 
@@ -446,8 +432,8 @@ impl Compiler {
         tracer.add(&ctx, "nops_emitted", fs.nops_emitted as i64);
         // Machine-level size distributions: one sample per function,
         // accumulated across the module into log2 histograms. These
-        // are structural (deterministic), so a cache hit replaying the
-        // recorded trace reproduces them exactly.
+        // are structural (deterministic), so a replay of the same
+        // compile reproduces them exactly.
         let mctx = self.machine.name();
         tracer.observe(mctx, "func_insts", fs.insts_generated as u64);
         tracer.observe(mctx, "func_est_cycles", fs.estimated_cycles);

@@ -12,17 +12,15 @@
 //!   field-order-stable structural encoding that is a pure function of
 //!   the parsed description and allocates nothing on the probe path);
 //! * the [`StrategyKind`];
-//! * the cache-relevant [`CompileOptions`] fields:
-//!   `fill_delay_slots` and the trace configuration (a traced compile
-//!   stores its replayable trace in the entry, so entries recorded
-//!   without tracing must never serve a traced compile);
+//! * the cache-relevant [`CompileOptions`] field, `fill_delay_slots`;
 //! * the IR function body *after*
 //!   [`crate::driver::materialize_float_constants`], plus the module's
 //!   symbol table (cached assembly embeds `SymbolId`s, which are only
 //!   meaningful against the same table).
 //!
 //! Deliberately **excluded**: `jobs` (module-order collection makes
-//! output identical at any worker count), the machine's
+//! output identical at any worker count), the trace configuration (a
+//! traced compile never probes or fills the cache), the machine's
 //! `SelectionIndex` (it only prunes candidate lists, so it cannot
 //! change output: `Machine::brute_force_reference`, whose index returns
 //! every template, compiles byte-identical code, which the selection
@@ -33,11 +31,10 @@
 //!
 //! ## What an entry holds
 //!
-//! The emitted [`AsmFunc`], its [`FuncStats`], and (when compiled
-//! under tracing) the function's counters and events — spans are
-//! stripped, their timings belong to the run that recorded them. On a
-//! hit the driver replays the trace via `Tracer::import`, so warm
-//! trace counters equal cold ones.
+//! The emitted [`AsmFunc`] and its [`FuncStats`], nothing else: only
+//! untraced compiles use the cache, so no trace data passes through
+//! it. A traced compile is always cold; the compile service re-runs
+//! a request traced, without the cache, when it needs a profile.
 
 use crate::driver::{CompileOptions, FuncStats};
 use crate::emit::{AsmBlock, AsmFunc, AsmInst, Word};
@@ -46,7 +43,7 @@ use crate::strategy::StrategyKind;
 use marion_cache::{CacheKey, DiskStore, ShardedCache, StableHasher};
 use marion_ir as ir;
 use marion_maril::Machine;
-use marion_trace::{Fields, Record, TraceData};
+use marion_trace::Fields;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -54,7 +51,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Entry format version, bumped whenever the payload codec changes so
 /// stale disk stores read as corrupt instead of mis-decoding. Public
 /// so the serve protocol's `machines` introspection can report it.
-pub const FORMAT_VERSION: i64 = 2;
+pub const FORMAT_VERSION: i64 = 3;
 
 /// One cached compiled function.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,9 +60,6 @@ pub struct CachedFunc {
     pub asm: AsmFunc,
     /// Its per-function statistics.
     pub stats: FuncStats,
-    /// Counters and events recorded while compiling it (no spans);
-    /// `None` when the cold compile ran untraced.
-    pub trace: Option<TraceData>,
 }
 
 /// Per-`compile_module` cache accounting, surfaced as
@@ -242,14 +236,6 @@ pub fn base_fingerprint(
     machine.stable_hash(&mut h);
     h.write_str(strategy.name());
     h.write_u64(options.fill_delay_slots as u64);
-    match &options.trace {
-        None => h.write_u64(0),
-        Some(config) => {
-            h.write_u64(1);
-            h.write_u64(config.reservation_tables as u64);
-            h.write_u64(config.explanations as u64);
-        }
-    }
     h
 }
 
@@ -269,20 +255,6 @@ pub fn func_key(base: &StableHasher, module: &ir::Module, func: &ir::Function) -
         h.write_str(module.symbol_name(ir::SymbolId(i as u32)));
     }
     h.finish()
-}
-
-/// Drops spans and profile rows from a recorded trace: their
-/// wall-clock timings belong to the run that recorded them and must
-/// not replay into later compiles.
-pub(crate) fn strip_spans(data: &TraceData) -> TraceData {
-    TraceData {
-        records: data
-            .records
-            .iter()
-            .filter(|r| !matches!(r, Record::Span { .. } | Record::Prof { .. }))
-            .cloned()
-            .collect(),
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -510,9 +482,6 @@ pub fn encode_entry(entry: &CachedFunc) -> String {
     obj.int("delay_slots_filled", entry.stats.delay_slots_filled as i64);
     obj.int("nops_emitted", entry.stats.nops_emitted as i64);
     obj.str("quality", &encode_quality(&entry.stats.blocks));
-    if let Some(trace) = &entry.trace {
-        obj.str("trace", &trace.to_jsonl());
-    }
     obj.finish()
 }
 
@@ -540,11 +509,7 @@ pub fn decode_entry(payload: &str) -> Option<CachedFunc> {
         blocks: decode_blocks(fields.str("blocks")?)?,
         frame_size: u32::try_from(fields.int("frame_size")?).ok()?,
     };
-    let trace = match fields.str("trace") {
-        Some(text) => Some(TraceData::parse_jsonl(text).ok()?),
-        None => None,
-    };
-    Some(CachedFunc { asm, stats, trace })
+    Some(CachedFunc { asm, stats })
 }
 
 #[cfg(test)]
@@ -633,17 +598,7 @@ mod tests {
                 },
             ],
         };
-        let trace = {
-            let t = marion_trace::Tracer::new(marion_trace::TraceConfig::default());
-            t.add("m/llk_main", "insts_generated", 4);
-            t.event(
-                "m/llk_main/b0",
-                "delay_slot_fill",
-                &[("inst", marion_trace::Value::from("add r1, r2"))],
-            );
-            t.finish()
-        };
-        CachedFunc { asm, stats, trace }
+        CachedFunc { asm, stats }
     }
 
     #[test]
@@ -651,14 +606,41 @@ mod tests {
         let entry = sample_entry();
         let decoded = decode_entry(&encode_entry(&entry)).expect("decodes");
         assert_eq!(decoded, entry);
-        // Untraced entries round-trip too.
-        let untraced = CachedFunc {
-            trace: None,
-            ..entry
+    }
+
+    #[test]
+    fn trace_config_does_not_change_the_key() {
+        let src = r#"
+            declare {
+                %reg r[0:3] (int);
+                %resource IE;
+                %def c16 [-32768:32767];
+            }
+            cwvm {
+                %general (int) r;
+                %allocable r[1:2];
+                %sp r[3] +down;
+                %fp r[0] +down;
+                %retaddr r[1];
+            }
+            instr {
+                %instr add r, r, r (int) {$1 = $2 + $3;} [IE;] (1,1,0)
+            }
+        "#;
+        let machine = Machine::parse("tiny", src).expect("parses");
+        let key = |trace| {
+            let options = CompileOptions {
+                trace,
+                ..CompileOptions::default()
+            };
+            base_fingerprint(&machine, StrategyKind::Ips, &options).finish()
         };
         assert_eq!(
-            decode_entry(&encode_entry(&untraced)).expect("decodes"),
-            untraced
+            key(None),
+            key(Some(marion_trace::TraceConfig {
+                reservation_tables: true,
+                explanations: true,
+            }))
         );
     }
 
@@ -667,7 +649,7 @@ mod tests {
         let good = encode_entry(&sample_entry());
         assert!(decode_entry("").is_none());
         assert!(decode_entry("{}").is_none());
-        assert!(decode_entry(&good.replace("\"v\":2", "\"v\":999")).is_none());
+        assert!(decode_entry(&good.replace("\"v\":3", "\"v\":999")).is_none());
         // A mangled quality payload reads as corrupt, not as zeros.
         assert!(
             decode_entry(&good.replacen("\"quality\":\"7,5", "\"quality\":\"x,5", 1)).is_none()
@@ -690,7 +672,6 @@ mod tests {
                 name: "f".into(),
                 ..FuncStats::default()
             },
-            trace: None,
         };
         assert_eq!(decode_entry(&encode_entry(&entry)).unwrap(), entry);
     }

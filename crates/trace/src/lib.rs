@@ -191,9 +191,8 @@ pub enum Record {
     /// span/micro-span whose open-name path is `path` (components
     /// joined with `/`), with their total wall time and the portion
     /// attributed to nested children. Self time is
-    /// `total_us - child_us`. Purely timing data — stripped from
-    /// compile-cache entries exactly like spans. Merging sums
-    /// `count`/`total_us`/`child_us` per path.
+    /// `total_us - child_us`. Purely timing data, like spans. Merging
+    /// sums `count`/`total_us`/`child_us` per path.
     Prof {
         path: String,
         count: u64,
@@ -415,46 +414,6 @@ impl Tracer {
             cell.borrow_mut()
                 .gauges
                 .insert((ctx.to_string(), name.to_string()), value);
-        }
-    }
-
-    /// Replays a finished trace into this tracer: counters accumulate
-    /// into the live counter map (summing with whatever this tracer
-    /// already recorded per `(ctx, name)`), histograms merge
-    /// bucket-wise, gauges keep the maximum, events and spans append
-    /// as-is. Used by the compile cache to reattribute a cached
-    /// function's trace to the current compilation — replayed span
-    /// timings describe the run that recorded them, exactly like the
-    /// per-worker shards [`TraceData::merge`] combines.
-    pub fn import(&self, data: &TraceData) {
-        let Some(cell) = &self.inner else {
-            return;
-        };
-        let mut inner = cell.borrow_mut();
-        for record in &data.records {
-            match record {
-                Record::Counter { name, ctx, value } => {
-                    *inner
-                        .counters
-                        .entry((ctx.clone(), name.clone()))
-                        .or_insert(0) += value;
-                }
-                Record::Hist { name, ctx, hist } => {
-                    inner
-                        .hists
-                        .entry((ctx.clone(), name.clone()))
-                        .or_default()
-                        .merge(hist);
-                }
-                Record::Gauge { name, ctx, value } => {
-                    let slot = inner
-                        .gauges
-                        .entry((ctx.clone(), name.clone()))
-                        .or_insert(*value);
-                    *slot = (*slot).max(*value);
-                }
-                other => inner.records.push(other.clone()),
-            }
         }
     }
 
@@ -1277,30 +1236,6 @@ mod tests {
     }
 
     #[test]
-    fn import_replays_counters_and_events_into_a_live_tracer() {
-        let recorded = {
-            let t = Tracer::new(TraceConfig::default());
-            {
-                let _g = t.span("m/f", "compile");
-            }
-            t.add("m/f", "insts", 9);
-            t.event("m/f/b0", "note", &[("k", Value::Int(1))]);
-            t.finish().unwrap()
-        };
-        let live = Tracer::new(TraceConfig::default());
-        live.add("m/f", "insts", 1);
-        live.import(&recorded);
-        let data = live.finish().unwrap();
-        assert_eq!(data.counter("m/f", "insts"), Some(10), "counters summed");
-        assert_eq!(data.events_named("note").len(), 1);
-        assert_eq!(data.spans_named("compile").len(), 1);
-        // Importing into an off tracer is a no-op.
-        let off = Tracer::off();
-        off.import(&recorded);
-        assert!(off.finish().is_none());
-    }
-
-    #[test]
     fn hist_and_gauge_jsonl_round_trip_identity() {
         let tracer = Tracer::new(TraceConfig::default());
         tracer.observe("m/f", "service_us", 0);
@@ -1346,24 +1281,6 @@ mod tests {
             merged.hist("m/f", "wait_us")
         );
         assert_eq!(other_way.gauge("serve", "queue_depth"), Some(9));
-    }
-
-    #[test]
-    fn import_merges_hists_and_gauges() {
-        let recorded = {
-            let t = Tracer::new(TraceConfig::default());
-            t.observe("m/f", "block_stall_cycles", 8);
-            t.gauge("m", "workers", 4);
-            t.finish().unwrap()
-        };
-        let live = Tracer::new(TraceConfig::default());
-        live.observe("m/f", "block_stall_cycles", 2);
-        live.gauge("m", "workers", 1);
-        live.import(&recorded);
-        let data = live.finish().unwrap();
-        let h = data.hist("m/f", "block_stall_cycles").unwrap();
-        assert_eq!((h.count(), h.sum()), (2, 10));
-        assert_eq!(data.gauge("m", "workers"), Some(4));
     }
 
     #[test]

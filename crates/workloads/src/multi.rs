@@ -53,16 +53,17 @@ pub fn combined_livermore() -> Module {
     link_with_driver(&units, &prefixes)
 }
 
-/// `count` seeded random programs (seeds `seed..seed + count`) linked
-/// into one module with a driver `main` summing their checksums — the
-/// generated counterpart of [`combined_livermore`].
+/// `count` seeded random programs (seeds `seed..seed + count`, wrapping
+/// past `u64::MAX`) linked into one module with a driver `main` summing
+/// their checksums — the generated counterpart of [`combined_livermore`].
 pub fn combined_generated(count: u64, seed: u64) -> Module {
     let config = GenConfig::default();
     let units: Vec<Module> = (0..count)
         .map(|i| {
-            let src = random_program(seed + i, &config);
+            let seed = seed.wrapping_add(i);
+            let src = random_program(seed, &config);
             marion_frontend::compile(&src)
-                .unwrap_or_else(|e| panic!("generated program seed {}: {e}", seed + i))
+                .unwrap_or_else(|e| panic!("generated program seed {seed}: {e}"))
         })
         .collect();
     let prefixes: Vec<String> = (0..count).map(|i| format!("g{i}_")).collect();
