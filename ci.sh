@@ -166,7 +166,7 @@ grep -q '<svg ' report.html
 grep -q 'Dependence DAG' report.html
 # The before/after subphase self-time table is embedded.
 grep -q 'subphase self-time' report.html
-grep -q 'ready_scan' report.html
+grep -q 'dag_build' report.html
 # The retargeting fuzz audit section is embedded.
 grep -q 'Retargeting fuzz audit' report.html
 grep -q 'blocks audited' report.html

@@ -440,7 +440,7 @@ pub fn render_html_with(
 
 /// Renders a before/after table of strategy-subphase self-times from
 /// two `BENCH_compile.json` documents (the committed baseline and a
-/// fresh run). Each row is one subphase (`ready_scan`, `ig_build`, …)
+/// fresh run). Each row is one subphase (`dag_build`, `ig_build`, …)
 /// with its self time summed over every `runs[]` entry of each file
 /// and the signed percent change. Returns a self-contained HTML
 /// fragment for [`render_html_with`]'s extra-sections slot.
@@ -1259,16 +1259,16 @@ mod tests {
     #[test]
     fn subphase_diff_table_renders_before_after_and_deltas() {
         let old = r#"{"runs": [
-            {"machine": "a", "subphase_self_ms": {"ready_scan": 2.0, "ig_build": 1.0}},
-            {"machine": "b", "subphase_self_ms": {"ready_scan": 2.0, "evict_scan": 0.5}}
+            {"machine": "a", "subphase_self_ms": {"dag_build": 2.0, "ig_build": 1.0}},
+            {"machine": "b", "subphase_self_ms": {"dag_build": 2.0, "evict_scan": 0.5}}
         ]}"#;
         let new = r#"{"runs": [
-            {"machine": "a", "subphase_self_ms": {"ready_scan": 1.0, "ig_build": 1.5}},
-            {"machine": "b", "subphase_self_ms": {"ready_scan": 1.0, "prep": 0.2}}
+            {"machine": "a", "subphase_self_ms": {"dag_build": 1.0, "ig_build": 1.5}},
+            {"machine": "b", "subphase_self_ms": {"dag_build": 1.0, "prep": 0.2}}
         ]}"#;
         let table = subphase_diff_table(old, new).expect("renders");
-        // ready_scan: 4.0 -> 2.0 = -50%; ig_build: 1.0 -> 1.5 = +50%.
-        assert!(table.contains("ready_scan"), "{table}");
+        // dag_build: 4.0 -> 2.0 = -50%; ig_build: 1.0 -> 1.5 = +50%.
+        assert!(table.contains("dag_build"), "{table}");
         assert!(table.contains("-50.0%"), "{table}");
         assert!(table.contains("+50.0%"), "{table}");
         // One-sided rows render as dropped/new, not as errors.

@@ -52,12 +52,12 @@
 //! Compiles always run untraced. With `exemplars` on (the default), a
 //! tail sampler keeps the K slowest compile requests per window, each
 //! with its request line and the statistics it was served. The
-//! `dashboard` command re-runs every kept request on a traced compiler
-//! with no cache ([`Service::replay`]), checks that the replay
-//! reproduces the served statistics, and renders its flamegraph,
-//! titled as a replay. Declarative SLOs ([`parse_slos`]) are evaluated
-//! over the rolling [`TimeSeries`] windows; see DESIGN.md "Metrics
-//! model" for the exact semantics.
+//! `dashboard` command re-runs every distinct kept request once on a
+//! traced compiler with no cache, checks that the replay reproduces
+//! each exemplar's served statistics, and renders its flamegraph,
+//! titled as a replay. Declarative SLOs ([`parse_slos`]) are
+//! evaluated over the rolling [`TimeSeries`] windows; see DESIGN.md
+//! "Metrics model" for the exact semantics.
 
 use marion_core::{
     CompileOptions, CompileStats, CompiledProgram, Compiler, FuncCache, StrategyKind,
@@ -780,7 +780,7 @@ pub struct Exemplar {
 }
 
 /// What re-running an exemplar's request on a traced compiler with no
-/// cache found ([`Service::replay`]).
+/// cache found ([`Service::dashboard_data`]).
 #[derive(Debug, Clone)]
 pub enum Replay {
     /// The replay reproduced the served statistics; its trace.
@@ -790,6 +790,9 @@ pub enum Replay {
     /// The replay did not compile.
     Failed(String),
 }
+
+/// What a replay compiles: machine, strategy, `workload`, `source`.
+type ReplayKey = (String, String, Option<String>, Option<String>);
 
 /// Rolling windows retained by the tail sampler beyond the current
 /// one, so an outlier survives long enough to be inspected.
@@ -1011,7 +1014,8 @@ impl Service {
     }
 
     /// Everything the dashboard page shows, gathered consistently;
-    /// every retained exemplar is replayed ([`Service::replay`]).
+    /// every retained exemplar is judged against a replay of its
+    /// request, and exemplars of the same compile share one.
     pub fn dashboard_data(&self) -> DashboardData {
         let snap = self.metrics.snapshot();
         let windowed = snap.windowed(SLO_RECENT_WINDOWS);
@@ -1019,10 +1023,11 @@ impl Service {
         // Release the sampler's lock before replaying: replays take
         // milliseconds, and every served request offers to the sampler.
         let exemplars = self.tail.lock().unwrap().exemplars();
+        let mut replays = HashMap::new();
         let exemplars = exemplars
             .into_iter()
             .map(|ex| {
-                let replay = self.replay(&ex);
+                let replay = self.replay(&ex, &mut replays);
                 (ex, replay)
             })
             .collect();
@@ -1100,10 +1105,27 @@ impl Service {
     /// Re-runs an exemplar's request on a traced compiler with no
     /// cache (same machine and strategy), so its profile describes a
     /// cold compile of what was served. The replay must reproduce the
-    /// served statistics; otherwise it reports how it diverged.
-    pub fn replay(&self, ex: &Exemplar) -> Replay {
-        let run = || -> Result<CompiledProgram, String> {
-            let req = parse_request(&ex.request_line)?;
+    /// served statistics; otherwise it reports how it diverged. Each
+    /// distinct request compiles once: exemplars with the same
+    /// machine, strategy, `workload` and `source` (whatever their `id`
+    /// and `emit_asm`) are judged against the one replay kept in
+    /// `replays`.
+    fn replay(
+        &self,
+        ex: &Exemplar,
+        replays: &mut HashMap<ReplayKey, Result<CompiledProgram, String>>,
+    ) -> Replay {
+        let req = match parse_request(&ex.request_line) {
+            Ok(req) => req,
+            Err(e) => return Replay::Failed(e),
+        };
+        let key = (
+            req.machine.clone(),
+            req.strategy.clone(),
+            req.workload.clone(),
+            req.source.clone(),
+        );
+        let compiled = replays.entry(key).or_insert_with(|| {
             let module = self.module_for(&req)?;
             let options = CompileOptions {
                 jobs: self.jobs,
@@ -1114,13 +1136,13 @@ impl Service {
             compiler
                 .compile_module(&module)
                 .map_err(|e| format!("compile: {e}"))
-        };
-        match run() {
-            Err(e) => Replay::Failed(e),
+        });
+        match compiled {
+            Err(e) => Replay::Failed(e.clone()),
             Ok(program) if Served::of(&program.stats) != ex.served => {
                 Replay::Diverged(Served::of(&program.stats))
             }
-            Ok(program) => Replay::Reproduced(program.trace.unwrap_or_default()),
+            Ok(program) => Replay::Reproduced(program.trace.clone().unwrap_or_default()),
         }
     }
 
@@ -2157,12 +2179,54 @@ mod tests {
     }
 
     #[test]
+    fn identical_compiles_share_one_replay() {
+        let service = Service::new(&ServeConfig::default()).unwrap();
+        let compile = |id: u32, asm: bool| {
+            format!(
+                "{{\"id\":{id},\"machine\":\"toyp\",\"strategy\":\"IPS\",\"emit_asm\":{asm},\"source\":\"int main() {{ return 4; }}\"}}\n"
+            )
+        };
+        let other = "{\"id\":4,\"machine\":\"toyp\",\"strategy\":\"RASE\",\"source\":\"int main() { return 4; }\"}\n";
+        let requests = compile(1, false) + &compile(2, false) + &compile(3, true) + other;
+        respond(&service, &requests, 1);
+        let exemplars = service.tail.lock().unwrap().exemplars();
+        assert_eq!(exemplars.len(), 4);
+        let mut replays = HashMap::new();
+        for ex in &exemplars {
+            let replay = service.replay(ex, &mut replays);
+            assert!(
+                matches!(replay, Replay::Reproduced(_)),
+                "r{}",
+                ex.request_id
+            );
+        }
+        assert_eq!(replays.len(), 2, "one replay per distinct compile");
+        // The dashboard judges all three IPS exemplars against one
+        // replay: they carry the very same trace, timings included.
+        let data = service.dashboard_data();
+        let trace_of = |rid: u64| {
+            data.exemplars
+                .iter()
+                .find_map(|(ex, replay)| match replay {
+                    Replay::Reproduced(trace) if ex.request_id == rid => Some(trace),
+                    _ => None,
+                })
+                .unwrap_or_else(|| panic!("r{rid} reproduced"))
+        };
+        assert_eq!(trace_of(1), trace_of(2));
+        assert_eq!(trace_of(1), trace_of(3));
+    }
+
+    #[test]
     fn doctored_exemplars_are_shown_as_diverged_or_failed() {
         let service = Service::new(&ServeConfig::default()).unwrap();
         let req = r#"{"id":1,"machine":"toyp","strategy":"Postpass","source":"int main() { return 5; }"}"#;
         respond(&service, &format!("{req}\n"), 1);
         let ex = service.tail.lock().unwrap().cur[0].clone();
-        assert!(matches!(service.replay(&ex), Replay::Reproduced(_)));
+        assert!(matches!(
+            service.replay(&ex, &mut HashMap::new()),
+            Replay::Reproduced(_)
+        ));
         // Record one instruction more than was really served.
         service.tail.lock().unwrap().cur[0].served.insts += 1;
         let (lines, _) = respond(&service, "{\"id\":2,\"cmd\":\"dashboard\"}\n", 1);
@@ -2174,13 +2238,18 @@ mod tests {
             "{html}"
         );
         let doctored = service.tail.lock().unwrap().cur[0].clone();
-        assert!(matches!(service.replay(&doctored), Replay::Diverged(s) if s == ex.served));
+        assert!(
+            matches!(service.replay(&doctored, &mut HashMap::new()), Replay::Diverged(s) if s == ex.served)
+        );
         // A request that no longer compiles is shown as failed.
         let broken = Exemplar {
             request_line: "not json".to_string(),
             ..ex
         };
-        assert!(matches!(service.replay(&broken), Replay::Failed(_)));
+        assert!(matches!(
+            service.replay(&broken, &mut HashMap::new()),
+            Replay::Failed(_)
+        ));
     }
 
     #[test]

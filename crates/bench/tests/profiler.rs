@@ -1,8 +1,9 @@
 //! End-to-end checks on the self-profiler: the flame tree built from a
 //! compile trace must be structurally identical at any `jobs` count,
 //! its self-times must telescope exactly to the enclosing `strategy`
-//! span, and the micro-spans must account for nearly all of the
-//! strategy's wall time on a real workload. (A traced compile never
+//! span, the micro-spans must account for nearly all of the
+//! strategy's wall time on a real workload, and none of them may sit
+//! inside the scheduler's per-cycle loop. (A traced compile never
 //! touches the compile cache; `tests/cache_correctness.rs` checks that.)
 
 use marion_bench::flame::flame_tree;
@@ -90,6 +91,44 @@ fn micro_spans_attribute_at_least_90_percent_of_strategy_time() {
             attributed * 10 >= node.total_us * 9,
             "{strategy:?}: micro-spans cover {attributed} of {} us (< 90%)",
             node.total_us
+        );
+    }
+}
+
+/// Nothing inside the list scheduler's cycle loop opens a span: below
+/// every `sched:*` pass the flame tree holds only the per-block
+/// `dag_build`, `prep` and `finalize` micro-spans.
+#[test]
+fn scheduler_passes_hold_only_per_block_micro_spans() {
+    for strategy in [
+        StrategyKind::Postpass,
+        StrategyKind::Ips,
+        StrategyKind::Rase,
+        StrategyKind::NoSchedule,
+    ] {
+        let tree = tree_of(&compile_livermore(strategy, 1));
+        let mut passes = 0;
+        let mut stack = vec![&tree];
+        while let Some(node) = stack.pop() {
+            if !node.name.starts_with("sched:") {
+                stack.extend(&node.children);
+                continue;
+            }
+            passes += 1;
+            let mut below: Vec<_> = node.children.iter().collect();
+            while let Some(inner) = below.pop() {
+                assert!(
+                    matches!(inner.name.as_str(), "dag_build" | "prep" | "finalize"),
+                    "{strategy:?}: `{}` below `{}`",
+                    inner.name,
+                    node.name
+                );
+                below.extend(&inner.children);
+            }
+        }
+        assert!(
+            passes > 0,
+            "{strategy:?}: no sched:* pass in the flame tree"
         );
     }
 }

@@ -298,7 +298,7 @@ impl ScheduleExplanation {
         let mut b = StallBreakdown::default();
         for r in &self.records {
             for s in &r.stalls {
-                b.add(s.reason.key(), u64::from(s.cycles));
+                b.add(s.reason, u64::from(s.cycles));
             }
         }
         b

@@ -582,11 +582,10 @@ mod tests {
                     critical_path_cycles: 5,
                     issue_slots_used: 3,
                     issue_cycles: 2,
-                    stalls: {
-                        let mut s = crate::quality::StallBreakdown::default();
-                        s.add("dependence", 2);
-                        s.add("resource", 1);
-                        s
+                    stalls: crate::quality::StallBreakdown {
+                        dependence: 2,
+                        resource: 1,
+                        ..Default::default()
                     },
                 },
                 crate::quality::BlockQuality {

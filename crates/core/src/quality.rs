@@ -28,6 +28,7 @@
 //! section from the JSON.
 
 use crate::driver::CompiledProgram;
+use crate::explain::StallReason;
 use crate::sched::Schedule;
 use std::collections::HashMap;
 
@@ -56,18 +57,18 @@ pub struct StallBreakdown {
 }
 
 impl StallBreakdown {
-    /// Adds `cycles` to the bucket named `key`; unknown keys land in
-    /// `other` (defensive — the reason enum is closed).
-    pub fn add(&mut self, key: &str, cycles: u64) {
-        match key {
-            "dependence" => self.dependence += cycles,
-            "resource" => self.resource += cycles,
-            "class" => self.class += cycles,
-            "temporal" => self.temporal += cycles,
-            "pressure" => self.pressure += cycles,
-            "order" => self.order += cycles,
-            _ => self.other += cycles,
-        }
+    /// Adds `cycles` to the bucket of `reason`.
+    pub fn add(&mut self, reason: StallReason, cycles: u64) {
+        let bucket = match reason {
+            StallReason::Dependence { .. } => &mut self.dependence,
+            StallReason::Resource { .. } => &mut self.resource,
+            StallReason::ClassPacking => &mut self.class,
+            StallReason::Temporal { .. } => &mut self.temporal,
+            StallReason::RegPressure => &mut self.pressure,
+            StallReason::ThreadOrder => &mut self.order,
+            StallReason::Other => &mut self.other,
+        };
+        *bucket += cycles;
     }
 
     /// Accumulates another breakdown, scaled by `weight` (block
@@ -332,9 +333,14 @@ mod tests {
     #[test]
     fn stall_breakdown_buckets_and_totals() {
         let mut s = StallBreakdown::default();
-        s.add("dependence", 3);
-        s.add("resource", 2);
-        s.add("mystery", 1);
+        let dependence = StallReason::Dependence {
+            pred: 0,
+            kind: crate::dag::EdgeKind::True,
+            latency: 3,
+        };
+        s.add(dependence, 3);
+        s.add(StallReason::Resource { resource: 4 }, 2);
+        s.add(StallReason::Other, 1);
         assert_eq!(s.dependence, 3);
         assert_eq!(s.other, 1);
         assert_eq!(s.total(), 6);

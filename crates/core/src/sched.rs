@@ -14,6 +14,15 @@
 //! of a temporal edge on `k`, though it may be packed with it) plus
 //! temporal groups, which schedule all open destinations of a clock as
 //! one unit (§4.6).
+//!
+//! One function (`SchedState::blocker`) decides whether a ready
+//! instruction may issue this cycle and, if not, why: the first of
+//! Rule 1, a resource conflict, the packing classes and the IPS
+//! register limit that turns it down. The candidate scan picks and
+//! tallies stalls from it, and the provenance replay
+//! ([`explain_schedule`]) logs it. Nothing inside the per-cycle loop
+//! touches the tracer: the micro-spans are per block (`prep`,
+//! `finalize`) and per fallback rung (`dag_build`).
 
 use crate::code::{CodeBlock, CodeFunc, Operand, VregKind};
 use crate::dag::{CodeDag, EdgeKind};
@@ -198,14 +207,12 @@ pub fn schedule_block(
     )
 }
 
-/// [`schedule_block`] with micro-span attribution and caller-provided
-/// [`Scratch`]. The scheduler's interior (ready-list scans,
-/// temporal-group probes, candidate pick-and-place and clock advances)
-/// folds into the tracer's self-profile. The hot loops (`ready_scan`,
-/// `group_scan`, `pick_place`) allocate nothing, and a caller
-/// scheduling many blocks (see [`crate::strategy`]) amortises the
-/// scheduler's working set across all of them. This is the hot path:
-/// it records nothing per instruction.
+/// [`schedule_block`] with caller-provided [`Scratch`] and the
+/// tracer's `prep` and `finalize` micro-spans around the cycle loop;
+/// nothing inside the loop touches the tracer or allocates, and a
+/// caller scheduling many blocks (see [`crate::strategy`]) amortises
+/// the scheduler's working set across all of them. This is the hot
+/// path: it records nothing per instruction.
 pub fn schedule_block_scratch(
     machine: &Machine,
     func: &CodeFunc,
@@ -352,18 +359,13 @@ fn list_schedule(
     // Rule-1 destination list, reused across cycles.
     let mut dests = std::mem::take(&mut scratch.dests);
     while remaining > 0 {
-        // The worklist *is* the ready set, so the per-cycle count is a
-        // length read; the span only brackets high-water bookkeeping.
-        let ready = {
-            let _m = tracer.mspan("ready_scan");
-            debug_assert!(state.ready.iter().all(|&i| state.is_ready(i)));
-            debug_assert_eq!(
-                state.ready.len(),
-                (0..n).filter(|&i| state.is_ready(i)).count()
-            );
-            state.ready.len()
-        };
-        metrics.ready_high_water = metrics.ready_high_water.max(ready);
+        // The worklist *is* the ready set.
+        debug_assert!(state.ready.iter().all(|&i| state.is_ready(i)));
+        debug_assert_eq!(
+            state.ready.len(),
+            (0..n).filter(|&i| state.is_ready(i)).count()
+        );
+        metrics.ready_high_water = metrics.ready_high_water.max(state.ready.len());
         let remaining_at_start = remaining;
         let mut progress = true;
         while progress {
@@ -371,7 +373,6 @@ fn list_schedule(
             // 1. Temporal groups: all open destinations of a clock go
             //    together.
             if !opts.ignore_rule1 {
-                let _m = tracer.mspan("group_scan");
                 for k in 0..nclocks {
                     if state.open_clock_edges[k] == 0 {
                         continue;
@@ -389,8 +390,7 @@ fn list_schedule(
                 }
             }
             // 2. Best regular candidate.
-            let _m = tracer.mspan("pick_place");
-            if let Some(i) = state.pick_candidate(remaining) {
+            if let Some(i) = state.pick_candidate() {
                 state.place(i);
                 remaining -= 1;
                 progress = true;
@@ -402,14 +402,13 @@ fn list_schedule(
             state.t
         );
         if remaining > 0 {
-            let _m = tracer.mspan("advance");
-            // The fixpoint's last pick scan classified every ready
-            // instruction by its first failing check.
-            debug_assert_eq!(state.scan_stalls, state.classify_ready());
+            // The fixpoint's last pick scan turned down every ready
+            // instruction and tallied its blocker: the cycle's stalls.
             stalls.add_weighted(&state.scan_stalls, 1);
             if let Some(log) = hazard.as_deref_mut() {
                 for &i in &state.ready {
-                    log_stall(&mut log[i], state.t, state.stall_reason_at(i));
+                    let reason = state.blocker(i).unwrap_or(StallReason::Other);
+                    log_stall(&mut log[i], state.t, reason);
                 }
             }
             // Quiescence: once a cycle issues nothing, has nothing in
@@ -810,15 +809,15 @@ struct SchedState<'a> {
     /// land at a future cycle, keyed by that cycle.
     pending: BinaryHeap<Reverse<(u32, usize)>>,
     /// Open temporal edges per clock (source issued, destination
-    /// not): the group scan, Rule 1 and stall attribution all probe
-    /// "is anything open on this clock" — a counter answers that
+    /// not): the Rule-1 probe asks "is anything open on this clock"
+    /// for every candidate and group member — a counter answers that
     /// without walking the clock's edge bucket.
     open_clock_edges: Vec<u32>,
     local_limit: Option<usize>,
     ignore_rule1: bool,
     peak_pressure: usize,
     /// Ready instructions the last [`SchedState::pick_candidate`] scan
-    /// turned down, bucketed by the first check each failed.
+    /// turned down, bucketed by their [`SchedState::blocker`].
     scan_stalls: StallBreakdown,
     func: &'a CodeFunc,
 }
@@ -933,19 +932,41 @@ impl<'a> SchedState<'a> {
         }
     }
 
-    fn resources_fit(&self, i: usize, extra: &[ResSet]) -> bool {
+    /// Why ready instruction `i` cannot issue this cycle — the first of
+    /// Rule 1 (§4.6), a resource-vector conflict (§4.3), the word's
+    /// packing classes (§4.5) and the IPS register limit that turns it
+    /// down — or `None` when it may issue. The only place that order
+    /// is written: the pick scan tallies it, and the recording replay
+    /// logs it. Forced inline, like the Rule-1 probe, because the pick
+    /// scan calls it for every ready instruction: as calls, the two
+    /// made the list scheduler about 6 % slower.
+    #[inline(always)]
+    fn blocker(&self, i: usize) -> Option<StallReason> {
+        if let Some(open) = self.open_temporal_edge(i, &[i]) {
+            return Some(open);
+        }
         let t = self.machine.template(self.block.insts[i].template);
         for (c, need) in t.rsrc.iter().enumerate() {
             let at = self.t as usize + c;
-            let mut in_use = self.timeline.get(at).copied().unwrap_or(ResSet::EMPTY);
-            if let Some(e) = extra.get(c) {
-                in_use.union_with(e);
-            }
+            let in_use = self.timeline.get(at).copied().unwrap_or(ResSet::EMPTY);
+            // Test before naming the lowest contended resource:
+            // `ResSet::iter` walks ids one by one, and on an empty
+            // intersection it would walk all 256 for every candidate.
             if in_use.intersects(need) {
-                return false;
+                let clash = in_use.intersection(need);
+                let resource = clash
+                    .iter()
+                    .next()
+                    .expect("intersecting sets share a member");
+                return Some(StallReason::Resource { resource });
             }
         }
-        true
+        if !self.class_fits(i, self.word_elems).0 {
+            return Some(StallReason::ClassPacking);
+        }
+        let limit = self.local_limit?;
+        (self.live_count as i64 + self.pressure_delta(i) > limit as i64)
+            .then_some(StallReason::RegPressure)
     }
 
     fn class_fits(&self, i: usize, word: Option<ResSet>) -> (bool, Option<ResSet>) {
@@ -968,46 +989,38 @@ impl<'a> SchedState<'a> {
     /// Rule 1 (paper §4.6): if there is a temporal edge `(x, y)` based
     /// on clock `k` and `x` has been scheduled, an instruction `z ≠ y`
     /// that affects `k` may not be scheduled before `y` — but may be
-    /// *packed* with it. In cycle terms: `z` may issue at cycle `t`
-    /// only if every open temporal edge on `k` (other than one ending
-    /// at `z` itself) has its source issued in this same cycle, so the
-    /// pending latch value is consumed by the same clock tick `z`
-    /// rides on.
-    fn rule1_allows(&self, i: usize) -> bool {
+    /// *packed* with it. In cycle terms: `i` may issue at cycle `t`
+    /// together with `issuing` (which includes `i`) only if every open
+    /// temporal edge on `k`, other than those ending in `issuing`, has
+    /// its source issued in this same cycle, so the pending latch value
+    /// is consumed by the same clock tick `i` rides on. Returns the
+    /// first edge that forbids it, as the stall it causes.
+    #[inline(always)]
+    fn open_temporal_edge(&self, i: usize, issuing: &[usize]) -> Option<StallReason> {
         if self.ignore_rule1 {
-            return true;
+            return None;
         }
-        let Some(k) = self
+        let k = self
             .machine
             .template(self.block.insts[i].template)
-            .affects_clock
-        else {
-            return true;
-        };
+            .affects_clock?;
         if self.open_clock_edges[k.0 as usize] == 0 {
-            return true;
+            return None;
         }
-        for &ei in &self.temporal_by_clock[k.0 as usize] {
-            let e = &self.dag.edges[ei];
-            if self.scheduled[e.from]
-                && !self.scheduled[e.to]
-                && e.to != i
-                && self.inst_cycle[e.from] != self.t
-            {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// IPS pressure check: would scheduling `i` push live local vregs
-    /// past the limit?
-    fn pressure_allows(&self, i: usize) -> bool {
-        let Some(limit) = self.local_limit else {
-            return true;
-        };
-        let delta = self.pressure_delta(i);
-        self.live_count as i64 + delta <= limit as i64
+        self.temporal_by_clock[k.0 as usize]
+            .iter()
+            .map(|&ei| &self.dag.edges[ei])
+            .find(|e| {
+                self.scheduled[e.from]
+                    && !self.scheduled[e.to]
+                    && !issuing.contains(&e.to)
+                    && self.inst_cycle[e.from] != self.t
+            })
+            .map(|e| StallReason::Temporal {
+                clock: k,
+                pending_src: e.from,
+                pending_dst: e.to,
+            })
     }
 
     fn pressure_delta(&self, i: usize) -> i64 {
@@ -1036,11 +1049,10 @@ impl<'a> SchedState<'a> {
     }
 
     /// The best ready candidate for this cycle. The scan also tallies
-    /// each instruction it turns down under the first check it fails
-    /// (Rule 1, resources, packing class, pressure — the order of
-    /// [`SchedState::stall_reason_at`]); when the scan returns `None`
-    /// at the cycle's fixpoint, that tally is the cycle's stalls.
-    fn pick_candidate(&mut self, remaining: usize) -> Option<usize> {
+    /// each instruction it turns down under its
+    /// [`SchedState::blocker`]; when the scan returns `None` at the
+    /// cycle's fixpoint, that tally is the cycle's stalls.
+    fn pick_candidate(&mut self) -> Option<usize> {
         let mut best: Option<usize> = None;
         let mut relax_best: Option<usize> = None;
         let mut scan = StallBreakdown::default();
@@ -1050,32 +1062,20 @@ impl<'a> SchedState<'a> {
         for idx in 0..self.ready.len() {
             let i = self.ready[idx];
             debug_assert!(self.is_ready(i));
-            if !self.rule1_allows(i) {
-                scan.temporal += 1;
-                continue;
-            }
-            if !self.resources_fit(i, &[]) {
-                scan.resource += 1;
-                continue;
-            }
-            if !self.class_fits(i, self.word_elems).0 {
-                scan.class += 1;
-                continue;
-            }
             let better = |cur: Option<usize>| {
                 cur.is_none_or(|b| {
                     (self.priority[i], std::cmp::Reverse(i))
                         > (self.priority[b], std::cmp::Reverse(b))
                 })
             };
-            if self.pressure_allows(i) {
-                if better(best) {
-                    best = Some(i);
-                }
-            } else {
-                scan.pressure += 1;
-                if better(relax_best) {
-                    relax_best = Some(i);
+            match self.blocker(i) {
+                None if better(best) => best = Some(i),
+                None => {}
+                Some(reason) => {
+                    scan.add(reason, 1);
+                    if reason == StallReason::RegPressure && better(relax_best) {
+                        relax_best = Some(i);
+                    }
                 }
             }
         }
@@ -1083,19 +1083,13 @@ impl<'a> SchedState<'a> {
         // When the register limit blocks everything *and* advancing
         // time cannot make anything new ready (every unscheduled
         // instruction either is already ready-but-blocked or waits on
-        // a blocked producer), exceed the limit rather than deadlock
-        // (Goodman–Hsu switch from CSP to CSR).
-        if best.is_none() && remaining > 0 {
-            if let Some(r) = relax_best {
-                // The pending heap holds exactly the released-but-not-
-                // arrived instructions, i.e. the old full-scan
-                // "ready-once-time-advances" set.
-                if self.pending.is_empty() {
-                    return Some(r);
-                }
-            }
+        // a blocked producer — the pending heap holds exactly the
+        // released-but-not-arrived ones), exceed the limit rather than
+        // deadlock (Goodman–Hsu switch from CSP to CSR).
+        match (best, relax_best) {
+            (None, Some(r)) if self.pending.is_empty() => Some(r),
+            _ => best,
         }
-        best
     }
 
     /// Attempts to place an entire temporal group this cycle.
@@ -1109,28 +1103,11 @@ impl<'a> SchedState<'a> {
         // ticks clk_m): Rule 1 must hold for those clocks too, with
         // edges whose destinations are inside this group counting as
         // satisfied (they issue this very cycle).
-        for &d in dests {
-            let Some(k) = self
-                .machine
-                .template(self.block.insts[d].template)
-                .affects_clock
-            else {
-                continue;
-            };
-            if self.open_clock_edges[k.0 as usize] == 0 {
-                continue;
-            }
-            for &ei in &self.temporal_by_clock[k.0 as usize] {
-                let e = &self.dag.edges[ei];
-                if self.scheduled[e.from]
-                    && !self.scheduled[e.to]
-                    && e.to != d
-                    && !dests.contains(&e.to)
-                    && self.inst_cycle[e.from] != self.t
-                {
-                    return false;
-                }
-            }
+        if dests
+            .iter()
+            .any(|&d| self.open_temporal_edge(d, dests).is_some())
+        {
+            return false;
         }
         // Combined resources must fit and classes must intersect.
         let mut extra = std::mem::take(&mut self.extra);
@@ -1276,66 +1253,6 @@ impl<'a> SchedState<'a> {
         while self.cycles.len() < self.t as usize {
             self.cycles.push(Vec::new());
         }
-    }
-
-    /// Why a ready instruction cannot issue in the current cycle,
-    /// mirroring [`SchedState::pick_candidate`]'s check order (Rule 1,
-    /// resources, packing, pressure); the first failing check is the
-    /// recorded reason. Called only at cycle-advance time, when the
-    /// inner placement loop has reached a fixpoint, so at least one
-    /// check fails for every ready instruction; `Other` is a
-    /// defensive fallback. Only the recording replay and the debug
-    /// cross-check of the pick scan's tally call it.
-    fn stall_reason_at(&self, i: usize) -> StallReason {
-        if !self.ignore_rule1 {
-            if let Some(k) = self
-                .machine
-                .template(self.block.insts[i].template)
-                .affects_clock
-            {
-                if self.open_clock_edges[k.0 as usize] > 0 {
-                    for &ei in &self.temporal_by_clock[k.0 as usize] {
-                        let e = &self.dag.edges[ei];
-                        if self.scheduled[e.from]
-                            && !self.scheduled[e.to]
-                            && e.to != i
-                            && self.inst_cycle[e.from] != self.t
-                        {
-                            return StallReason::Temporal {
-                                clock: k,
-                                pending_src: e.from,
-                                pending_dst: e.to,
-                            };
-                        }
-                    }
-                }
-            }
-        }
-        let t = self.machine.template(self.block.insts[i].template);
-        for (c, need) in t.rsrc.iter().enumerate() {
-            let at = self.t as usize + c;
-            let in_use = self.timeline.get(at).copied().unwrap_or(ResSet::EMPTY);
-            if let Some(r) = in_use.intersection(need).iter().next() {
-                return StallReason::Resource { resource: r };
-            }
-        }
-        if !self.class_fits(i, self.word_elems).0 {
-            return StallReason::ClassPacking;
-        }
-        if !self.pressure_allows(i) {
-            return StallReason::RegPressure;
-        }
-        StallReason::Other
-    }
-
-    /// The ready set classified by [`SchedState::stall_reason_at`]:
-    /// what the cycle's last pick scan must have tallied.
-    fn classify_ready(&self) -> StallBreakdown {
-        let mut b = StallBreakdown::default();
-        for &i in &self.ready {
-            b.add(self.stall_reason_at(i).key(), 1);
-        }
-        b
     }
 }
 

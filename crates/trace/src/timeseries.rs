@@ -9,15 +9,9 @@
 //! fall out of the same structure.
 //!
 //! Windows are identified **absolutely** (`window id = tick /
-//! window_len`), which is what makes [`TimeSeries::merge`] lossless
-//! and order-independent within the retained horizon: two series with
-//! the same configuration merge by summing stats for equal window ids
-//! and keeping the newer window when two ids collide on a ring slot —
-//! a per-slot join (max by id, element-wise sum on ties) that is
-//! associative and commutative by construction, exactly like
-//! [`Histogram::merge`]. Samples older than the retained horizon are
-//! dropped deterministically, never silently folded into a newer
-//! window.
+//! window_len`), not by ring position. Samples older than the retained
+//! horizon are dropped deterministically, never silently folded into a
+//! newer window.
 
 use crate::hist::Histogram;
 
@@ -50,19 +44,10 @@ impl WindowStats {
         self.max = self.max.max(other.max);
         self.hist.merge(&other.hist);
     }
-
-    /// Mean sample value; 0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
 }
 
-/// A bounded ring of recent fixed-width windows. See the module docs
-/// for the merge law.
+/// A bounded ring of recent fixed-width windows (see the module
+/// docs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimeSeries {
     window_len: u64,
@@ -77,11 +62,6 @@ impl TimeSeries {
             window_len: window_len.max(1),
             slots: vec![None; num_windows.max(1)],
         }
-    }
-
-    /// Ticks per window.
-    pub fn window_len(&self) -> u64 {
-        self.window_len
     }
 
     /// Windows retained.
@@ -112,32 +92,6 @@ impl TimeSeries {
                 let mut stats = WindowStats::default();
                 stats.record_n(v, n);
                 *other = Some((id, stats));
-            }
-        }
-    }
-
-    /// Merges another series into this one. Stats for equal window ids
-    /// sum element-wise; when two different ids collide on one ring
-    /// slot the newer window wins — so the merge is associative and
-    /// commutative (see module docs).
-    ///
-    /// # Panics
-    ///
-    /// Both series must share `window_len` and `num_windows`; merging
-    /// differently-shaped series would silently misalign windows.
-    pub fn merge(&mut self, other: &TimeSeries) {
-        assert_eq!(
-            (self.window_len, self.slots.len()),
-            (other.window_len, other.slots.len()),
-            "TimeSeries::merge requires identical window configuration"
-        );
-        for entry in other.slots.iter().flatten() {
-            let (id, stats) = entry;
-            let slot = (*id % self.slots.len() as u64) as usize;
-            match &mut self.slots[slot] {
-                Some((cur, mine)) if *cur == *id => mine.merge(stats),
-                Some((cur, _)) if *cur > *id => {}
-                slot_ref => *slot_ref = Some((*id, stats.clone())),
             }
         }
     }
@@ -235,72 +189,6 @@ mod tests {
         t.record(5, 99);
         let horizon = t.horizon();
         assert_eq!((horizon.count, horizon.sum), (1, 2));
-    }
-
-    #[test]
-    fn merge_is_associative_and_commutative() {
-        // Overlapping windows, disjoint windows, and a ring collision
-        // (windows 0 and 4 share a slot at num_windows = 4).
-        let a = ts(&[(0, 1), (12, 8), (25, 3)]);
-        let b = ts(&[(13, 2), (31, 4)]);
-        let c = ts(&[(44, 16), (25, 5)]);
-        // (a + b) + c == a + (b + c)
-        let mut left = a.clone();
-        left.merge(&b);
-        left.merge(&c);
-        let mut bc = b.clone();
-        bc.merge(&c);
-        let mut right = a.clone();
-        right.merge(&bc);
-        assert_eq!(left, right);
-        // a + b == b + a
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab, ba);
-        // Lossless on the shared window: 12 and 13 are both window 1.
-        let w1 = ab
-            .sorted()
-            .iter()
-            .find(|(id, _)| *id == 1)
-            .unwrap()
-            .1
-            .clone();
-        assert_eq!((w1.count, w1.sum, w1.max), (2, 10, 8));
-        assert_eq!(w1.hist.count(), 2);
-        // The collision case: merging c's window 4 evicts window 0
-        // regardless of merge order.
-        assert!(left.sorted().iter().all(|(id, _)| *id != 0));
-        assert!(left.sorted().iter().any(|(id, _)| *id == 4));
-    }
-
-    #[test]
-    fn merge_equals_recording_one_stream_within_the_horizon() {
-        let mut one = TimeSeries::new(10, 8);
-        let mut x = TimeSeries::new(10, 8);
-        let mut y = TimeSeries::new(10, 8);
-        for (i, &(tick, v)) in [(1u64, 4u64), (11, 9), (12, 1), (21, 7), (33, 2)]
-            .iter()
-            .enumerate()
-        {
-            one.record(tick, v);
-            if i % 2 == 0 {
-                x.record(tick, v);
-            } else {
-                y.record(tick, v);
-            }
-        }
-        x.merge(&y);
-        assert_eq!(x, one);
-    }
-
-    #[test]
-    #[should_panic(expected = "identical window configuration")]
-    fn merge_rejects_mismatched_configuration() {
-        let mut a = TimeSeries::new(10, 4);
-        let b = TimeSeries::new(20, 4);
-        a.merge(&b);
     }
 
     #[test]
