@@ -10,6 +10,7 @@
 //!    toward the estimates, confirming where the Table 4 ratios above
 //!    1.0 come from.
 
+use marion_bench::outln;
 use marion_bench::{geomean, measure, row};
 use marion_core::{
     dag::build_dag, regalloc::allocate, sched, select::select_func, Compiler, StrategyKind,
@@ -30,10 +31,10 @@ fn main() {
         .collect();
     let config = SimConfig::default();
 
-    println!("Ablation 1: what does list scheduling buy? (geomean cycles, 6 kernels)");
-    println!();
+    outln!("Ablation 1: what does list scheduling buy? (geomean cycles, 6 kernels)");
+    outln!();
     let widths = [8usize, 12, 12, 12];
-    println!(
+    outln!(
         "{}",
         row(
             &[
@@ -62,7 +63,7 @@ fn main() {
             );
         }
         let (u, p) = (geomean(&unsched), geomean(&post));
-        println!(
+        outln!(
             "{}",
             row(
                 &[
@@ -76,15 +77,15 @@ fn main() {
         );
     }
 
-    println!();
-    println!("Ablation 2: %aux latencies on the 88000");
-    println!("(compile blind to the pair latencies, run on hardware that has them;");
-    println!(" on an interlocked in-order machine stalls can substitute for schedule");
-    println!(" gaps, so the honest signal is the estimate drifting away from actual)");
-    println!();
+    outln!();
+    outln!("Ablation 2: %aux latencies on the 88000");
+    outln!("(compile blind to the pair latencies, run on hardware that has them;");
+    outln!(" on an interlocked in-order machine stalls can substitute for schedule");
+    outln!(" gaps, so the honest signal is the estimate drifting away from actual)");
+    outln!();
     let spec = marion_machines::load("m88k");
     let blind = spec.machine.without_aux();
-    println!(
+    outln!(
         "{}",
         row(
             &[
@@ -114,7 +115,7 @@ fn main() {
         )
         .unwrap();
         let est_blind = marion_sim::run::estimated_cycles(&program, &run.block_counts);
-        println!(
+        outln!(
             "{}",
             row(
                 &[
@@ -134,11 +135,11 @@ fn main() {
         );
     }
 
-    println!();
-    println!("Ablation 3: caches and the Table 4 ratio (r2000, Postpass)");
-    println!();
+    outln!();
+    outln!("Ablation 3: caches and the Table 4 ratio (r2000, Postpass)");
+    outln!();
     let spec = marion_machines::load("r2000");
-    println!(
+    outln!(
         "{}",
         row(
             &["kernel".into(), "a/e cached".into(), "a/e no-cache".into()],
@@ -164,7 +165,7 @@ fn main() {
         )
         .unwrap();
         let est_bare = marion_sim::run::estimated_cycles(&program, &bare.block_counts);
-        println!(
+        outln!(
             "{}",
             row(
                 &[
@@ -179,15 +180,15 @@ fn main() {
             )
         );
     }
-    println!();
-    println!("Ablation 4: the IPS local-register limit (r2000, LL7)");
-    println!("(the scheduling/allocation tension RASE exists to balance: a low");
-    println!(" limit wastes parallelism, a high one inflates pressure and spills)");
-    println!();
+    outln!();
+    outln!("Ablation 4: the IPS local-register limit (r2000, LL7)");
+    outln!("(the scheduling/allocation tension RASE exists to balance: a low");
+    outln!(" limit wastes parallelism, a high one inflates pressure and spills)");
+    outln!();
     let spec = marion_machines::load("r2000");
     let kernels = marion_workloads::livermore::kernels();
     let ll7 = kernels.iter().find(|k| k.name == "LL7").unwrap();
-    println!(
+    outln!(
         "{}",
         row(
             &["limit".into(), "prepass est".into(), "peak live".into()],
@@ -225,7 +226,7 @@ fn main() {
             est += s.length as u64;
             peak = peak.max(s.peak_local_pressure);
         }
-        println!(
+        outln!(
             "{}",
             row(
                 &[limit.to_string(), est.to_string(), peak.to_string()],

@@ -11,6 +11,7 @@
 //! compiles the same fragment for the bundled i860 and prints the
 //! schedule word by word, with the packed sub-operations visible.
 
+use marion_bench::outln;
 use marion_core::{Compiler, StrategyKind};
 
 fn main() {
@@ -27,18 +28,18 @@ fn main() {
         StrategyKind::Postpass,
     );
     let program = compiler.compile_module(&module).expect("codegen");
-    println!("Figure 7: Marion i860 Postpass code for");
-    println!("    a = (x + b) + (a * z);  return (y + z);");
-    println!();
+    outln!("Figure 7: Marion i860 Postpass code for");
+    outln!("    a = (x + b) + (a * z);  return (y + z);");
+    outln!();
     let func = program.asm.func("f").expect("f");
     let mut cycle = 0usize;
     let mut packed_words = 0usize;
     let mut sub_ops = 0usize;
     for (bi, block) in func.blocks.iter().enumerate() {
-        println!(".Lf_{bi}:");
+        outln!(".Lf_{bi}:");
         for word in &block.words {
             let text = marion_core::emit::render_word(&spec.machine, word, &program.symbols, "f");
-            println!("  {cycle:>3}  {text}");
+            outln!("  {cycle:>3}  {text}");
             cycle += 1;
             if word.insts.len() > 1 {
                 packed_words += 1;
@@ -51,7 +52,7 @@ fn main() {
             }
         }
     }
-    println!();
-    println!("{sub_ops} EAP sub-operations, {packed_words} packed long instruction words");
+    outln!();
+    outln!("{sub_ops} EAP sub-operations, {packed_words} packed long instruction words");
     assert!(sub_ops >= 8, "expected the add and multiply pipes in use");
 }

@@ -31,7 +31,10 @@
 //!   pairs, alternating a baseline pass with one on a service with
 //!   full observability on (tail sampling, access log), record the
 //!   median pair's overhead honestly as `observability_overhead_pct`
-//!   (with the pair count, `observability_pairs`).
+//!   (with the pair count, `observability_pairs`). Each of those
+//!   passes repeats the warm request list (`observability_pass_requests`
+//!   requests in all), so a pass lasts long enough for its overhead
+//!   reading to mean something.
 //! * `quality [--smoke] [--out PATH]` — the codegen-quality matrix:
 //!   every bundled machine × strategy × workload compiled once,
 //!   simulated, and condensed into one `ProgramQuality` row each
@@ -80,6 +83,11 @@ const SUBPHASE_FLOOR_MS: f64 = 0.05;
 /// Warm baseline/observed pass pairs `serve` runs to measure the
 /// observability overhead; it reports the median pair.
 const OBSERVABILITY_PAIRS: usize = 5;
+
+/// Times each observability pass sends the warm request list: one
+/// list of warm hits takes a couple of milliseconds, too short for a
+/// pass's wall time to rise above timer and scheduler noise.
+const OBSERVABILITY_REPEATS: usize = 40;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -532,7 +540,7 @@ fn bench_serve(smoke: bool, out: &str) {
 
     // One worker and one pass per temperature: per-request wall times
     // then sum cleanly, with no queue or scheduler noise between them.
-    let pass = |service: &Service, label: &str| -> Vec<(i64, i64, i64)> {
+    let pass = |service: &Service, requests: &str, label: &str| -> Vec<(i64, i64, i64)> {
         let mut output: Vec<u8> = Vec::new();
         let stats = run_stream(service, requests.as_bytes(), &mut output, 1, 8)
             .unwrap_or_else(|e| panic!("{label} pass: {e}"));
@@ -551,8 +559,8 @@ fn bench_serve(smoke: bool, out: &str) {
             })
             .collect()
     };
-    let cold = pass(&service, "cold");
-    let warm = pass(&service, "warm");
+    let cold = pass(&service, &requests, "cold");
+    let warm = pass(&service, &requests, "warm");
     assert_eq!(cold.len(), pairs.len());
     assert_eq!(warm.len(), pairs.len());
 
@@ -587,20 +595,25 @@ fn bench_serve(smoke: bool, out: &str) {
     // Honesty pass: the same warm requests through a service with full
     // observability (tail sampling, access log) so the recorded numbers
     // include what the features cost, not just what they provide. The
-    // observed service is primed cold first. One warm pass is a few
-    // milliseconds of sub-millisecond requests, so single passes swing
-    // by tens of percent: the overhead is the median over
+    // observed service is primed cold first. One warm list is a few
+    // milliseconds of sub-millisecond requests, so each pass sends it
+    // OBSERVABILITY_REPEATS times, and the overhead is the median over
     // OBSERVABILITY_PAIRS warm baseline/observed pairs, alternating
-    // which side of a pair runs first.
+    // which side of a pair runs first. `warm_observed_total_ms` is the
+    // median observed pass per list, comparable to `warm_total_ms`.
     let log_path = std::env::temp_dir().join(format!("marion-bench-access-{}", std::process::id()));
     let observed_service = Service::new(&ServeConfig {
         access_log: Some(log_path.clone()),
         ..ServeConfig::default()
     })
     .expect("observed service");
-    let _ = pass(&observed_service, "observed-cold");
+    let _ = pass(&observed_service, &requests, "observed-cold");
+    let repeated = requests.repeat(OBSERVABILITY_REPEATS);
+    let pass_requests = pairs.len() * OBSERVABILITY_REPEATS;
     let warm_ms = |service: &Service, label: &str| -> f64 {
-        pass(service, label).iter().map(|(w, _, _)| *w).sum::<i64>() as f64 / 1e3
+        let served = pass(service, &repeated, label);
+        assert_eq!(served.len(), pass_requests);
+        served.iter().map(|(w, _, _)| *w).sum::<i64>() as f64 / 1e3
     };
     let mut overheads = Vec::new();
     let mut observed_ms = Vec::new();
@@ -620,13 +633,14 @@ fn bench_serve(smoke: bool, out: &str) {
         xs[xs.len() / 2]
     };
     let overhead_pct = median(overheads);
-    let observed_total_ms = median(observed_ms);
+    let observed_total_ms = median(observed_ms) / OBSERVABILITY_REPEATS as f64;
     let access_log_bytes = std::fs::metadata(&log_path).map(|m| m.len()).unwrap_or(0);
     std::fs::remove_file(&log_path).ok();
     println!(
         "observability overhead (warm, access log + tail sampling on, median of \
-         {OBSERVABILITY_PAIRS} alternating pairs): {observed_total_ms:.2} ms observed \
-         ({overhead_pct:+.1}%), {access_log_bytes} access-log bytes"
+         {OBSERVABILITY_PAIRS} alternating pairs of {pass_requests}-request passes): \
+         {observed_total_ms:.2} ms observed per list ({overhead_pct:+.1}%), \
+         {access_log_bytes} access-log bytes"
     );
 
     let mut doc = ObjWriter::bench();
@@ -640,6 +654,7 @@ fn bench_serve(smoke: bool, out: &str) {
     doc.fixed("warm_observed_total_ms", observed_total_ms, 4);
     doc.fixed("observability_overhead_pct", overhead_pct, 4);
     doc.int("observability_pairs", OBSERVABILITY_PAIRS as i64);
+    doc.int("observability_pass_requests", pass_requests as i64);
     doc.int("access_log_bytes", access_log_bytes as i64);
     let runs: Vec<ObjWriter> = pairs
         .iter()

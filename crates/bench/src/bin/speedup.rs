@@ -13,6 +13,7 @@
 //! speedup [--from BENCH_quality.json]
 //! ```
 
+use marion_bench::outln;
 use marion_bench::{geomean, row};
 use marion_trace::json::Json;
 
@@ -73,11 +74,11 @@ fn main() {
             machines.push(r.machine.clone());
         }
     }
-    println!("Strategy speedups over Postpass (geomean cycles, computation-intensive suite)");
-    println!("(paper: RASE and IPS each about 12% faster than Postpass; from {from})");
-    println!();
+    outln!("Strategy speedups over Postpass (geomean cycles, computation-intensive suite)");
+    outln!("(paper: RASE and IPS each about 12% faster than Postpass; from {from})");
+    outln!();
     let widths = [7usize, 14, 12, 12];
-    println!(
+    outln!(
         "{}",
         row(
             &[
@@ -103,7 +104,7 @@ fn main() {
             eprintln!("speedup: {machine}: incomplete strategy coverage in {from}");
             std::process::exit(2);
         }
-        println!(
+        outln!(
             "{}",
             row(
                 &[

@@ -6,6 +6,7 @@
 //! the R2000 needs no auxiliary latencies; the i860's declare section
 //! dwarfs the others.
 
+use marion_bench::outln;
 use marion_machines::{load, ALL};
 
 type StatRow = (
@@ -14,15 +15,15 @@ type StatRow = (
 );
 
 fn main() {
-    println!("Table 1: Maril machine description statistics");
-    println!("(paper reported 88000/R2000/i860: clocks 0/0/4, classes 0/0/67, aux 6/0/12)");
-    println!();
+    outln!("Table 1: Maril machine description statistics");
+    outln!("(paper reported 88000/R2000/i860: clocks 0/0/4, classes 0/0/67, aux 6/0/12)");
+    outln!();
     let specs: Vec<_> = ALL.iter().map(|n| load(n)).collect();
     let name_row: Vec<String> = std::iter::once("".to_string())
         .chain(specs.iter().map(|s| s.machine.name().to_string()))
         .collect();
     let widths = [16usize, 8, 8, 8, 8];
-    println!("{}", marion_bench::row(&name_row, &widths));
+    outln!("{}", marion_bench::row(&name_row, &widths));
     let rows: Vec<StatRow> = vec![
         ("Declare lines", Box::new(|s| s.declare_lines)),
         ("Cwvm lines", Box::new(|s| s.cwvm_lines)),
@@ -39,6 +40,6 @@ fn main() {
         let cells: Vec<String> = std::iter::once(label.to_string())
             .chain(specs.iter().map(|s| get(s.machine.stats()).to_string()))
             .collect();
-        println!("{}", marion_bench::row(&cells, &widths));
+        outln!("{}", marion_bench::row(&cells, &widths));
     }
 }

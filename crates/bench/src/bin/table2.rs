@@ -8,6 +8,7 @@
 //! shape to expect is the paper's: TD (per machine) and TSI dominate,
 //! RASE > IPS > Postpass among the strategies.
 
+use marion_bench::outln;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -63,32 +64,32 @@ fn strategy_impl_lines(src: &str, name: &str) -> usize {
 
 fn main() {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-    println!("Table 2: Marion system source size (non-blank lines of Rust)");
-    println!("(paper, in C: CGG 4991; TSI 10877; TD 5512-8492 per target; SD 151/1269/3750)");
-    println!();
+    outln!("Table 2: Marion system source size (non-blank lines of Rust)");
+    outln!("(paper, in C: CGG 4991; TSI 10877; TD 5512-8492 per target; SD 151/1269/3750)");
+    outln!();
     let cgg = loc_dir(&root.join("crates/maril/src"));
     let tsi = loc_dir(&root.join("crates/core/src")) + loc_dir(&root.join("crates/ir/src"));
-    println!("{:44} {:>6}", "Code Generator Generator (CGG = maril)", cgg);
-    println!("{:44} {:>6}", "Target- and strategy-independent (TSI)", tsi);
+    outln!("{:44} {:>6}", "Code Generator Generator (CGG = maril)", cgg);
+    outln!("{:44} {:>6}", "Target- and strategy-independent (TSI)", tsi);
     for m in ["toyp", "r2000", "m88k", "i860"] {
         let td = loc(&root.join(format!("crates/machines/src/{m}.rs")));
-        println!("{:44} {:>6}", format!("Target-dependent (TD), {m}"), td);
+        outln!("{:44} {:>6}", format!("Target-dependent (TD), {m}"), td);
     }
     let strategy_src =
         fs::read_to_string(root.join("crates/core/src/strategy.rs")).unwrap_or_default();
     for s in ["Postpass", "Ips", "Rase"] {
-        println!(
+        outln!(
             "{:44} {:>6}",
             format!("Strategy-dependent (SD), {s}"),
             strategy_impl_lines(&strategy_src, s)
         );
     }
-    println!(
+    outln!(
         "{:44} {:>6}",
         "Front end (not counted in TSI, as in the paper)",
         loc_dir(&root.join("crates/frontend/src"))
     );
-    println!(
+    outln!(
         "{:44} {:>6}",
         "Simulator (the paper used real hardware)",
         loc_dir(&root.join("crates/sim/src"))

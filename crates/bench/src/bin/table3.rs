@@ -8,6 +8,7 @@
 //! compilation roughly twice the R2000's (temporal registers, classes
 //! and sub-operations).
 
+use marion_bench::outln;
 use marion_bench::{measure, row};
 use marion_core::StrategyKind;
 use marion_sim::SimConfig;
@@ -16,11 +17,11 @@ use std::time::Duration;
 fn main() {
     let config = SimConfig::default();
     let suite = marion_workloads::suite::programs();
-    println!("Table 3: back-end compile time for the program suite + dilation");
-    println!("(paper shape: Postpass < IPS < RASE; i860 ≈ 2x R2000)");
-    println!();
+    outln!("Table 3: back-end compile time for the program suite + dilation");
+    outln!("(paper shape: Postpass < IPS < RASE; i860 ≈ 2x R2000)");
+    outln!();
     let widths = [7usize, 10, 14, 12];
-    println!(
+    outln!(
         "{}",
         row(
             &[
@@ -49,7 +50,7 @@ fn main() {
                     generated += m.program.asm.inst_count();
                 }
             }
-            println!(
+            outln!(
                 "{}",
                 row(
                     &[

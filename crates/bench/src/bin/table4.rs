@@ -11,6 +11,7 @@
 //! close, with IPS/RASE never slower than Postpass on the FP-heavy
 //! kernels.
 
+use marion_bench::outln;
 use marion_bench::{geomean, measure, row, verify_against_interp};
 use marion_core::StrategyKind;
 use marion_sim::SimConfig;
@@ -19,11 +20,11 @@ fn main() {
     let machine = std::env::args().nth(1).unwrap_or_else(|| "r2000".into());
     let spec = marion_machines::load(&machine);
     let config = SimConfig::default();
-    println!("Table 4: Livermore loops on {machine} — cycles per strategy and actual/estimated");
-    println!("(paper: R2000 at 25MHz; ratios 0.99-1.15, consistent across strategies per loop)");
-    println!();
+    outln!("Table 4: Livermore loops on {machine} — cycles per strategy and actual/estimated");
+    outln!("(paper: R2000 at 25MHz; ratios 0.99-1.15, consistent across strategies per loop)");
+    outln!();
     let widths = [5usize, 11, 11, 11, 7, 7, 7];
-    println!(
+    outln!(
         "{}",
         row(
             &[
@@ -53,7 +54,7 @@ fn main() {
             rcells.push(format!("{ratio:.2}"));
         }
         cells.extend(rcells);
-        println!("{}", row(&cells, &widths));
+        outln!("{}", row(&cells, &widths));
     }
     let mut mean = vec!["mean".to_string()];
     let mut rmean = Vec::new();
@@ -62,5 +63,5 @@ fn main() {
         rmean.push(format!("{:.2}", geomean(&ratios[si])));
     }
     mean.extend(rmean);
-    println!("{}", row(&mean, &widths));
+    outln!("{}", row(&mean, &widths));
 }

@@ -108,6 +108,32 @@ pub fn geomean(xs: &[f64]) -> f64 {
     (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
 }
 
+/// `println!` for the paper-table binaries, whose readers often stop
+/// early (`| head -1`, `| grep -q`): once stdout is closed the program
+/// ends quietly with status 0 instead of panicking with "failed
+/// printing to stdout: Broken pipe".
+#[macro_export]
+macro_rules! outln {
+    () => {
+        $crate::print_line(format_args!(""))
+    };
+    ($($arg:tt)*) => {
+        $crate::print_line(format_args!($($arg)*))
+    };
+}
+
+/// Writes one line to stdout for [`outln!`], exiting with status 0
+/// when the reader has gone away.
+pub fn print_line(line: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    if let Err(e) = writeln!(std::io::stdout().lock(), "{line}") {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        panic!("failed printing to stdout: {e}");
+    }
+}
+
 /// Prints a row of right-aligned columns under a fixed layout.
 pub fn row(cells: &[String], widths: &[usize]) -> String {
     cells

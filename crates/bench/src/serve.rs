@@ -59,6 +59,8 @@
 //! evaluated over the rolling [`TimeSeries`] windows; see DESIGN.md
 //! "Metrics model" for the exact semantics.
 
+use marion_cache::{CacheKey, ShardedCache, StableHasher};
+use marion_core::driver::materialize_float_constants;
 use marion_core::{
     CompileOptions, CompileStats, CompiledProgram, Compiler, FuncCache, StrategyKind,
 };
@@ -89,6 +91,13 @@ pub const SLO_RECENT_WINDOWS: usize = 10;
 /// time grows with the count (`gen:300:1` takes most of a second), so
 /// larger requests are refused before any program is generated.
 pub const MAX_GEN_COUNT: u64 = 64;
+
+/// Parsed modules a [`Service`] keeps, least recently used evicted
+/// first. Every distinct `gen:` workload or `source` is a new module,
+/// so without a bound the map (and the daemon's memory) grows with
+/// every fresh request; an evicted module is parsed again when next
+/// asked for, and its functions still hit the compile cache.
+pub const MODULE_CAPACITY: usize = 64;
 
 /// How to build a [`Service`].
 #[derive(Debug, Clone)]
@@ -887,15 +896,18 @@ pub struct DashboardData {
     pub cache_hit_rate: Option<f64>,
 }
 
-/// The compile service: compilers and parsed modules are built once
-/// and shared; compiled functions come from the content-addressed
-/// cache when enabled. `Service` is `Sync` — share one instance across
-/// however many worker threads or connections you like.
+/// The compile service: compilers are built once and shared, parsed
+/// modules are kept (float constants already materialised) for the
+/// [`MODULE_CAPACITY`] most recently used workloads and sources, and
+/// compiled functions come from the content-addressed cache when
+/// enabled. `Service` is `Sync` — share one instance across however
+/// many worker threads or connections you like.
 pub struct Service {
     cache: Option<Arc<FuncCache>>,
     jobs: Option<NonZeroUsize>,
     compilers: Mutex<HashMap<(String, String), Arc<Compiler>>>,
-    modules: Mutex<HashMap<String, Arc<marion_ir::Module>>>,
+    /// Keyed by [`module_key`]; one shard, so eviction is exact LRU.
+    modules: ShardedCache<Arc<marion_ir::Module>>,
     metrics: Metrics,
     exemplars_on: bool,
     slos: Vec<Slo>,
@@ -934,7 +946,7 @@ impl Service {
             cache,
             jobs: config.jobs,
             compilers: Mutex::new(HashMap::new()),
-            modules: Mutex::new(HashMap::new()),
+            modules: ShardedCache::with_shards(MODULE_CAPACITY, 1),
             metrics: Metrics::new(config.window_ms, config.windows),
             exemplars_on: config.exemplars,
             slos: config.slos.clone(),
@@ -1166,15 +1178,11 @@ impl Service {
     }
 
     fn module_for(&self, req: &Request) -> Result<Arc<marion_ir::Module>, String> {
-        let key = match (&req.workload, &req.source) {
-            (Some(w), _) => format!("workload:{w}"),
-            (None, Some(s)) => format!("source:{s}"),
-            (None, None) => return Err("request needs `workload` or `source`".to_string()),
-        };
-        if let Some(m) = self.modules.lock().unwrap().get(&key) {
-            return Ok(m.clone());
+        let key = module_key(req)?;
+        if let Some(m) = self.modules.get(key) {
+            return Ok(m);
         }
-        let module = match (&req.workload, &req.source) {
+        let mut module = match (&req.workload, &req.source) {
             (Some(w), _) if w == "livermore" => marion_workloads::multi::combined_livermore(),
             (Some(w), _) => match w.strip_prefix("gen:").and_then(|rest| {
                 let (count, seed) = rest.split_once(':')?;
@@ -1197,12 +1205,11 @@ impl Service {
             }
             (None, None) => unreachable!(),
         };
+        // Compiles then borrow the module instead of materialising a
+        // copy per request.
+        materialize_float_constants(&mut module);
         let module = Arc::new(module);
-        self.modules
-            .lock()
-            .unwrap()
-            .entry(key)
-            .or_insert(module.clone());
+        self.modules.insert(key, module.clone());
         Ok(module)
     }
 
@@ -1405,6 +1412,24 @@ impl Service {
         obj.str("html", &html);
         obj.finish()
     }
+}
+
+/// The module map's key: a stable hash of the request's `workload`
+/// name or inline `source` text.
+fn module_key(req: &Request) -> Result<CacheKey, String> {
+    let mut h = StableHasher::new();
+    match (&req.workload, &req.source) {
+        (Some(w), _) => {
+            h.write_str("workload");
+            h.write_str(w);
+        }
+        (None, Some(s)) => {
+            h.write_str("source");
+            h.write_str(s);
+        }
+        (None, None) => return Err("request needs `workload` or `source`".to_string()),
+    }
+    Ok(h.finish())
 }
 
 /// Builds a compiler for a served machine and a strategy name.
@@ -1680,6 +1705,52 @@ mod tests {
         assert_eq!(stats.cache_hits, 1);
         assert_eq!(stats.cache_misses, 1);
         assert_eq!(stats.failures, 0);
+    }
+
+    #[test]
+    fn module_map_stays_bounded_and_evicted_sources_answer_the_same() {
+        let service = Service::new(&ServeConfig {
+            exemplars: false,
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let line = |id: usize, body: &str| {
+            format!(r#"{{"id":{id},"machine":"toyp","strategy":"IPS",{body}}}"#)
+        };
+        let compile = |id: usize, body: &str| {
+            let (response, out) = service.handle_line(&line(id, body));
+            assert!(!out.failed, "{response}");
+            response
+        };
+        let answer = |response: &str| {
+            ["insts", "spills", "estimated_cycles"].map(|name| field(response, name))
+        };
+        let source =
+            |i: usize| format!(r#""source":"int main() {{ int x = {i}; return x * 3 + x / 2; }}""#);
+        let hot = r#""workload":"gen:2:5""#;
+
+        let first = compile(0, &source(0));
+        let hot_cold = compile(1, hot);
+        assert_eq!(field(&hot_cold, "cache_hits"), Some(Value::Int(0)));
+        for i in 1..=MODULE_CAPACITY + 8 {
+            compile(i + 1, &source(i));
+            assert!(service.modules.len() <= MODULE_CAPACITY);
+            if i % 16 == 0 {
+                let warm = compile(0, hot);
+                assert_eq!(field(&warm, "cache_misses"), Some(Value::Int(0)));
+                assert_eq!(field(&warm, "cache_hits"), field(&warm, "funcs"));
+                assert_eq!(answer(&warm), answer(&hot_cold));
+            }
+        }
+        assert_eq!(service.modules.len(), MODULE_CAPACITY);
+        let evicted = module_key(&parse_request(&line(0, &source(0))).unwrap()).unwrap();
+        assert!(
+            service.modules.get(evicted).is_none(),
+            "the least recently used source is evicted"
+        );
+        let again = compile(0, &source(0));
+        assert_eq!(answer(&again), answer(&first));
+        assert_eq!(field(&again, "cache_misses"), Some(Value::Int(0)));
     }
 
     #[test]

@@ -70,8 +70,9 @@ impl<V: Clone> ShardedCache<V> {
         ShardedCache::with_shards(capacity, DEFAULT_SHARDS)
     }
 
-    /// A cache with an explicit shard count (tests use 1 to force
-    /// eviction order).
+    /// A cache with an explicit shard count. One shard makes eviction
+    /// exact LRU over the whole cache (tests use it to force eviction
+    /// order).
     pub fn with_shards(capacity: usize, shards: usize) -> ShardedCache<V> {
         let shards = shards.max(1);
         let per_shard_capacity = capacity.div_ceil(shards).max(1);

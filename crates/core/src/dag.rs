@@ -58,7 +58,7 @@ pub struct Edge {
 }
 
 /// The code DAG of one basic block.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CodeDag {
     /// Number of instructions.
     pub n: usize,
@@ -274,6 +274,21 @@ pub fn build_dag_with(
     include_anti: bool,
     latch_name_deps: bool,
 ) -> CodeDag {
+    let mut dag = dependence_dag(machine, block, include_anti, latch_name_deps);
+    protect_temporal_sequences(machine, block, &mut dag);
+    dag
+}
+
+/// [`build_dag_with`] before temporal-sequence protection: the
+/// dependence edges of §4.1 alone, in the order the scheduler's DAG
+/// holds them. Exposed so a reference model of the §4.6 protection
+/// step can be checked against the real one on the same input.
+pub fn dependence_dag(
+    machine: &Machine,
+    block: &CodeBlock,
+    include_anti: bool,
+    latch_name_deps: bool,
+) -> CodeDag {
     let n = block.insts.len();
     let mut dag = CodeDag {
         n,
@@ -434,7 +449,6 @@ pub fn build_dag_with(
             e.latency = e.latency.max(1 + pt.slots.unsigned_abs());
         }
     }
-    protect_temporal_sequences(machine, block, &mut dag);
     dag
 }
 
@@ -525,8 +539,15 @@ pub fn temporal_sequences(dag: &CodeDag) -> Vec<TemporalSequence> {
 /// Adds protection edges for every alternate entry into a temporal
 /// sequence (paper §4.6, Figure 6): if an ancestor of the entry
 /// affects the sequence's clock, an edge is added from that ancestor
-/// to the sequence head, forcing it to schedule first. Worst case
-/// O(n·e), as in the paper.
+/// to the sequence head, forcing it to schedule first — unless the
+/// edge would close a cycle.
+///
+/// Cost: per sequence, one walk over the head's descendants, one walk
+/// over the ancestors of all its entries together (a `seen` set shared
+/// across entries, so each candidate comes up once, in first-occurrence
+/// order), and one more descendant walk that answers the cycle check
+/// of every candidate it contributes: O(s·(n + e)) for `s` sequences,
+/// with no search per candidate edge.
 fn protect_temporal_sequences(machine: &Machine, block: &CodeBlock, dag: &mut CodeDag) {
     let seqs = temporal_sequences(dag);
     if seqs.is_empty() {
@@ -537,60 +558,43 @@ fn protect_temporal_sequences(machine: &Machine, block: &CodeBlock, dag: &mut Co
         .iter()
         .map(|inst| machine.template(inst.template).affects_clock)
         .collect();
+    // Candidate (ancestor, head) edges, one run per sequence. The DAG
+    // is not mutated until every candidate is collected, so a
+    // sequence's head descendants are computed once and an ancestor
+    // already below the head (which would close a cycle) is skipped by
+    // a flag lookup.
     let mut new_edges: Vec<(usize, usize)> = Vec::new();
-    // Scratch shared across sequences: membership and head-descendant
-    // flags, the ancestor-walk visited set, and per-sequence entry
-    // dedup. The DAG is not mutated until every protection edge is
-    // collected, so the head's descendant set can be computed once per
-    // sequence and the cycle check becomes a flag lookup instead of a
-    // DFS per candidate. An entry's ancestor walk depends only on the
-    // entry and the sequence (not on which member it enters through),
-    // so each distinct entry is walked once — repeat walks only
-    // re-pushed duplicate edges that `add_edge` merges away anyway.
     let mut member_set = vec![false; dag.n];
     let mut head_desc = vec![false; dag.n];
     let mut seen = vec![false; dag.n];
-    let mut entry_done = vec![false; dag.n];
     let mut stack: Vec<usize> = Vec::new();
     for seq in &seqs {
         member_set.fill(false);
         for &m in &seq.members {
             member_set[m] = true;
         }
-        head_desc.fill(false);
-        head_desc[seq.head] = true;
-        stack.push(seq.head);
-        while let Some(i) = stack.pop() {
-            for &ei in &dag.succs[i] {
-                let t = dag.edges[ei].to;
-                if !head_desc[t] {
-                    head_desc[t] = true;
-                    stack.push(t);
-                }
-            }
-        }
-        entry_done.fill(false);
+        mark_descendants(dag, seq.head, &mut head_desc, &mut stack);
+        seen.fill(false);
         for &x in &seq.members {
             if x == seq.head {
                 continue;
             }
             // Alternate entries: non-temporal predecessors from
-            // outside the sequence.
+            // outside the sequence. An entry already seen is an
+            // ancestor of an earlier one, and so are all its own
+            // ancestors.
             for &ei in &dag.preds[x] {
                 let y = dag.edges[ei].from;
-                if member_set[y] || entry_done[y] {
+                if member_set[y] || seen[y] {
                     continue;
                 }
-                entry_done[y] = true;
                 // Walk backward from the entry, collecting ancestors
                 // (including the entry itself).
-                seen.fill(false);
                 seen[y] = true;
                 stack.push(y);
                 while let Some(a) = stack.pop() {
                     if affects[a] == Some(seq.clock) && !member_set[a] && !head_desc[a] {
-                        // The dashed (p, q) edge of Figure 6 — unless
-                        // it would create a cycle.
+                        // The dashed (p, q) edge of Figure 6.
                         new_edges.push((a, seq.head));
                     }
                     for &ei in &dag.preds[a] {
@@ -611,11 +615,36 @@ fn protect_temporal_sequences(machine: &Machine, block: &CodeBlock, dag: &mut Co
     // (13 → 19 and 19 → 13, say), and while neither edge alone cycles,
     // the pair does — and a cyclic DAG is unsatisfiable by any
     // schedule. The paper's "unless it would create a cycle" applies
-    // to the DAG as the edges accumulate, so re-check reachability
-    // against the growing graph, keeping whichever edge came first.
+    // to the DAG as the edges accumulate, so each run of candidates
+    // re-reads its head's descendants from the growing graph, keeping
+    // whichever edge came first. One walk serves the whole run: an
+    // edge into the head cannot add to the head's descendants without
+    // closing a cycle.
+    let mut run_head = None;
     for (from, to) in new_edges {
-        if !dag.reaches(to, from) {
+        if run_head != Some(to) {
+            run_head = Some(to);
+            mark_descendants(dag, to, &mut head_desc, &mut stack);
+        }
+        if !head_desc[from] {
             dag.add_edge(from, to, 1, EdgeKind::Order);
+        }
+    }
+}
+
+/// Sets `mark` to exactly `root` and the nodes reachable from it;
+/// `stack` is scratch space, left empty.
+fn mark_descendants(dag: &CodeDag, root: usize, mark: &mut [bool], stack: &mut Vec<usize>) {
+    mark.fill(false);
+    mark[root] = true;
+    stack.push(root);
+    while let Some(i) = stack.pop() {
+        for &ei in &dag.succs[i] {
+            let t = dag.edges[ei].to;
+            if !mark[t] {
+                mark[t] = true;
+                stack.push(t);
+            }
         }
     }
 }

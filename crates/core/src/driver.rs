@@ -4,7 +4,9 @@
 use crate::code::CodeFunc;
 use crate::emit::{emit_func, AsmFunc, AsmProgram};
 use crate::error::CodegenError;
-use crate::fcache::{base_fingerprint, func_key, CacheSummary, CacheTally, CachedFunc, FuncCache};
+use crate::fcache::{
+    base_fingerprint, body_key, module_prefix, CacheSummary, CacheTally, CachedFunc, FuncCache,
+};
 use crate::glue::apply_glue;
 use crate::select::EscapeRegistry;
 use crate::strategy::{strategy_for, Strategy, StrategyKind, StrategyStats};
@@ -13,9 +15,10 @@ use marion_ir as ir;
 use marion_ir::{Node, NodeId, NodeKind};
 use marion_maril::{Machine, Ty};
 use marion_trace::{TraceConfig, TraceData, Tracer};
+use std::borrow::Cow;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// A fully compiled program, ready for the `marion-sim` simulator.
 #[derive(Debug, Clone)]
@@ -71,14 +74,14 @@ pub struct CompileStats {
 
 impl CompileStats {
     /// Folds one function's statistics into the aggregate.
-    fn accumulate(&mut self, fs: &FuncStats) {
+    fn accumulate(&mut self, fs: FuncStats) {
         self.insts_generated += fs.insts_generated;
         self.spills += fs.spills;
         self.schedule_passes += fs.schedule_passes;
         self.estimated_cycles += fs.estimated_cycles;
         self.delay_slots_filled += fs.delay_slots_filled;
         self.nops_emitted += fs.nops_emitted;
-        self.per_func.push(fs.clone());
+        self.per_func.push(fs);
     }
 }
 
@@ -153,6 +156,9 @@ pub struct Compiler {
     escapes: EscapeRegistry,
     strategy: StrategyKind,
     options: CompileOptions,
+    /// [`base_fingerprint`] of the above, hashed by the first cached
+    /// compile: machine, strategy and options never change.
+    base: OnceLock<StableHasher>,
 }
 
 impl Compiler {
@@ -174,6 +180,7 @@ impl Compiler {
             escapes,
             strategy,
             options,
+            base: OnceLock::new(),
         }
     }
 
@@ -209,8 +216,17 @@ impl Compiler {
     /// run would report.
     pub fn compile_module(&self, module: &ir::Module) -> Result<CompiledProgram, CodegenError> {
         let tracer = self.new_tracer();
-        let mut module = module.clone();
-        materialize_float_constants(&mut module);
+        // Materialising is idempotent, so a module with no float
+        // constants left (the compile service keeps its modules
+        // materialised) compiles in place.
+        let module = if has_float_constants(module) {
+            let mut module = module.clone();
+            materialize_float_constants(&mut module);
+            Cow::Owned(module)
+        } else {
+            Cow::Borrowed(module)
+        };
+        let module: &ir::Module = &module;
         let strategy = strategy_for(self.strategy);
         let module_ctx = self.machine.name().to_owned();
         let module_span = tracer.span(&module_ctx, "compile_module");
@@ -228,16 +244,21 @@ impl Compiler {
         let workers = jobs.min(module.funcs.len()).max(1);
 
         // A traced compile never touches the cache, so every trace
-        // describes a cold compile. Otherwise the cache key's
-        // request-invariant prefix (machine, strategy, options) is
-        // hashed once; each function extends a clone.
+        // describes a cold compile. Otherwise the cache key's prefix
+        // (the compiler's fingerprint, then this module's symbol
+        // table) is hashed once; each function extends a clone.
         let cache = self
             .options
             .cache
             .as_deref()
             .filter(|_| self.options.trace.is_none());
-        let base = cache.map(|_| base_fingerprint(&self.machine, self.strategy, &self.options));
-        let cached = cache.zip(base.as_ref());
+        let prefix = cache.map(|_| {
+            let base = self
+                .base
+                .get_or_init(|| base_fingerprint(&self.machine, self.strategy, &self.options));
+            module_prefix(base, module)
+        });
+        let cached = cache.zip(prefix.as_ref());
         let tally = CacheTally::default();
 
         let mut asm = AsmProgram::default();
@@ -248,14 +269,14 @@ impl Compiler {
             // straight into the main tracer.
             for func in &module.funcs {
                 let (emitted, fs) = self.compile_func_cached(
-                    &module,
+                    module,
                     func,
                     strategy.as_ref(),
                     &tracer,
                     cached,
                     &tally,
                 )?;
-                stats.accumulate(&fs);
+                stats.accumulate(fs);
                 asm.funcs.push(emitted);
             }
         } else {
@@ -263,7 +284,7 @@ impl Compiler {
             let next = AtomicUsize::new(0);
             type Slot = Option<Result<(AsmFunc, FuncStats, Option<TraceData>), CodegenError>>;
             let slots: Mutex<Vec<Slot>> = Mutex::new((0..n).map(|_| None).collect());
-            let module_ref = &module;
+            let module_ref = module;
             let strategy_ref: &(dyn Strategy + Send + Sync) = strategy.as_ref();
             let tally_ref = &tally;
             std::thread::scope(|s| {
@@ -290,7 +311,7 @@ impl Compiler {
             });
             for slot in slots.into_inner().unwrap() {
                 let (emitted, fs, shard) = slot.expect("worker pool left a function uncompiled")?;
-                stats.accumulate(&fs);
+                stats.accumulate(fs);
                 asm.funcs.push(emitted);
                 shards.extend(shard);
             }
@@ -324,8 +345,10 @@ impl Compiler {
     }
 
     /// [`Compiler::compile_func`] behind the cache, when `cached` holds
-    /// one (only ever for untraced compiles): serves a hit, compiles
-    /// and inserts on a miss. Both paths return byte-identical output.
+    /// one with the module's key prefix (only ever for untraced
+    /// compiles): serves a hit, compiles and inserts on a miss. Both
+    /// paths return byte-identical output, and both share the cached
+    /// blocks with the caller.
     fn compile_func_cached(
         &self,
         module: &ir::Module,
@@ -335,15 +358,18 @@ impl Compiler {
         cached: Option<(&FuncCache, &StableHasher)>,
         tally: &CacheTally,
     ) -> Result<(AsmFunc, FuncStats), CodegenError> {
-        let Some((cache, base)) = cached else {
+        let Some((cache, prefix)) = cached else {
             return self.compile_func(module, func, strategy, tracer);
         };
-        let key = func_key(base, module, func);
+        let key = body_key(prefix, func);
         if let Some(entry) = cache.get(key) {
             tally.hit();
             return Ok((entry.asm, entry.stats));
         }
-        let (emitted, fs) = self.compile_func(module, func, strategy, tracer)?;
+        let (mut emitted, fs) = self.compile_func(module, func, strategy, tracer)?;
+        // One compact copy (a `Vec` clone allocates exact capacities
+        // all the way down), held by the cache and the caller alike.
+        emitted.blocks = Arc::new(emitted.blocks.to_vec());
         let evicted = cache.insert(
             key,
             CachedFunc {
@@ -439,6 +465,16 @@ impl Compiler {
         tracer.observe(mctx, "func_est_cycles", fs.estimated_cycles);
         Ok((emitted, fs))
     }
+}
+
+/// Whether any function of `module` still holds a `ConstF` node, i.e.
+/// whether [`materialize_float_constants`] would change it.
+fn has_float_constants(module: &ir::Module) -> bool {
+    module.funcs.iter().any(|f| {
+        f.nodes
+            .iter()
+            .any(|n| matches!(n.kind, NodeKind::ConstF(_)))
+    })
 }
 
 /// Floating-point constants cannot be instruction immediates on these

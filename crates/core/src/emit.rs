@@ -9,6 +9,7 @@ use crate::error::{CodegenError, Phase};
 use crate::sched::Schedule;
 use marion_maril::expr::{LValue, Stmt};
 use marion_maril::{BinOp, Expr, Machine, OperandSpec, PhysReg, TemplateId};
+use std::sync::Arc;
 
 /// One machine instruction with fully physical operands.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,17 +39,29 @@ pub struct AsmBlock {
 }
 
 /// An emitted function.
+///
+/// The blocks are shared copy-on-write: cloning an `AsmFunc` clones a
+/// pointer, so the compile cache and every program it serves hold one
+/// copy of the code. Read them through the field; change them only
+/// through [`AsmFunc::blocks_mut`], which copies first when the
+/// blocks are shared.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AsmFunc {
     /// Function name.
     pub name: String,
     /// Blocks, in layout order; branch targets index this vector.
-    pub blocks: Vec<AsmBlock>,
+    pub blocks: Arc<Vec<AsmBlock>>,
     /// Total frame size in bytes.
     pub frame_size: u32,
 }
 
 impl AsmFunc {
+    /// The blocks, for mutation ([`Arc::make_mut`]): this function's
+    /// own copy, made first if another holder shares the current one.
+    pub fn blocks_mut(&mut self) -> &mut Vec<AsmBlock> {
+        Arc::make_mut(&mut self.blocks)
+    }
+
     /// Total number of machine instructions (sub-operations).
     pub fn inst_count(&self) -> usize {
         self.blocks
@@ -173,7 +186,7 @@ pub fn emit_func(
     }
     Ok(AsmFunc {
         name: func.name.clone(),
-        blocks,
+        blocks: Arc::new(blocks),
         frame_size,
     })
 }
@@ -281,7 +294,7 @@ pub fn fill_delay_slots(machine: &Machine, func: &mut AsmFunc) -> Vec<FillRecord
         None => return Vec::new(),
     };
     let mut filled = Vec::new();
-    for (bi, block) in func.blocks.iter_mut().enumerate() {
+    for (bi, block) in func.blocks_mut().iter_mut().enumerate() {
         // Locate control words with positive slots. (A fill mutates
         // the word list; the guard keeps indices valid and at most one
         // fill happens per block, matching the one branch a block

@@ -35,6 +35,21 @@
 //! untraced compiles use the cache, so no trace data passes through
 //! it. A traced compile is always cold; the compile service re-runs
 //! a request traced, without the cache, when it needs a profile.
+//!
+//! An entry's blocks are shared copy-on-write (`AsmFunc::blocks` is an
+//! `Arc`). A miss stores one compact copy (every vector at exact
+//! capacity) and hands the caller a pointer to the same copy, so a hit
+//! clones a pointer, the name and the per-block quality rows, never
+//! the code. A caller that edits a served function goes through
+//! `AsmFunc::blocks_mut`, which copies first, so no edit reaches the
+//! cache or another caller's program.
+//!
+//! ## How a compile derives its keys
+//!
+//! [`base_fingerprint`] (machine, strategy, options) is hashed once
+//! per [`crate::Compiler`]; each compile extends it with the module's
+//! symbol table once, and each function key extends that prefix with
+//! the function body. [`func_key`] computes the same value in one call.
 
 use crate::driver::{CompileOptions, FuncStats};
 use crate::emit::{AsmBlock, AsmFunc, AsmInst, Word};
@@ -51,7 +66,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Entry format version, bumped whenever the payload codec changes so
 /// stale disk stores read as corrupt instead of mis-decoding. Public
 /// so the serve protocol's `machines` introspection can report it.
-pub const FORMAT_VERSION: i64 = 3;
+pub const FORMAT_VERSION: i64 = 4;
 
 /// One cached compiled function.
 #[derive(Debug, Clone, PartialEq)]
@@ -240,20 +255,33 @@ pub fn base_fingerprint(
 }
 
 /// Extends a [`base_fingerprint`] with one function's body and the
-/// module's symbol table, yielding the entry's address.
+/// module's symbol table, yielding the entry's address. Equal to the
+/// key the driver derives for `func` when compiling `module`.
 pub fn func_key(base: &StableHasher, module: &ir::Module, func: &ir::Function) -> CacheKey {
+    body_key(&module_prefix(base, module), func)
+}
+
+/// Extends a [`base_fingerprint`] with the module's symbol table: the
+/// prefix every function key of one compile shares. Symbol ids
+/// embedded in function bodies and in cached assembly are indices into
+/// this table, so the mapping is part of the content.
+pub(crate) fn module_prefix(base: &StableHasher, module: &ir::Module) -> StableHasher {
     let mut h = base.clone();
-    // The function body: blocks, statements, node forest, types,
-    // locals — `Function`'s `StableHash` impl covers all of it
-    // structurally (and float constants were already materialised
-    // into globals, so `ConstF` hashes by IEEE bit pattern anyway).
-    func.stable_hash(&mut h);
-    // Symbol ids embedded in the body and in the cached assembly are
-    // indices into this table; the mapping is part of the content.
     h.write_u64(module.symbol_count() as u64);
     for i in 0..module.symbol_count() {
         h.write_str(module.symbol_name(ir::SymbolId(i as u32)));
     }
+    h
+}
+
+/// Finishes a [`module_prefix`] with one function's body: blocks,
+/// statements, node forest, types, locals — `Function`'s `StableHash`
+/// impl covers all of it structurally (and float constants were
+/// already materialised into globals, so `ConstF` hashes by IEEE bit
+/// pattern anyway).
+pub(crate) fn body_key(prefix: &StableHasher, func: &ir::Function) -> CacheKey {
+    let mut h = prefix.clone();
+    func.stable_hash(&mut h);
     h.finish()
 }
 
@@ -506,7 +534,7 @@ pub fn decode_entry(payload: &str) -> Option<CachedFunc> {
     };
     let asm = AsmFunc {
         name,
-        blocks: decode_blocks(fields.str("blocks")?)?,
+        blocks: std::sync::Arc::new(decode_blocks(fields.str("blocks")?)?),
         frame_size: u32::try_from(fields.int("frame_size")?).ok()?,
     };
     Some(CachedFunc { asm, stats })
@@ -533,7 +561,7 @@ mod tests {
         let asm = AsmFunc {
             name: "llk_main".into(),
             frame_size: 48,
-            blocks: vec![
+            blocks: std::sync::Arc::new(vec![
                 AsmBlock {
                     est_cycles: 7,
                     words: vec![
@@ -566,7 +594,7 @@ mod tests {
                         )],
                     }],
                 },
-            ],
+            ]),
         };
         let stats = FuncStats {
             name: "llk_main".into(),
@@ -648,7 +676,9 @@ mod tests {
         let good = encode_entry(&sample_entry());
         assert!(decode_entry("").is_none());
         assert!(decode_entry("{}").is_none());
-        assert!(decode_entry(&good.replace("\"v\":3", "\"v\":999")).is_none());
+        assert!(
+            decode_entry(&good.replace(&format!("\"v\":{FORMAT_VERSION}"), "\"v\":999")).is_none()
+        );
         // A mangled quality payload reads as corrupt, not as zeros.
         assert!(
             decode_entry(&good.replacen("\"quality\":\"7,5", "\"quality\":\"x,5", 1)).is_none()
@@ -664,7 +694,7 @@ mod tests {
         let entry = CachedFunc {
             asm: AsmFunc {
                 name: "f".into(),
-                blocks: Vec::new(),
+                blocks: Default::default(),
                 frame_size: 0,
             },
             stats: FuncStats {

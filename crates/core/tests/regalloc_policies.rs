@@ -69,7 +69,7 @@ fn compile(src: &str) -> (Machine, marion_core::CompiledProgram) {
 
 fn regs_written(m: &Machine, f: &marion_core::AsmFunc) -> Vec<u32> {
     let mut out = Vec::new();
-    for block in &f.blocks {
+    for block in f.blocks.iter() {
         for word in &block.words {
             for inst in &word.insts {
                 let t = m.template(inst.template);
@@ -100,7 +100,7 @@ fn values_crossing_calls_get_callee_saves() {
     // The multiply result's register must be callee-save.
     let mul = m.template_by_mnemonic("mul").unwrap();
     let mut mul_dest = None;
-    for block in &f.blocks {
+    for block in f.blocks.iter() {
         for word in &block.words {
             for inst in &word.insts {
                 if inst.template == mul {

@@ -283,7 +283,9 @@ fn window_alias(spec: &MachineSpec) -> CompiledProgram {
         )],
     });
     let main = program.asm.funcs.iter_mut().find(|f| f.name == "main");
-    main.expect("main").blocks[0].words.splice(0..0, words);
+    main.expect("main").blocks_mut()[0]
+        .words
+        .splice(0..0, words);
     program
 }
 
@@ -338,7 +340,7 @@ fn the_hydro_kernel_exercises_i860_pipelines_and_packing() {
         .asm
         .funcs
         .iter()
-        .flat_map(|f| &f.blocks)
+        .flat_map(|f| f.blocks.iter())
         .flat_map(|b| &b.words)
         .flat_map(|w| &w.insts)
         .collect();
@@ -360,7 +362,7 @@ fn the_hydro_kernel_exercises_i860_pipelines_and_packing() {
 /// instruction's template with one the machine does not have.
 fn poison_block(program: &mut CompiledProgram, f: usize, b: usize) {
     let bad = Operand::Imm(ImmVal::Sym(SymbolId(u32::MAX), 0));
-    let block = &mut program.asm.funcs[f].blocks[b];
+    let block = &mut program.asm.funcs[f].blocks_mut()[b];
     for word in &mut block.words {
         for inst in &mut word.insts {
             for op in &mut inst.ops {
@@ -449,7 +451,7 @@ fn r2000_with_float_operand(mnemonic: &str, k: usize) -> (MachineSpec, CompiledP
         .asm
         .funcs
         .iter_mut()
-        .flat_map(|f| &mut f.blocks)
+        .flat_map(|f| f.blocks_mut())
         .flat_map(|b| &mut b.words)
         .flat_map(|w| &mut w.insts)
         .filter(|i| i.template == template)

@@ -38,7 +38,7 @@ fn main() {
     println!("{:>5}  {:<44} notes", "cycle", "word");
     let func = program.asm.func("f").expect("f");
     let mut cycle = 0;
-    for block in &func.blocks {
+    for block in func.blocks.iter() {
         for word in &block.words {
             let text =
                 marion::backend::emit::render_word(&spec.machine, word, &program.symbols, "f");

@@ -73,6 +73,74 @@ fn warm_cache_output_is_byte_identical_to_cold() {
     }
 }
 
+/// Cached blocks are shared copy-on-write: a hit hands out the very
+/// blocks the miss stored, and a caller editing its program (through
+/// `blocks_mut`, which copies first) changes neither the cache nor any
+/// other program served from it.
+#[test]
+fn doctoring_a_served_program_leaves_the_cache_intact() {
+    for machine in ["r2000", "i860"] {
+        let target = marion::machines::load(machine).machine;
+        for strategy in STRATEGIES {
+            let cold = compile(machine, strategy, None);
+            let cache = Arc::new(FuncCache::in_memory(1024));
+            let mut filling = compile(machine, strategy, Some(cache.clone()));
+            let mut warm = compile(machine, strategy, Some(cache.clone()));
+            for (f, w) in filling.asm.funcs.iter().zip(&warm.asm.funcs) {
+                assert!(
+                    Arc::ptr_eq(&f.blocks, &w.blocks),
+                    "{machine}/{strategy:?}: a hit shares the blocks the miss stored"
+                );
+            }
+            for program in [&mut filling, &mut warm] {
+                for func in &mut program.asm.funcs {
+                    let blocks = func.blocks_mut();
+                    blocks[0].words.clear();
+                    blocks[0].est_cycles += 1;
+                    blocks.pop();
+                }
+                assert_ne!(program.render(&target), cold.render(&target));
+            }
+            let again = compile(machine, strategy, Some(cache.clone()));
+            assert_eq!(again.cache.expect("cache accounting").misses, 0);
+            assert_eq!(
+                again.render(&target),
+                cold.render(&target),
+                "{machine}/{strategy:?}: an edit to a served program reached the cache"
+            );
+            assert_eq!(again.asm, cold.asm);
+            assert_eq!(again.stats, cold.stats);
+        }
+    }
+}
+
+/// The public `func_key` (perfbench and other tools derive keys with
+/// it) addresses exactly the entries the driver stores.
+#[test]
+fn func_key_addresses_what_the_driver_cached() {
+    use marion::backend::fcache::{base_fingerprint, func_key};
+    let machine = "r2000";
+    for strategy in STRATEGIES {
+        let cache = Arc::new(FuncCache::in_memory(1024));
+        let program = compile(machine, strategy, Some(cache.clone()));
+        let mut module = marion::workloads::multi::combined_generated(6, 42);
+        marion::backend::driver::materialize_float_constants(&mut module);
+        let base = base_fingerprint(
+            &marion::machines::load(machine).machine,
+            strategy,
+            &CompileOptions::default(),
+        );
+        for (func, asm) in module.funcs.iter().zip(&program.asm.funcs) {
+            let entry = cache
+                .get(func_key(&base, &module, func))
+                .unwrap_or_else(|| {
+                    panic!("{strategy:?}: no entry under func_key for {}", func.name)
+                });
+            assert_eq!(&entry.asm, asm);
+        }
+    }
+}
+
 #[test]
 fn warm_cache_is_identical_at_any_jobs_count() {
     let machine = "r2000";
