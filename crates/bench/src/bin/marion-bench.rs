@@ -56,11 +56,16 @@ use std::time::Instant;
 
 const PHASES: [&str; 5] = ["glue", "select", "strategy", "emit", "fill_delay_slots"];
 
-/// Strategy-interior micro-spans whose self time (total minus nested
-/// children) lands in `BENCH_compile.json` as `subphase_self_ms`, so
-/// the perf gate sees where inside the scheduler and allocator the
-/// time moved, not just the phase total.
-const SUBPHASES: [&str; 11] = [
+/// Strategy-interior micro-spans, plus the IPS strategy's two
+/// scheduling passes, whose self time (total minus nested children)
+/// lands in `BENCH_compile.json` as `subphase_self_ms`, so the perf
+/// gate sees where inside the scheduler and allocator the time moved,
+/// not just the phase total. A pass's self time is the list
+/// scheduler's cycle loop: everything it runs outside the per-block
+/// micro-spans.
+const SUBPHASES: [&str; 13] = [
+    "sched:ips-prepass",
+    "sched:ips-final",
     "dag_build",
     "prep",
     "finalize",

@@ -73,24 +73,31 @@ fn strategy_subtree_self_times_sum_to_span_total() {
 
 /// The micro-spans inside `strategy` attribute at least 90% of its
 /// wall time on the combined Livermore module — the profiler is dense
-/// enough that "where does the time go" has a real answer.
+/// enough that "where does the time go" has a real answer. The shares
+/// are summed over several compiles per strategy: one compile lasts a
+/// few milliseconds, and a single preemption on a loaded host can land
+/// between two micro-spans and take a tenth of it.
 #[test]
 fn micro_spans_attribute_at_least_90_percent_of_strategy_time() {
+    const COMPILES: usize = 5;
     for strategy in [
         StrategyKind::Postpass,
         StrategyKind::Ips,
         StrategyKind::Rase,
     ] {
-        let program = compile_livermore(strategy, 1);
-        let tree = tree_of(&program);
-        let node = tree
-            .find("compile_func/strategy")
-            .expect("strategy span in flame tree");
-        let attributed: u64 = node.children.iter().map(|c| c.total_us).sum();
+        let (mut attributed, mut total) = (0u64, 0u64);
+        for _ in 0..COMPILES {
+            let tree = tree_of(&compile_livermore(strategy, 1));
+            let node = tree
+                .find("compile_func/strategy")
+                .expect("strategy span in flame tree");
+            attributed += node.children.iter().map(|c| c.total_us).sum::<u64>();
+            total += node.total_us;
+        }
         assert!(
-            attributed * 10 >= node.total_us * 9,
-            "{strategy:?}: micro-spans cover {attributed} of {} us (< 90%)",
-            node.total_us
+            attributed * 10 >= total * 9,
+            "{strategy:?}: over {COMPILES} compiles, micro-spans cover {attributed} of {total} us \
+             (< 90%)"
         );
     }
 }

@@ -86,6 +86,23 @@ pub fn allocate_traced(
     extra_cost: &HashMap<Vreg, f64>,
     tracer: &Tracer,
 ) -> Result<AllocResult, CodegenError> {
+    allocate_with(machine, func, extra_cost, tracer, spill_round)
+}
+
+/// Rewrites a function for one round's spill list.
+type SpillRound = fn(&Machine, &mut CodeFunc, &[Vreg]) -> Result<(), CodegenError>;
+
+/// The build/color/spill loop of [`allocate_traced`], with the spill
+/// rewrite as a parameter so the tests can run whole allocations on
+/// the per-vreg reference rewrite. Debug builds check every round of
+/// `spill` against that reference.
+fn allocate_with(
+    machine: &Machine,
+    func: &mut CodeFunc,
+    extra_cost: &HashMap<Vreg, f64>,
+    tracer: &Tracer,
+    spill: SpillRound,
+) -> Result<AllocResult, CodegenError> {
     let mut result = AllocResult::default();
     // Temporaries created by spilling have minimal live ranges and
     // must never themselves be spilled (that would loop forever).
@@ -180,13 +197,14 @@ pub fn allocate_traced(
                 let _m = tracer.mspan("spill_rewrite");
                 for v in &to_spill {
                     result.spill_cost += graph.cost[v.0 as usize];
-                    let first_temp = func.vregs.len();
-                    spill_vreg(machine, func, *v)?;
-                    no_spill.resize(func.vregs.len(), false);
-                    for flag in &mut no_spill[first_temp..] {
-                        *flag = true;
-                    }
                 }
+                #[cfg(debug_assertions)]
+                let before = func.clone();
+                spill(machine, func, &to_spill)?;
+                #[cfg(debug_assertions)]
+                spill_reference::assert_round_matches(machine, before, func, &to_spill);
+                // Every vreg the round minted is a spill temporary.
+                no_spill.resize(func.vregs.len(), true);
                 result.spills += to_spill.len();
             }
         }
@@ -461,6 +479,10 @@ fn color(
     let mut stack: Vec<u32> = Vec::with_capacity(occ_total);
     let mut removed: Vec<bool> = vec![false; graph.nv];
     let mut removed_cnt = 0usize;
+    // Spill weight per vreg — cost plus the caller's bias, plus 1e12
+    // for spill temporaries — built on the first optimistic pick: a
+    // pick reads it for every remaining node.
+    let mut spill_weight: Vec<f64> = Vec::new();
     while removed_cnt < occ_total {
         let next_low = loop {
             match low.pop() {
@@ -475,18 +497,25 @@ fn color(
                 // Optimistic spill candidate: lowest cost/degree, in
                 // vreg order with first-minimum-wins. Spill-generated
                 // temporaries are strongly avoided.
+                if spill_weight.is_empty() {
+                    spill_weight = (0..graph.nv)
+                        .map(|v| {
+                            let mut c = graph.cost[v]
+                                + extra_cost.get(&Vreg(v as u32)).copied().unwrap_or(0.0);
+                            if no_spill[v] {
+                                c += 1e12;
+                            }
+                            c
+                        })
+                        .collect();
+                }
                 let mut best: Option<(f64, u32)> = None;
                 for v in graph.occurs.iter() {
                     if removed[v] {
                         continue;
                     }
-                    let mut c =
-                        graph.cost[v] + extra_cost.get(&Vreg(v as u32)).copied().unwrap_or(0.0);
-                    if no_spill[v] {
-                        c += 1e12;
-                    }
                     let d = degree[v].max(1) as f64;
-                    let metric = c / d;
+                    let metric = spill_weight[v] / d;
                     if best.is_none_or(|(m, _)| metric < m) {
                         best = Some((metric, v as u32));
                     }
@@ -711,140 +740,164 @@ fn pure_copy_run(
     None
 }
 
-/// Spills `v`: allocate a slot, load before each use, store after each
-/// def, rewriting occurrences to fresh one-shot temporaries.
-fn spill_vreg(machine: &Machine, func: &mut CodeFunc, v: Vreg) -> Result<(), CodegenError> {
-    let class = func.vreg(v).class;
-    let load_t = machine.spill_load(class).ok_or_else(|| {
-        err(format!(
-            "no spill load for class `{}`",
-            machine.reg_class(class).name
-        ))
-    })?;
-    let store_t = machine.spill_store(class).ok_or_else(|| {
-        err(format!(
-            "no spill store for class `{}`",
-            machine.reg_class(class).name
-        ))
-    })?;
-    let sp = machine
-        .cwvm()
-        .sp
-        .ok_or_else(|| err("machine declares no stack pointer"))?;
-    let slot = func.new_spill_slot() as i64;
-    let kind = func.vreg(v).kind;
-    let _ = kind;
+/// Per-position marks of a spill round (see [`spill_round`]).
+const DELETED: u8 = 1;
+const LOAD_BEFORE: u8 = 2;
+const STORE_AFTER: u8 = 4;
 
-    for bi in 0..func.blocks.len() {
-        // Blocks that never mention `v` keep their instruction list
-        // untouched — no clone, no rebuild. Spilled vregs are almost
-        // always block-local, so this skips nearly the whole function.
-        if !func.blocks[bi].insts.iter().any(|inst| {
-            inst.ops
-                .iter()
-                .any(|op| matches!(op, Operand::Vreg(x) | Operand::VregHalf(x, _) if *x == v))
-        }) {
-            continue;
+/// One spill-code insertion of a round: the instruction goes directly
+/// before (`after == false`) or after block `block`'s instruction
+/// `pos`; `rank` is the spilled vreg's place in the round's list.
+struct Insert {
+    block: u32,
+    pos: u32,
+    after: bool,
+    rank: u32,
+    inst: Inst,
+}
+
+/// Whether `inst` names `v` (only as a half-register operand when
+/// `half_only`).
+fn mentions(inst: &Inst, v: Vreg, half_only: bool) -> bool {
+    inst.ops.iter().any(|op| match op {
+        Operand::VregHalf(x, _) => *x == v,
+        Operand::Vreg(x) => !half_only && *x == v,
+        _ => false,
+    })
+}
+
+/// Spills every vreg of `to_spill`: each gets a slot, a load before
+/// each use and a store after each def, its occurrences rewritten to
+/// fresh one-shot temporaries (a run that only copies to or from one
+/// physical register transfers it directly; see [`pure_copy_run`]).
+///
+/// The result is exactly that of spilling the vregs one at a time in
+/// list order — the same temporaries, slots and instruction order —
+/// but one walk indexes every occurrence, each vreg's rewrite visits
+/// only its own occurrences, and each touched block is rebuilt once.
+/// Applying the rewrites in list order reproduces the one-at-a-time
+/// layout: a later vreg's load goes directly before its instruction,
+/// after the loads earlier vregs put there, and its store directly
+/// after, ahead of theirs; a half-register run extends only across
+/// positions nothing was inserted between; and a pure-copy run is
+/// replaced in place. A round costs one pass over the function plus
+/// O(occurrences · log occurrences); spilling one vreg at a time
+/// (`spill_reference::spill_vreg`) costs a pass per spilled vreg.
+fn spill_round(
+    machine: &Machine,
+    func: &mut CodeFunc,
+    to_spill: &[Vreg],
+) -> Result<(), CodegenError> {
+    // Templates and slots, allocated (and failing) in list order.
+    let mut sp = None;
+    let mut spills = Vec::with_capacity(to_spill.len());
+    for &v in to_spill {
+        let class = func.vreg(v).class;
+        let missing = |what: &str| {
+            err(format!(
+                "no spill {what} for class `{}`",
+                machine.reg_class(class).name
+            ))
+        };
+        let load = machine.spill_load(class).ok_or_else(|| missing("load"))?;
+        let store = machine.spill_store(class).ok_or_else(|| missing("store"))?;
+        sp = Some(
+            machine
+                .cwvm()
+                .sp
+                .ok_or_else(|| err("machine declares no stack pointer"))?,
+        );
+        let slot = func.new_spill_slot() as i64;
+        spills.push((v, class, load, store, slot));
+    }
+    let Some(sp) = sp else {
+        return Ok(());
+    };
+
+    // One walk: (rank, block, position) of every spilled occurrence,
+    // and each block's first index into the per-position marks.
+    let mut rank = vec![u32::MAX; func.vregs.len()];
+    for (k, v) in to_spill.iter().enumerate() {
+        rank[v.0 as usize] = k as u32;
+    }
+    let mut occ: Vec<(u32, u32, u32)> = Vec::new();
+    let mut base: Vec<usize> = Vec::with_capacity(func.blocks.len());
+    let mut total = 0;
+    for (b, block) in func.blocks.iter().enumerate() {
+        base.push(total);
+        total += block.insts.len();
+        for (p, inst) in block.insts.iter().enumerate() {
+            for op in &inst.ops {
+                if let Operand::Vreg(x) | Operand::VregHalf(x, _) = op {
+                    let k = rank[x.0 as usize];
+                    if k != u32::MAX {
+                        occ.push((k, b as u32, p as u32));
+                    }
+                }
+            }
         }
-        // The old list is consumed in place: untouched instructions
-        // move (not clone) into the rebuilt list.
-        let mut insts: Vec<Option<Inst>> = std::mem::take(&mut func.blocks[bi].insts)
-            .into_iter()
-            .map(Some)
-            .collect();
-        let mut new_insts: Vec<Inst> = Vec::with_capacity(insts.len());
-        // Group maximal runs of consecutive instructions touching `v`
-        // (a `*func` escape writes a pair register with two adjacent
-        // half-moves; the pair must be reloaded/stored as one unit).
-        let mut i = 0;
-        while i < insts.len() {
-            let touches = |inst: &Inst| {
-                inst.ops
-                    .iter()
-                    .any(|op| matches!(op, Operand::Vreg(x) | Operand::VregHalf(x, _) if *x == v))
-            };
-            let touches_half = |inst: &Inst| {
-                inst.ops
-                    .iter()
-                    .any(|op| matches!(op, Operand::VregHalf(x, _) if *x == v))
-            };
-            if !touches(insts[i].as_ref().expect("instruction already consumed")) {
-                new_insts.push(insts[i].take().expect("instruction already consumed"));
-                i += 1;
+    }
+    occ.sort_unstable();
+    occ.dedup();
+
+    let mut marks = vec![0u8; total];
+    let mut dirty = vec![false; func.blocks.len()];
+    let mut inserts: Vec<Insert> = Vec::new();
+    let mut next = 0;
+    for (k, &(v, class, load, store, slot)) in spills.iter().enumerate() {
+        let mem = |reg: Operand| vec![reg, Operand::Phys(sp), Operand::Imm(ImmVal::Const(slot))];
+        // (block, end) of the last run, which consumes occurrences.
+        let mut run = (u32::MAX, 0);
+        while next < occ.len() && occ[next].0 == k as u32 {
+            let (_, b, p) = occ[next];
+            next += 1;
+            if run.0 == b && p < run.1 {
+                continue;
+            }
+            let (bi, start) = (b as usize, p as usize);
+            let at = base[bi];
+            let insts = &mut func.blocks[bi].insts;
+            // An earlier vreg's pure-copy run may have replaced or
+            // deleted the instruction.
+            if marks[at + start] & DELETED != 0 || !mentions(&insts[start], v, false) {
                 continue;
             }
             // One instruction per run, except half-register (escape
-            // pair) sequences, which must reload/store as one unit.
-            // Merging arbitrary touching neighbours would keep the
-            // temporary live through unrelated instructions and can
-            // make tiny register files uncolourable.
-            let mut j = i + 1;
-            if touches_half(insts[i].as_ref().expect("instruction already consumed")) {
-                while j < insts.len()
-                    && touches_half(insts[j].as_ref().expect("instruction already consumed"))
+            // pair) sequences, which reload/store as one unit.
+            let mut end = start + 1;
+            if mentions(&insts[start], v, true) {
+                while end < insts.len()
+                    && marks[at + end - 1] & STORE_AFTER == 0
+                    && marks[at + end] & (LOAD_BEFORE | DELETED) == 0
+                    && mentions(&insts[end], v, true)
                 {
-                    j += 1;
+                    end += 1;
                 }
             }
-            let run: Vec<Inst> = insts[i..j]
-                .iter_mut()
-                .map(|s| s.take().expect("instruction already consumed"))
-                .collect();
-            // A run that merely copies between `v` and one physical
-            // register (argument/result moves, including half-move
-            // pairs from `*func` escapes) needs no temporary at all:
-            // transfer directly between the spill slot and that
-            // register. This is what keeps call boundaries colourable
-            // on machines whose register pairs cover the whole file.
-            if let Some((phys, v_is_source)) = pure_copy_run(machine, &run, v, class) {
-                if v_is_source {
-                    // phys := v  ==>  load phys from the slot.
-                    new_insts.push(Inst::new(
-                        load_t,
-                        vec![
-                            Operand::Phys(phys),
-                            Operand::Phys(sp),
-                            Operand::Imm(ImmVal::Const(slot)),
-                        ],
-                    ));
-                } else {
-                    // v := phys  ==>  store phys to the slot.
-                    new_insts.push(Inst::new(
-                        store_t,
-                        vec![
-                            Operand::Phys(phys),
-                            Operand::Phys(sp),
-                            Operand::Imm(ImmVal::Const(slot)),
-                        ],
-                    ));
+            run = (b, end as u32);
+            if let Some((phys, v_is_source)) = pure_copy_run(machine, &insts[start..end], v, class)
+            {
+                // phys := v loads phys from the slot; v := phys stores it.
+                let t = if v_is_source { load } else { store };
+                insts[start] = Inst::new(t, mem(Operand::Phys(phys)));
+                for m in &mut marks[at + start + 1..at + end] {
+                    *m |= DELETED;
                 }
-                i = j;
+                dirty[bi] |= end > start + 1;
                 continue;
             }
             let tmp = func.new_vreg(class, VregKind::Local);
-            let mut run_uses = false;
-            let mut run_defs = false;
-            let mut rewritten: Vec<Inst> = Vec::with_capacity(run.len());
-            for mut inst in run {
-                let t = machine.template(inst.template);
-                for k in &t.effects.uses {
-                    if let Some(Operand::Vreg(x)) | Some(Operand::VregHalf(x, _)) =
-                        inst.ops.get((*k - 1) as usize)
-                    {
-                        if *x == v {
-                            run_uses = true;
-                        }
-                    }
-                }
-                for k in &t.effects.defs {
-                    if let Some(Operand::Vreg(x)) | Some(Operand::VregHalf(x, _)) =
-                        inst.ops.get((*k - 1) as usize)
-                    {
-                        if *x == v {
-                            run_defs = true;
-                        }
-                    }
-                }
+            let names_v = |inst: &Inst, positions: &[u8]| {
+                positions.iter().any(|k| {
+                    matches!(inst.ops.get((*k - 1) as usize),
+                        Some(Operand::Vreg(x) | Operand::VregHalf(x, _)) if *x == v)
+                })
+            };
+            let (mut run_uses, mut run_defs, mut half) = (false, false, false);
+            for inst in &mut func.blocks[bi].insts[start..end] {
+                let effects = &machine.template(inst.template).effects;
+                run_uses |= names_v(inst, &effects.uses);
+                run_defs |= names_v(inst, &effects.defs);
                 for op in &mut inst.ops {
                     match *op {
                         Operand::Vreg(x) if x == v => *op = Operand::Vreg(tmp),
@@ -852,42 +905,288 @@ fn spill_vreg(machine: &Machine, func: &mut CodeFunc, v: Vreg) -> Result<(), Cod
                         _ => {}
                     }
                 }
-                rewritten.push(inst);
+                half |= inst
+                    .ops
+                    .iter()
+                    .any(|op| matches!(op, Operand::VregHalf(..)));
             }
+            let mut insert = |pos: usize, after: bool, t| {
+                inserts.push(Insert {
+                    block: b,
+                    pos: pos as u32,
+                    after,
+                    rank: k as u32,
+                    inst: Inst::new(t, mem(Operand::Vreg(tmp))),
+                });
+                marks[at + pos] |= if after { STORE_AFTER } else { LOAD_BEFORE };
+                dirty[bi] = true;
+            };
             // A run that writes only part of the register (one half)
             // must merge with the slot's existing contents.
-            let partial_def = run_defs
-                && rewritten.iter().any(|inst| {
-                    inst.ops
-                        .iter()
-                        .any(|op| matches!(op, Operand::VregHalf(..)))
-                });
-            if run_uses || partial_def {
-                new_insts.push(Inst::new(
-                    load_t,
-                    vec![
-                        Operand::Vreg(tmp),
-                        Operand::Phys(sp),
-                        Operand::Imm(ImmVal::Const(slot)),
-                    ],
-                ));
+            if run_uses || (run_defs && half) {
+                insert(start, false, load);
             }
-            new_insts.extend(rewritten);
             if run_defs {
-                new_insts.push(Inst::new(
-                    store_t,
-                    vec![
-                        Operand::Vreg(tmp),
-                        Operand::Phys(sp),
-                        Operand::Imm(ImmVal::Const(slot)),
-                    ],
-                ));
+                insert(end - 1, true, store);
             }
-            i = j;
         }
-        func.blocks[bi].insts = new_insts;
+    }
+
+    // Rebuild each touched block once: at every position, the loads in
+    // list order, the instruction, then the stores in reverse order.
+    inserts.sort_unstable_by_key(|s| {
+        let order = if s.after { u32::MAX - s.rank } else { s.rank };
+        (s.block, s.pos, s.after, order)
+    });
+    let mut inserts = inserts.into_iter().peekable();
+    for (bi, block) in func.blocks.iter_mut().enumerate() {
+        if !dirty[bi] {
+            continue;
+        }
+        let at = base[bi];
+        let old = std::mem::take(&mut block.insts);
+        let mut insts = Vec::with_capacity(old.len());
+        for (p, inst) in old.into_iter().enumerate() {
+            let here = |s: &Insert, after: bool| {
+                s.block as usize == bi && s.pos as usize == p && s.after == after
+            };
+            while let Some(s) = inserts.next_if(|s| here(s, false)) {
+                insts.push(s.inst);
+            }
+            if marks[at + p] & DELETED == 0 {
+                insts.push(inst);
+            }
+            while let Some(s) = inserts.next_if(|s| here(s, true)) {
+                insts.push(s.inst);
+            }
+        }
+        block.insts = insts;
     }
     Ok(())
+}
+
+/// The per-vreg spill rewrite that [`spill_round`] replaced, kept as
+/// its reference model: spilling a round's vregs one at a time with
+/// [`spill_reference::spill_vreg`] must leave the function exactly as
+/// one [`spill_round`] does. Debug builds check this on every round
+/// [`allocate`] runs (tests included), and the unit tests check it on
+/// random functions.
+#[cfg(any(test, debug_assertions))]
+mod spill_reference {
+    use super::*;
+
+    /// Panics unless [`spill_round`]'s output `after` equals spilling
+    /// `to_spill` one vreg at a time, in order, starting from `before`.
+    pub(super) fn assert_round_matches(
+        machine: &Machine,
+        mut before: CodeFunc,
+        after: &CodeFunc,
+        to_spill: &[Vreg],
+    ) {
+        for &v in to_spill {
+            spill_vreg(machine, &mut before, v).expect("the round itself succeeded");
+        }
+        assert!(
+            before == *after,
+            "spill round over {to_spill:?} differs from the per-vreg rewrite in `{}`",
+            after.name
+        );
+    }
+
+    /// Spills `to_spill` one vreg at a time: a [`SpillRound`].
+    #[cfg(test)]
+    pub(super) fn spill_each(
+        machine: &Machine,
+        func: &mut CodeFunc,
+        to_spill: &[Vreg],
+    ) -> Result<(), CodegenError> {
+        to_spill
+            .iter()
+            .try_for_each(|&v| spill_vreg(machine, func, v))
+    }
+
+    /// Spills `v`: allocate a slot, load before each use, store after each
+    /// def, rewriting occurrences to fresh one-shot temporaries.
+    pub(super) fn spill_vreg(
+        machine: &Machine,
+        func: &mut CodeFunc,
+        v: Vreg,
+    ) -> Result<(), CodegenError> {
+        let class = func.vreg(v).class;
+        let load_t = machine.spill_load(class).ok_or_else(|| {
+            err(format!(
+                "no spill load for class `{}`",
+                machine.reg_class(class).name
+            ))
+        })?;
+        let store_t = machine.spill_store(class).ok_or_else(|| {
+            err(format!(
+                "no spill store for class `{}`",
+                machine.reg_class(class).name
+            ))
+        })?;
+        let sp = machine
+            .cwvm()
+            .sp
+            .ok_or_else(|| err("machine declares no stack pointer"))?;
+        let slot = func.new_spill_slot() as i64;
+        let kind = func.vreg(v).kind;
+        let _ = kind;
+
+        for bi in 0..func.blocks.len() {
+            // Blocks that never mention `v` keep their instruction list
+            // untouched — no clone, no rebuild. Spilled vregs are almost
+            // always block-local, so this skips nearly the whole function.
+            if !func.blocks[bi].insts.iter().any(|inst| {
+                inst.ops
+                    .iter()
+                    .any(|op| matches!(op, Operand::Vreg(x) | Operand::VregHalf(x, _) if *x == v))
+            }) {
+                continue;
+            }
+            // The old list is consumed in place: untouched instructions
+            // move (not clone) into the rebuilt list.
+            let mut insts: Vec<Option<Inst>> = std::mem::take(&mut func.blocks[bi].insts)
+                .into_iter()
+                .map(Some)
+                .collect();
+            let mut new_insts: Vec<Inst> = Vec::with_capacity(insts.len());
+            // Group maximal runs of consecutive instructions touching `v`
+            // (a `*func` escape writes a pair register with two adjacent
+            // half-moves; the pair must be reloaded/stored as one unit).
+            let mut i = 0;
+            while i < insts.len() {
+                let touches = |inst: &Inst| {
+                    inst.ops.iter().any(
+                        |op| matches!(op, Operand::Vreg(x) | Operand::VregHalf(x, _) if *x == v),
+                    )
+                };
+                let touches_half = |inst: &Inst| {
+                    inst.ops
+                        .iter()
+                        .any(|op| matches!(op, Operand::VregHalf(x, _) if *x == v))
+                };
+                if !touches(insts[i].as_ref().expect("instruction already consumed")) {
+                    new_insts.push(insts[i].take().expect("instruction already consumed"));
+                    i += 1;
+                    continue;
+                }
+                // One instruction per run, except half-register (escape
+                // pair) sequences, which must reload/store as one unit.
+                // Merging arbitrary touching neighbours would keep the
+                // temporary live through unrelated instructions and can
+                // make tiny register files uncolourable.
+                let mut j = i + 1;
+                if touches_half(insts[i].as_ref().expect("instruction already consumed")) {
+                    while j < insts.len()
+                        && touches_half(insts[j].as_ref().expect("instruction already consumed"))
+                    {
+                        j += 1;
+                    }
+                }
+                let run: Vec<Inst> = insts[i..j]
+                    .iter_mut()
+                    .map(|s| s.take().expect("instruction already consumed"))
+                    .collect();
+                // A run that merely copies between `v` and one physical
+                // register (argument/result moves, including half-move
+                // pairs from `*func` escapes) needs no temporary at all:
+                // transfer directly between the spill slot and that
+                // register. This is what keeps call boundaries colourable
+                // on machines whose register pairs cover the whole file.
+                if let Some((phys, v_is_source)) = pure_copy_run(machine, &run, v, class) {
+                    if v_is_source {
+                        // phys := v  ==>  load phys from the slot.
+                        new_insts.push(Inst::new(
+                            load_t,
+                            vec![
+                                Operand::Phys(phys),
+                                Operand::Phys(sp),
+                                Operand::Imm(ImmVal::Const(slot)),
+                            ],
+                        ));
+                    } else {
+                        // v := phys  ==>  store phys to the slot.
+                        new_insts.push(Inst::new(
+                            store_t,
+                            vec![
+                                Operand::Phys(phys),
+                                Operand::Phys(sp),
+                                Operand::Imm(ImmVal::Const(slot)),
+                            ],
+                        ));
+                    }
+                    i = j;
+                    continue;
+                }
+                let tmp = func.new_vreg(class, VregKind::Local);
+                let mut run_uses = false;
+                let mut run_defs = false;
+                let mut rewritten: Vec<Inst> = Vec::with_capacity(run.len());
+                for mut inst in run {
+                    let t = machine.template(inst.template);
+                    for k in &t.effects.uses {
+                        if let Some(Operand::Vreg(x)) | Some(Operand::VregHalf(x, _)) =
+                            inst.ops.get((*k - 1) as usize)
+                        {
+                            if *x == v {
+                                run_uses = true;
+                            }
+                        }
+                    }
+                    for k in &t.effects.defs {
+                        if let Some(Operand::Vreg(x)) | Some(Operand::VregHalf(x, _)) =
+                            inst.ops.get((*k - 1) as usize)
+                        {
+                            if *x == v {
+                                run_defs = true;
+                            }
+                        }
+                    }
+                    for op in &mut inst.ops {
+                        match *op {
+                            Operand::Vreg(x) if x == v => *op = Operand::Vreg(tmp),
+                            Operand::VregHalf(x, h) if x == v => *op = Operand::VregHalf(tmp, h),
+                            _ => {}
+                        }
+                    }
+                    rewritten.push(inst);
+                }
+                // A run that writes only part of the register (one half)
+                // must merge with the slot's existing contents.
+                let partial_def = run_defs
+                    && rewritten.iter().any(|inst| {
+                        inst.ops
+                            .iter()
+                            .any(|op| matches!(op, Operand::VregHalf(..)))
+                    });
+                if run_uses || partial_def {
+                    new_insts.push(Inst::new(
+                        load_t,
+                        vec![
+                            Operand::Vreg(tmp),
+                            Operand::Phys(sp),
+                            Operand::Imm(ImmVal::Const(slot)),
+                        ],
+                    ));
+                }
+                new_insts.extend(rewritten);
+                if run_defs {
+                    new_insts.push(Inst::new(
+                        store_t,
+                        vec![
+                            Operand::Vreg(tmp),
+                            Operand::Phys(sp),
+                            Operand::Imm(ImmVal::Const(slot)),
+                        ],
+                    ));
+                }
+                i = j;
+            }
+            func.blocks[bi].insts = new_insts;
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -1327,5 +1626,232 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Register pairs for the spill-round tests: `d[i]` overlays
+    /// `r[2i]:r[2i+1]`, `mov` is TOYP's single move (a `*movd` escape
+    /// expands into two of them over register halves), and `mv3`
+    /// names a third register it neither reads nor writes.
+    const PAIRS: &str = r#"
+        declare {
+            %reg r[0:11] (int);
+            %reg d[0:5] (double);
+            %equiv r[0] d[0];
+            %resource IE;
+            %def const16 [-32768:32767];
+            %memory m[0:2147483647];
+        }
+        cwvm {
+            %general (int) r;
+            %general (double) d;
+            %allocable r[1:9];
+            %allocable d[1:4];
+            %calleesave r[6:11];
+            %sp r[11] +down; %fp r[10] +down; %retaddr r[1];
+            %hard r[0] 0;
+        }
+        instr {
+            %instr add r, r, r (int) {$1 = $2 + $3;} [IE;] (1,1,0)
+            %instr ld r, r, #const16 (int) {$1 = m[$2+$3];} [IE;] (1,3,0)
+            %instr st r, r, #const16 (int) {m[$2+$3] = $1;} [IE;] (1,1,0)
+            %instr ld.d d, r, #const16 (double) {$1 = m[$2+$3];} [IE;] (1,3,0)
+            %instr st.d d, r, #const16 (double) {m[$2+$3] = $1;} [IE;] (1,1,0)
+            %instr addd d, d, d (double) {$1 = $2 + $3;} [IE;] (1,1,0)
+            %instr mv3 r, r, r (int) {$1 = $2;} [IE;] (1,1,0)
+            %move mov r, r, r[0] {$1 = $2;} [IE;] (1,1,0)
+        }
+    "#;
+
+    /// Which spill-round situations a random case exercised.
+    #[derive(Default)]
+    struct Coverage {
+        /// Instructions naming two or more spilled vregs.
+        several: usize,
+        /// Two-instruction copies between a spilled pair and a
+        /// physical pair (replaced in place by one spill load/store).
+        pure_pairs: usize,
+        /// Half-register runs of a spilled pair.
+        half_runs: usize,
+        /// Half writes of a spilled pair from spilled singles, where an
+        /// earlier vreg's spill code splits a later vreg's run.
+        split_runs: usize,
+        /// Pure-copy pair runs that also name another spilled vreg,
+        /// which loses those occurrences if it comes later in the list.
+        deleted_mentions: usize,
+    }
+
+    /// A SplitMix64-random function over int vregs and register-pair
+    /// vregs, with a random spill list (distinct vregs, random order,
+    /// some never mentioned), and what it exercises.
+    fn random_spill_case(
+        m: &Machine,
+        rng: &mut marion_rng::SplitMix64,
+    ) -> (CodeFunc, Vec<Vreg>, Coverage) {
+        let r = m.reg_class_by_name("r").unwrap();
+        let d = m.reg_class_by_name("d").unwrap();
+        let mut f = CodeFunc::new("t");
+        let (mut ints, mut pairs) = (Vec::new(), Vec::new());
+        for _ in 0..4 + rng.below(14) {
+            if rng.chance(0.6) {
+                ints.push(f.new_vreg(r, VregKind::Local));
+            } else {
+                pairs.push(f.new_vreg(d, VregKind::Global));
+            }
+        }
+        ints.push(f.new_vreg(r, VregKind::Global));
+        pairs.push(f.new_vreg(d, VregKind::Local));
+        let mut to_spill: Vec<Vreg> = (0..f.vregs.len() as u32)
+            .map(Vreg)
+            .filter(|_| rng.chance(0.5))
+            .collect();
+        for i in (1..to_spill.len()).rev() {
+            to_spill.swap(i, rng.index(i + 1));
+        }
+        let spilled = |x: Vreg| to_spill.contains(&x);
+        let phys = |c, i| Operand::Phys(PhysReg::new(c, i));
+        let (sp, r0) = (phys(r, 11), phys(r, 0));
+        let half = |x: Vreg, h| Operand::VregHalf(x, h);
+        let mut cov = Coverage::default();
+        for bi in 0..1 + rng.below(4) as u32 {
+            let mut insts = Vec::new();
+            for _ in 0..2 + rng.below(24) {
+                let a = *rng.pick(&ints);
+                let b = *rng.pick(&ints);
+                let c = *rng.pick(&ints);
+                let x = *rng.pick(&pairs);
+                let y = *rng.pick(&pairs);
+                match rng.below(11) {
+                    0 => insts.push(inst(m, "ld", vec![v(a.0), sp, imm(4)])),
+                    1 => insts.push(inst(m, "st", vec![v(a.0), sp, imm(8)])),
+                    2 => insts.push(inst(m, "add", vec![v(a.0), v(b.0), v(c.0)])),
+                    3 => insts.push(inst(m, "addd", vec![v(x.0), v(y.0), v(x.0)])),
+                    4 => insts.push(inst(m, "mv3", vec![v(a.0), v(b.0), v(c.0)])),
+                    5 => {
+                        // `*movd x, y`.
+                        for h in 0..2 {
+                            insts.push(inst(m, "mov", vec![half(x, h), half(y, h), r0]));
+                        }
+                        cov.half_runs += usize::from(spilled(x) || spilled(y));
+                    }
+                    6 | 7 => {
+                        // Argument / result moves through d1 = r2:r3,
+                        // maybe through `mv3` naming a vreg as well.
+                        let to_phys = rng.below(2) == 0;
+                        let (mnem, third) = if rng.below(2) == 0 {
+                            ("mov", r0)
+                        } else {
+                            ("mv3", v(c.0))
+                        };
+                        for h in 0..2 {
+                            let p = phys(r, 2 + u32::from(h));
+                            let ops = if to_phys {
+                                vec![p, half(x, h), third]
+                            } else {
+                                vec![half(x, h), p, third]
+                            };
+                            insts.push(inst(m, mnem, ops));
+                        }
+                        cov.pure_pairs += usize::from(spilled(x));
+                        cov.deleted_mentions +=
+                            usize::from(spilled(x) && mnem == "mv3" && spilled(c));
+                    }
+                    8 => {
+                        // A single copy to or from a physical register,
+                        // maybe naming a second vreg it does not touch.
+                        let p = phys(r, 2 + rng.below(3) as u32);
+                        let other = if rng.below(2) == 0 { r0 } else { v(c.0) };
+                        if rng.below(2) == 0 {
+                            insts.push(inst(m, "mv3", vec![p, v(a.0), other]));
+                        } else {
+                            insts.push(inst(m, "mov", vec![v(a.0), p, r0]));
+                        }
+                    }
+                    9 => {
+                        // Both halves of x written from int vregs.
+                        insts.push(inst(m, "mov", vec![half(x, 0), v(a.0), r0]));
+                        insts.push(inst(m, "mov", vec![half(x, 1), v(b.0), r0]));
+                        cov.split_runs += usize::from(spilled(x) && (spilled(a) || spilled(b)));
+                    }
+                    _ => {
+                        // A lone half write: a partial def.
+                        insts.push(inst(
+                            m,
+                            "mov",
+                            vec![half(x, rng.below(2) as u8), v(a.0), r0],
+                        ));
+                    }
+                }
+            }
+            for i in &insts {
+                let mut named: Vec<Vreg> = i
+                    .ops
+                    .iter()
+                    .filter_map(|op| match op {
+                        Operand::Vreg(x) | Operand::VregHalf(x, _) if spilled(*x) => Some(*x),
+                        _ => None,
+                    })
+                    .collect();
+                named.sort_unstable();
+                named.dedup();
+                cov.several += usize::from(named.len() >= 2);
+            }
+            let nblocks = bi + 1;
+            f.blocks.push(CodeBlock {
+                insts,
+                succs: vec![BlockId(rng.below(u64::from(nblocks)) as u32)],
+            });
+        }
+        (f, to_spill, cov)
+    }
+
+    /// One spill round leaves the function exactly as spilling its
+    /// vregs one at a time, in list order, with the per-vreg reference
+    /// rewrite: same instructions in the same order, same temporaries
+    /// (vreg table) and same slots (`spill_size`). Whole allocations on
+    /// the two rewrites agree too, `AllocResult` included.
+    #[test]
+    fn spill_rounds_match_the_per_vreg_reference() {
+        let m = Machine::parse("pairs", PAIRS).unwrap();
+        let mut rng = marion_rng::SplitMix64::new(0x5911_0bad);
+        let mut total = Coverage::default();
+        let mut allocations = 0;
+        for case in 0..600 {
+            let (f, to_spill, cov) = random_spill_case(&m, &mut rng);
+            let mut round = f.clone();
+            let mut each = f.clone();
+            spill_round(&m, &mut round, &to_spill).unwrap();
+            spill_reference::spill_each(&m, &mut each, &to_spill).unwrap();
+            assert_eq!(round, each, "case {case}: spilling {to_spill:?}");
+            total.several += cov.several;
+            total.pure_pairs += cov.pure_pairs;
+            total.half_runs += cov.half_runs;
+            total.split_runs += cov.split_runs;
+            total.deleted_mentions += cov.deleted_mentions;
+
+            let (mut a, mut b) = (f.clone(), f);
+            let tracer = Tracer::off();
+            let no_bias = HashMap::new();
+            let by_round = allocate_with(&m, &mut a, &no_bias, &tracer, spill_round);
+            let by_vreg = allocate_with(&m, &mut b, &no_bias, &tracer, spill_reference::spill_each);
+            assert_eq!(
+                format!("{by_round:?}"),
+                format!("{by_vreg:?}"),
+                "case {case}"
+            );
+            assert_eq!(a, b, "case {case}: allocated functions differ");
+            allocations += usize::from(by_round.is_ok_and(|r| r.spills > 0));
+        }
+        assert!(total.several > 50, "too few multi-vreg instructions");
+        assert!(total.pure_pairs > 50, "too few pure-copy pair runs");
+        assert!(total.half_runs > 50, "too few half-register runs");
+        assert!(total.split_runs > 50, "too few split half runs");
+        assert!(
+            total.deleted_mentions > 20,
+            "too few vregs named by pure copies"
+        );
+        assert!(
+            allocations > 50,
+            "too few allocations that spilled: {allocations}"
+        );
     }
 }

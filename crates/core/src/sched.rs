@@ -141,6 +141,15 @@ pub struct SchedMetrics {
     pub issue_cycles: usize,
     /// Cycles that issued at least two sub-operations (packed words).
     pub packed_words: usize,
+    /// Cycles the list scheduler stepped through — ran its pick
+    /// fixpoint for — as opposed to jumped over (0 for the serial
+    /// scheduler). Deterministic work, not schedule quality: a
+    /// stepping replay ([`explain_schedule`]) places alike and steps
+    /// more.
+    pub cycles_stepped: usize,
+    /// Ready instructions the pick scans examined, one per
+    /// [`SchedState::blocker`] call (0 for the serial scheduler).
+    pub candidates_probed: usize,
 }
 
 impl SchedMetrics {
@@ -339,6 +348,7 @@ fn list_schedule(
         ignore_rule1: opts.ignore_rule1,
         peak_pressure: 0,
         scan_stalls: StallBreakdown::default(),
+        probes: 0,
         func,
     };
 
@@ -359,6 +369,7 @@ fn list_schedule(
     // Rule-1 destination list, reused across cycles.
     let mut dests = std::mem::take(&mut scratch.dests);
     while remaining > 0 {
+        metrics.cycles_stepped += 1;
         // The worklist *is* the ready set.
         debug_assert!(state.ready.iter().all(|&i| state.is_ready(i)));
         debug_assert_eq!(
@@ -429,6 +440,26 @@ fn list_schedule(
                     return Err(state.deadlock(scratch, dests, quiescent_at));
                 }
             }
+            // Idle-cycle horizon: after an idle cycle that only resource
+            // conflicts and the register limit held up, every cycle
+            // until the horizon repeats it stall for stall, so jump
+            // there and count the skipped cycles' stalls at once. The
+            // recording replay steps instead: its tiles name each
+            // cycle's lowest contended resource, which can change on
+            // the way.
+            if remaining == remaining_at_start
+                && hazard.is_none()
+                && quiescent_at.is_none()
+                && state.scan_stalls.temporal == 0
+                && state.scan_stalls.class == 0
+                && state.open_clock_edges.iter().all(|&open| open == 0)
+                && !state.ready.is_empty()
+            {
+                let horizon = state.idle_horizon(max_cycles + 1);
+                stalls.add_weighted(&state.scan_stalls, u64::from(horizon - state.t - 1));
+                // `advance_cycle` steps from here onto the horizon.
+                state.t = horizon - 1;
+            }
             state.advance_cycle();
             if state.t > max_cycles {
                 return Err(state.deadlock(scratch, dests, quiescent_at));
@@ -437,6 +468,7 @@ fn list_schedule(
     }
 
     let _m = tracer.mspan("finalize");
+    metrics.candidates_probed = state.probes;
     let (cycles, inst_cycle, peak_pressure) = state.reclaim(scratch, dests);
     let length = schedule_length(machine, block, &cycles, &inst_cycle);
     metrics.issue_slots_used = n;
@@ -819,6 +851,9 @@ struct SchedState<'a> {
     /// Ready instructions the last [`SchedState::pick_candidate`] scan
     /// turned down, bucketed by their [`SchedState::blocker`].
     scan_stalls: StallBreakdown,
+    /// Blocker calls of every pick scan so far
+    /// ([`SchedMetrics::candidates_probed`]).
+    probes: usize,
     func: &'a CodeFunc,
 }
 
@@ -891,6 +926,56 @@ impl<'a> SchedState<'a> {
                 out.push(e.to);
             }
         }
+    }
+
+    /// Whether an instruction needing `rsrc` (one resource set per
+    /// cycle offset) would find its resources free if it issued at
+    /// cycle `at`.
+    fn fits_at(&self, rsrc: &[ResSet], at: u32) -> bool {
+        rsrc.iter().enumerate().all(|(c, need)| {
+            self.timeline
+                .get(at as usize + c)
+                .is_none_or(|in_use| !in_use.intersects(need))
+        })
+    }
+
+    /// The first cycle after this idle one that can differ from it:
+    /// the earliest at which some ready instruction's resource fit
+    /// changes, or the next operand arrival, capped at `limit`. The
+    /// caller has established that this cycle issued nothing, that no
+    /// temporal edge is open and that the scan tallied only resource
+    /// and register-limit stalls; the ready set, `live_count` and the
+    /// pending heap then stay as they are until the horizon, so every
+    /// cycle before it turns the same instructions down for the same
+    /// reasons. Past the last reservation everything fits, which
+    /// bounds each instruction's walk.
+    fn idle_horizon(&self, limit: u32) -> u32 {
+        let mut horizon = match self.pending.peek() {
+            Some(&Reverse((at, _))) => at.min(limit),
+            None => limit,
+        };
+        for &i in &self.ready {
+            if horizon == self.t + 1 {
+                break;
+            }
+            let rsrc = &self.machine.template(self.block.insts[i].template).rsrc;
+            let fits_now = self.fits_at(rsrc, self.t);
+            let mut at = self.t + 1;
+            while at < horizon {
+                if at as usize >= self.timeline.len() {
+                    if !fits_now {
+                        horizon = at;
+                    }
+                    break;
+                }
+                if self.fits_at(rsrc, at) != fits_now {
+                    horizon = at;
+                    break;
+                }
+                at += 1;
+            }
+        }
+        horizon
     }
 
     fn is_ready(&self, i: usize) -> bool {
@@ -1056,6 +1141,7 @@ impl<'a> SchedState<'a> {
         let mut best: Option<usize> = None;
         let mut relax_best: Option<usize> = None;
         let mut scan = StallBreakdown::default();
+        self.probes += self.ready.len();
         // The winner is the maximum of a total order (priority, then
         // lowest index), so walking the unordered ready list picks the
         // same instruction the full 0..n scan did.

@@ -350,6 +350,17 @@ fn schedule_all(
             out.push(schedule);
         }
     }
+    if tracer.is_on() {
+        // Deterministic scheduler work, per pass.
+        let (stepped, probed) = out.iter().fold((0, 0), |(c, p), s| {
+            (
+                c + s.metrics.cycles_stepped,
+                p + s.metrics.candidates_probed,
+            )
+        });
+        tracer.add(ctx, &format!("{pass}.cycles_stepped"), stepped as i64);
+        tracer.add(ctx, &format!("{pass}.candidates_probed"), probed as i64);
+    }
     if final_pass {
         let _m = tracer.mspan("sched_metrics");
         record_sched_pass(machine, func, &out, opts, tracer, ctx, pass);
