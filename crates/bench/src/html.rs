@@ -942,14 +942,15 @@ pub fn render_dashboard(d: &crate::serve::DashboardData) -> String {
         "uptime",
         &format!("{:.1} s", snap.uptime_us as f64 / 1e6),
     );
-    tile(&mut out, "requests served", &snap.requests.to_string());
+    let requests = snap.lifetime.requests();
+    tile(&mut out, "requests served", &requests.to_string());
     tile(&mut out, "started", &snap.started.to_string());
     tile(
         &mut out,
         "in flight",
-        &snap.started.saturating_sub(snap.requests).to_string(),
+        &snap.started.saturating_sub(requests).to_string(),
     );
-    tile(&mut out, "failures", &snap.failures.to_string());
+    tile(&mut out, "failures", &snap.lifetime.failures.to_string());
     tile(&mut out, "queue depth", &snap.queue_depth.to_string());
     tile(&mut out, "workers", &snap.workers.to_string());
     if let Some(rate) = d.cache_hit_rate {
@@ -991,7 +992,7 @@ pub fn render_dashboard(d: &crate::serve::DashboardData) -> String {
         &mut out,
         &format!(
             "Rolling windows ({} \u{00d7} {} ms)",
-            snap.service_ts.num_windows(),
+            snap.windows(),
             snap.window_ms
         ),
     );
@@ -1049,32 +1050,33 @@ pub fn render_dashboard(d: &crate::serve::DashboardData) -> String {
              statistics.</p>\n",
         );
         for (ex, replay) in &d.exemplars {
+            let o = &ex.outcome;
             out.push_str(&format!(
                 "<details open><summary>r{} \u{2014} {}/{} \u{2014} {:.1} ms \
                  <span class=\"muted\">(queue {:.1} ms, {} hit / {} miss, \
                  {} func(s), window {})</span></summary>\n",
-                ex.request_id,
-                esc(&ex.machine),
-                esc(&ex.strategy),
+                o.request_id,
+                esc(&o.machine),
+                esc(&o.strategy),
                 ex.service_us as f64 / 1000.0,
                 ex.queue_wait_us as f64 / 1000.0,
-                ex.cache_hits,
-                ex.cache_misses,
-                ex.funcs,
+                o.cache_hits,
+                o.cache_misses,
+                o.funcs,
                 ex.window
             ));
             match replay {
                 Replay::Reproduced(trace) => out.push_str(&crate::flame::render_svg(
                     &crate::flame::flame_tree(trace),
-                    &format!("r{} replay: wall-clock attribution", ex.request_id),
+                    &format!("r{} replay: wall-clock attribution", o.request_id),
                 )),
                 Replay::Diverged(replayed) => out.push_str(&format!(
                     "<p class=\"bad\">r{} replay diverged: served {}, replay {}.</p>\n",
-                    ex.request_id, ex.served, replayed
+                    o.request_id, o.served, replayed
                 )),
                 Replay::Failed(e) => out.push_str(&format!(
                     "<p class=\"bad\">r{} replay failed: {}</p>\n",
-                    ex.request_id,
+                    o.request_id,
                     esc(e)
                 )),
             }
@@ -1084,7 +1086,7 @@ pub fn render_dashboard(d: &crate::serve::DashboardData) -> String {
 
     // ---- lifetime distributions ----
     section(&mut out, "Lifetime latency distributions");
-    hist_block(&mut out, "Service time", &snap.service_us, "us");
+    hist_block(&mut out, "Service time", &snap.lifetime.service_us, "us");
     hist_block(&mut out, "Queue wait", &snap.queue_wait_us, "us");
 
     out.push_str(

@@ -56,7 +56,7 @@
 //! traced compiler with no cache, checks that the replay reproduces
 //! each exemplar's served statistics, and renders its flamegraph,
 //! titled as a replay. Declarative SLOs ([`parse_slos`]) are
-//! evaluated over the rolling [`TimeSeries`] windows; see DESIGN.md
+//! evaluated over the rolling windows of [`Metrics`]; see DESIGN.md
 //! "Metrics model" for the exact semantics.
 
 use marion_cache::{CacheKey, ShardedCache, StableHasher};
@@ -65,7 +65,7 @@ use marion_core::{
     CompileOptions, CompileStats, CompiledProgram, Compiler, FuncCache, StrategyKind,
 };
 use marion_trace::json::{parse_flat, ObjWriter};
-use marion_trace::{Fields, Histogram, TimeSeries, TraceConfig, TraceData, Value};
+use marion_trace::{Fields, Histogram, TraceConfig, TraceData, Value};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{self, BufRead, Write};
 use std::num::NonZeroUsize;
@@ -394,54 +394,77 @@ pub struct ServeStats {
 }
 
 /// Service-level metrics: live gauges (lock-free atomics, safe to
-/// touch from the stream's hot path) plus request counters, latency
-/// histograms, and the rolling [`TimeSeries`] — all guarded by one
-/// mutex.
+/// touch from the stream's hot path) plus the [`Totals`] of completed
+/// requests, over the lifetime and per rolling window, under one mutex.
 ///
-/// Holding `requests`, the service-time histogram, and the time
-/// series under the same lock is what makes the snapshot exact: the
-/// sum of the service-time bucket counts always equals the number of
-/// requests served, with no torn reads between them.
+/// Requests are the count of the service-time histogram in each
+/// [`Totals`], not a second counter, so "Σ service-time bucket counts
+/// == requests served" holds in every snapshot by construction.
 pub struct Metrics {
     origin: Instant,
     window_ms: u64,
     queue_depth: AtomicI64,
     busy_workers: AtomicI64,
     workers: AtomicI64,
+    /// Requests dequeued for service; numbers them (`r<n>`).
     started: AtomicU64,
     inner: Mutex<MetricsInner>,
 }
 
 struct MetricsInner {
-    requests: u64,
-    failures: u64,
+    lifetime: Totals,
     queue_wait_us: Histogram,
-    service_us: Histogram,
-    /// Per-window service-time samples (count, sum, max, histogram).
-    service_ts: TimeSeries,
-    /// Per request: value 1 when failed, 0 when ok — window `count` is
-    /// requests, window `sum` is failures.
-    error_ts: TimeSeries,
-    /// Per-window function-level cache hits (`count == sum`).
-    hit_ts: TimeSeries,
-    /// Per-window function-level cache misses.
-    miss_ts: TimeSeries,
+    /// Rolling windows: slot `id % len` holds window `id` (`now_ms /
+    /// window_ms`) as `(id, totals)`.
+    ring: Vec<Option<(u64, Totals)>>,
+}
+
+/// What completed requests add up to, over the lifetime or over
+/// rolling windows.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Totals {
+    /// Requests that answered `ok:0`.
+    pub failures: u64,
+    /// Function-level cache hits.
+    pub cache_hits: u64,
+    /// Function-level cache misses.
+    pub cache_misses: u64,
+    /// Time inside `handle_line`, in microseconds; its count is the
+    /// requests ([`Totals::requests`]).
+    pub service_us: Histogram,
+}
+
+impl Totals {
+    /// Requests completed.
+    pub fn requests(&self) -> u64 {
+        self.service_us.count()
+    }
+
+    fn record(&mut self, service_us: u64, outcome: &Outcome) {
+        self.failures += outcome.failed as u64;
+        self.cache_hits += outcome.cache_hits;
+        self.cache_misses += outcome.cache_misses;
+        self.service_us.record(service_us);
+    }
+
+    fn merge(&mut self, other: &Totals) {
+        self.failures += other.failures;
+        self.cache_hits += other.cache_hits;
+        self.cache_misses += other.cache_misses;
+        self.service_us.merge(&other.service_us);
+    }
 }
 
 /// A consistent point-in-time copy of [`Metrics`].
 #[derive(Debug, Clone)]
 pub struct MetricsSnapshot {
-    /// Requests fully served (== `service_us.count()`).
-    pub requests: u64,
-    /// Requests that answered `ok:0`.
-    pub failures: u64,
     /// Requests dequeued for service, including in-flight ones
-    /// (`started - requests` is the in-flight count).
+    /// (`started - lifetime.requests()` is the in-flight count).
     pub started: u64,
     /// Microseconds since the service was built.
     pub uptime_us: u64,
-    /// Milliseconds since the service was built (the time-series tick
-    /// of this snapshot).
+    /// Milliseconds since the service was built; the current window
+    /// is `now_ms / window_ms`.
     pub now_ms: u64,
     /// Width of one rolling window, in milliseconds.
     pub window_ms: u64,
@@ -453,24 +476,16 @@ pub struct MetricsSnapshot {
     pub workers: i64,
     /// Time from enqueue to dequeue, in microseconds.
     pub queue_wait_us: Histogram,
-    /// Time inside `handle_line`, in microseconds.
-    pub service_us: Histogram,
-    /// Rolling per-window service-time series.
-    pub service_ts: TimeSeries,
-    /// Rolling per-window failure series (count=requests,
-    /// sum=failures).
-    pub error_ts: TimeSeries,
-    /// Rolling per-window cache-hit series.
-    pub hit_ts: TimeSeries,
-    /// Rolling per-window cache-miss series.
-    pub miss_ts: TimeSeries,
+    /// Every request completed since the service was built.
+    pub lifetime: Totals,
+    ring: Vec<Option<(u64, Totals)>>,
 }
 
 /// Aggregates over the most recent rolling windows of a
 /// [`MetricsSnapshot`] — the `win_*` fields of the `metrics` response.
 #[derive(Debug, Clone, Default)]
 pub struct Windowed {
-    /// Windows actually covered (capped by uptime).
+    /// Windows actually covered (capped by uptime and by the ring).
     pub windows: usize,
     /// Seconds those windows span.
     pub covered_s: f64,
@@ -494,9 +509,17 @@ pub struct Windowed {
     pub p99_us: Option<u64>,
 }
 
+/// `num / den`, or 0 when `den` is 0.
+fn frac(num: u64, den: u64) -> f64 {
+    if den == 0 {
+        0.0
+    } else {
+        num as f64 / den as f64
+    }
+}
+
 impl Metrics {
     fn new(window_ms: u64, windows: usize) -> Metrics {
-        let ts = || TimeSeries::new(window_ms.max(1), windows.max(1));
         Metrics {
             origin: Instant::now(),
             window_ms: window_ms.max(1),
@@ -505,14 +528,9 @@ impl Metrics {
             workers: AtomicI64::new(0),
             started: AtomicU64::new(0),
             inner: Mutex::new(MetricsInner {
-                requests: 0,
-                failures: 0,
+                lifetime: Totals::default(),
                 queue_wait_us: Histogram::new(),
-                service_us: Histogram::new(),
-                service_ts: ts(),
-                error_ts: ts(),
-                hit_ts: ts(),
-                miss_ts: ts(),
+                ring: vec![None; windows.max(1)],
             }),
         }
     }
@@ -523,35 +541,42 @@ impl Metrics {
         self.origin.elapsed().as_micros() as u64
     }
 
-    /// Records one completed request. Counters, histograms, and time
-    /// series all move under a single lock, so snapshots never see a
-    /// request counted but not yet observed (or vice versa).
+    /// Records one completed request, now.
     fn record(&self, queue_wait_us: u64, service_us: u64, outcome: &Outcome) {
-        let now_ms = self.now_us() / 1000;
+        self.record_at(self.now_us() / 1000, queue_wait_us, service_us, outcome);
+    }
+
+    /// Records one request completed at `now_ms` into the lifetime
+    /// totals and its window, under one lock. A request whose slot
+    /// already holds a newer window is left out of the ring, never
+    /// folded into the newer window; the lifetime totals still count it.
+    fn record_at(&self, now_ms: u64, queue_wait_us: u64, service_us: u64, outcome: &Outcome) {
+        let id = now_ms / self.window_ms;
         let mut inner = self.inner.lock().unwrap();
-        inner.requests += 1;
-        inner.failures += outcome.failed as u64;
         inner.queue_wait_us.record(queue_wait_us);
-        inner.service_us.record(service_us);
-        inner.service_ts.record(now_ms, service_us);
-        inner.error_ts.record(now_ms, outcome.failed as u64);
-        if outcome.cache_hits > 0 {
-            inner.hit_ts.record_n(now_ms, 1, outcome.cache_hits);
-        }
-        if outcome.cache_misses > 0 {
-            inner.miss_ts.record_n(now_ms, 1, outcome.cache_misses);
+        inner.lifetime.record(service_us, outcome);
+        let slot = (id % inner.ring.len() as u64) as usize;
+        match &mut inner.ring[slot] {
+            Some((cur, totals)) if *cur == id => totals.record(service_us, outcome),
+            Some((cur, _)) if *cur > id => {}
+            other => {
+                let mut totals = Totals::default();
+                totals.record(service_us, outcome);
+                *other = Some((id, totals));
+            }
         }
     }
 
     /// A consistent snapshot; gauges are read alongside the locked
-    /// counters.
+    /// totals.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let inner = self.inner.lock().unwrap();
         let uptime_us = self.now_us();
         MetricsSnapshot {
-            requests: inner.requests,
-            failures: inner.failures,
-            started: self.started.load(Ordering::Relaxed).max(inner.requests),
+            started: self
+                .started
+                .load(Ordering::Relaxed)
+                .max(inner.lifetime.requests()),
             uptime_us,
             now_ms: uptime_us / 1000,
             window_ms: self.window_ms,
@@ -559,53 +584,72 @@ impl Metrics {
             busy_workers: self.busy_workers.load(Ordering::Relaxed),
             workers: self.workers.load(Ordering::Relaxed),
             queue_wait_us: inner.queue_wait_us.clone(),
-            service_us: inner.service_us.clone(),
-            service_ts: inner.service_ts.clone(),
-            error_ts: inner.error_ts.clone(),
-            hit_ts: inner.hit_ts.clone(),
-            miss_ts: inner.miss_ts.clone(),
+            lifetime: inner.lifetime.clone(),
+            ring: inner.ring.clone(),
         }
     }
 }
 
-impl Default for Metrics {
-    fn default() -> Metrics {
-        let d = ServeConfig::default();
-        Metrics::new(d.window_ms, d.windows)
-    }
-}
-
 impl MetricsSnapshot {
-    /// Aggregates over the last `n` rolling windows (capped by the
-    /// windows that have actually elapsed since startup, so rates are
-    /// never diluted by time the daemon has not lived).
+    /// Rolling windows retained.
+    pub fn windows(&self) -> usize {
+        self.ring.len()
+    }
+
+    /// The last `n` windows ending at the current one, oldest first,
+    /// with `None` for a window the ring does not hold (no request
+    /// completed in it, or a newer window took its slot).
+    pub fn series(&self, n: usize) -> Vec<Option<&Totals>> {
+        let cur = self.now_ms / self.window_ms;
+        let oldest = cur.saturating_sub(n.saturating_sub(1) as u64);
+        (oldest..=cur)
+            .map(|id| {
+                let slot = &self.ring[(id % self.ring.len() as u64) as usize];
+                slot.as_ref()
+                    .filter(|(slot_id, _)| *slot_id == id)
+                    .map(|(_, totals)| totals)
+            })
+            .collect()
+    }
+
+    /// Totals over the last `n` windows ending at the current one.
+    pub fn recent(&self, n: usize) -> Totals {
+        let mut sum = Totals::default();
+        for totals in self.series(n).into_iter().flatten() {
+            sum.merge(totals);
+        }
+        sum
+    }
+
+    /// Totals over every window the ring holds.
+    pub fn horizon(&self) -> Totals {
+        let mut sum = Totals::default();
+        for (_, totals) in self.ring.iter().flatten() {
+            sum.merge(totals);
+        }
+        sum
+    }
+
+    /// Aggregates over the last `n` rolling windows, capped by the
+    /// windows that have elapsed since startup (so rates are never
+    /// diluted by time the daemon has not lived) and by the ring.
     pub fn windowed(&self, n: usize) -> Windowed {
         let elapsed_windows = (self.now_ms / self.window_ms) as usize + 1;
-        let covered = n.max(1).min(elapsed_windows);
-        let service = self.service_ts.recent(self.now_ms, covered);
-        let errors = self.error_ts.recent(self.now_ms, covered);
-        let hits = self.hit_ts.recent(self.now_ms, covered).sum;
-        let misses = self.miss_ts.recent(self.now_ms, covered).sum;
+        let covered = n.max(1).min(elapsed_windows).min(self.windows());
+        let t = self.recent(covered);
         let covered_s = covered as f64 * self.window_ms as f64 / 1000.0;
-        let frac = |num: u64, den: u64| {
-            if den == 0 {
-                0.0
-            } else {
-                num as f64 / den as f64
-            }
-        };
         Windowed {
             windows: covered,
             covered_s,
-            requests: service.count,
-            failures: errors.sum,
-            cache_hits: hits,
-            cache_misses: misses,
-            rps: service.count as f64 / covered_s,
-            hit_rate: frac(hits, hits + misses),
-            error_rate: frac(errors.sum, errors.count),
-            p50_us: service.hist.percentile(0.50),
-            p99_us: service.hist.percentile(0.99),
+            requests: t.requests(),
+            failures: t.failures,
+            cache_hits: t.cache_hits,
+            cache_misses: t.cache_misses,
+            rps: t.requests() as f64 / covered_s,
+            hit_rate: frac(t.cache_hits, t.cache_hits + t.cache_misses),
+            error_rate: frac(t.failures, t.requests()),
+            p50_us: t.service_us.percentile(0.50),
+            p99_us: t.service_us.percentile(0.99),
         }
     }
 }
@@ -631,23 +675,16 @@ pub struct SloEval {
     pub violated: bool,
 }
 
-/// Splits a latency histogram at `threshold_us`: samples whose bucket
-/// upper bound is within the threshold are good; a bucket straddling
-/// the threshold counts entirely against the budget (conservative —
-/// see DESIGN.md).
-fn split_latency(hist: &Histogram, threshold_us: u64) -> (u64, u64) {
-    let (mut good, mut bad) = (0u64, 0u64);
-    for (i, &c) in hist.counts().iter().enumerate() {
-        if c == 0 {
-            continue;
-        }
-        if marion_trace::hist::bucket_max(i) <= threshold_us {
-            good += c;
-        } else {
-            bad += c;
-        }
-    }
-    (good, bad)
+/// Requests in a latency histogram over `threshold_us`: a bucket
+/// straddling the threshold counts entirely against the budget
+/// (conservative — see DESIGN.md).
+fn slow_requests(hist: &Histogram, threshold_us: u64) -> u64 {
+    hist.counts()
+        .iter()
+        .enumerate()
+        .filter(|&(i, _)| marion_trace::hist::bucket_max(i) > threshold_us)
+        .map(|(_, &c)| c)
+        .sum()
 }
 
 /// Evaluates objectives against a snapshot's rolling windows: the
@@ -655,42 +692,28 @@ fn split_latency(hist: &Histogram, threshold_us: u64) -> (u64, u64) {
 /// [`SLO_RECENT_WINDOWS`] windows. An empty horizon evaluates to a
 /// clean slate (nothing violated).
 pub fn evaluate_slos(snap: &MetricsSnapshot, slos: &[Slo]) -> Vec<SloEval> {
-    let frac = |bad: u64, total: u64| {
-        if total == 0 {
-            0.0
-        } else {
-            bad as f64 / total as f64
-        }
-    };
+    let horizon = snap.horizon();
+    let recent = snap.recent(SLO_RECENT_WINDOWS);
     slos.iter()
         .map(|slo| {
-            let (bad, total, recent_bad, recent_total, allowed) = match &slo.kind {
-                SloKind::LatencyQuantile { q, threshold_us } => {
-                    let horizon = snap.service_ts.horizon();
-                    let recent = snap.service_ts.recent(snap.now_ms, SLO_RECENT_WINDOWS);
-                    let (good, bad) = split_latency(&horizon.hist, *threshold_us);
-                    let (rgood, rbad) = split_latency(&recent.hist, *threshold_us);
-                    (bad, good + bad, rbad, rgood + rbad, 1.0 - q)
+            let bad_in = |t: &Totals| match slo.kind {
+                SloKind::LatencyQuantile { threshold_us, .. } => {
+                    slow_requests(&t.service_us, threshold_us)
                 }
-                SloKind::ErrorRate { max_rate } => {
-                    let horizon = snap.error_ts.horizon();
-                    let recent = snap.error_ts.recent(snap.now_ms, SLO_RECENT_WINDOWS);
-                    (
-                        horizon.sum,
-                        horizon.count,
-                        recent.sum,
-                        recent.count,
-                        *max_rate,
-                    )
-                }
+                SloKind::ErrorRate { .. } => t.failures,
             };
-            let budget_used = frac(bad, total) / allowed;
+            let allowed = match slo.kind {
+                SloKind::LatencyQuantile { q, .. } => 1.0 - q,
+                SloKind::ErrorRate { max_rate } => max_rate,
+            };
+            let bad = bad_in(&horizon);
+            let budget_used = frac(bad, horizon.requests()) / allowed;
             SloEval {
                 slo: slo.clone(),
                 bad,
-                total,
+                total: horizon.requests(),
                 budget_used,
-                burn_rate: frac(recent_bad, recent_total) / allowed,
+                burn_rate: frac(bad_in(&recent), recent.requests()) / allowed,
                 violated: budget_used > 1.0,
             }
         })
@@ -758,34 +781,21 @@ impl AccessLog {
     }
 }
 
-/// One tail-sampled slow request: the access-log facts plus what a
+/// One tail-sampled slow compile: how it was served plus what a
 /// replay needs, so a latency outlier links to its flamegraph.
 #[derive(Debug, Clone)]
 pub struct Exemplar {
-    /// Server-assigned request id.
-    pub request_id: u64,
-    /// The client's `id` field.
-    pub client_id: i64,
-    /// Target machine.
-    pub machine: String,
-    /// Strategy name.
-    pub strategy: String,
-    /// Functions compiled.
-    pub funcs: u64,
+    /// The request's outcome, its `request_line` taken out into the
+    /// field below.
+    pub outcome: Outcome,
+    /// The request line as received.
+    pub request_line: String,
     /// Queue wait, microseconds.
     pub queue_wait_us: u64,
     /// Service time, microseconds.
     pub service_us: u64,
-    /// Function-level cache hits.
-    pub cache_hits: u64,
-    /// Function-level cache misses.
-    pub cache_misses: u64,
     /// Absolute rolling-window id the request completed in.
     pub window: u64,
-    /// The request line as received.
-    pub request_line: String,
-    /// The statistics the request was served.
-    pub served: Served,
 }
 
 /// What re-running an exemplar's request on a traced compiler with no
@@ -896,6 +906,32 @@ pub struct DashboardData {
     pub cache_hit_rate: Option<f64>,
 }
 
+/// The dashboard's sparklines, one point per rolling window the ring
+/// spans, oldest first (windows it does not hold are zero).
+fn sparklines(snap: &MetricsSnapshot) -> Vec<SeriesView> {
+    let windows = snap.series(snap.windows());
+    let per_window_s = snap.window_ms as f64 / 1000.0;
+    let line = |title: &str, point: &dyn Fn(&Totals) -> f64| SeriesView {
+        title: title.to_string(),
+        points: windows.iter().map(|w| w.map_or(0.0, point)).collect(),
+    };
+    vec![
+        line("requests / s", &|t| t.requests() as f64 / per_window_s),
+        line("service p99 (us)", &|t| {
+            t.service_us.percentile(0.99).unwrap_or(0) as f64
+        }),
+        line("service p50 (us)", &|t| {
+            t.service_us.percentile(0.50).unwrap_or(0) as f64
+        }),
+        line("cache hit rate (%)", &|t| {
+            frac(t.cache_hits, t.cache_hits + t.cache_misses) * 100.0
+        }),
+        line("error rate (%)", &|t| {
+            frac(t.failures, t.requests()) * 100.0
+        }),
+    ]
+}
+
 /// The compile service: compilers are built once and shared, parsed
 /// modules are kept (float constants already materialised) for the
 /// [`MODULE_CAPACITY`] most recently used workloads and sources, and
@@ -911,7 +947,6 @@ pub struct Service {
     metrics: Metrics,
     exemplars_on: bool,
     slos: Vec<Slo>,
-    next_request_id: AtomicU64,
     access: Option<Mutex<AccessLog>>,
     tail: Mutex<TailSampler>,
 }
@@ -950,7 +985,6 @@ impl Service {
             metrics: Metrics::new(config.window_ms, config.windows),
             exemplars_on: config.exemplars,
             slos: config.slos.clone(),
-            next_request_id: AtomicU64::new(0),
             access,
             tail: Mutex::new(TailSampler::new(config.tail_k, config.window_ms)),
         })
@@ -971,8 +1005,8 @@ impl Service {
         &self.slos
     }
 
-    /// Records a completed request everywhere at once: metrics (and
-    /// time series), one access-log line, and — when the outcome
+    /// Records a completed request everywhere at once: metrics (its
+    /// lifetime and window totals), one access-log line, and — when the outcome
     /// carries a request line — the tail sampler. [`run_stream`] calls this
     /// exactly once per request, which is what makes "access-log lines
     /// == requests served" exact.
@@ -1007,18 +1041,11 @@ impl Service {
                 self.tail.lock().unwrap().offer(
                     now_us / 1000,
                     Exemplar {
-                        request_id: outcome.request_id,
-                        client_id: outcome.client_id,
-                        machine: outcome.machine.clone(),
-                        strategy: outcome.strategy.clone(),
-                        funcs: outcome.funcs,
+                        outcome: outcome.clone(),
+                        request_line,
                         queue_wait_us,
                         service_us,
-                        cache_hits: outcome.cache_hits,
-                        cache_misses: outcome.cache_misses,
                         window: 0, // set by offer
-                        request_line,
-                        served: outcome.served,
                     },
                 );
             }
@@ -1044,66 +1071,7 @@ impl Service {
             })
             .collect();
         let cache_hit_rate = self.cache.as_ref().map(|c| c.stats().hit_rate());
-        let n = snap.service_ts.num_windows();
-        let service: Vec<_> = snap.service_ts.series(snap.now_ms, n);
-        let errors: Vec<_> = snap.error_ts.series(snap.now_ms, n);
-        let hits: Vec<_> = snap.hit_ts.series(snap.now_ms, n);
-        let misses: Vec<_> = snap.miss_ts.series(snap.now_ms, n);
-        let per_window_s = snap.window_ms as f64 / 1000.0;
-        let series = vec![
-            SeriesView {
-                title: "requests / s".to_string(),
-                points: service
-                    .iter()
-                    .map(|(_, w)| w.map_or(0.0, |w| w.count as f64 / per_window_s))
-                    .collect(),
-            },
-            SeriesView {
-                title: "service p99 (us)".to_string(),
-                points: service
-                    .iter()
-                    .map(|(_, w)| w.and_then(|w| w.hist.percentile(0.99)).unwrap_or(0) as f64)
-                    .collect(),
-            },
-            SeriesView {
-                title: "service p50 (us)".to_string(),
-                points: service
-                    .iter()
-                    .map(|(_, w)| w.and_then(|w| w.hist.percentile(0.50)).unwrap_or(0) as f64)
-                    .collect(),
-            },
-            SeriesView {
-                title: "cache hit rate (%)".to_string(),
-                points: hits
-                    .iter()
-                    .zip(&misses)
-                    .map(|((_, h), (_, m))| {
-                        let h = h.map_or(0, |w| w.sum);
-                        let m = m.map_or(0, |w| w.sum);
-                        if h + m == 0 {
-                            0.0
-                        } else {
-                            h as f64 / (h + m) as f64 * 100.0
-                        }
-                    })
-                    .collect(),
-            },
-            SeriesView {
-                title: "error rate (%)".to_string(),
-                points: errors
-                    .iter()
-                    .map(|(_, w)| {
-                        w.map_or(0.0, |w| {
-                            if w.count == 0 {
-                                0.0
-                            } else {
-                                w.sum as f64 / w.count as f64 * 100.0
-                            }
-                        })
-                    })
-                    .collect(),
-            },
-        ];
+        let series = sparklines(&snap);
         DashboardData {
             snap,
             windowed,
@@ -1151,7 +1119,7 @@ impl Service {
         });
         match compiled {
             Err(e) => Replay::Failed(e.clone()),
-            Ok(program) if Served::of(&program.stats) != ex.served => {
+            Ok(program) if Served::of(&program.stats) != ex.outcome.served => {
                 Replay::Diverged(Served::of(&program.stats))
             }
             Ok(program) => Replay::Reproduced(program.trace.clone().unwrap_or_default()),
@@ -1217,8 +1185,7 @@ impl Service {
     /// its accounting. Assigns the stable `request_id` echoed in every
     /// response.
     pub fn handle_line(&self, line: &str) -> (String, Outcome) {
-        let rid = self.next_request_id.fetch_add(1, Ordering::Relaxed) + 1;
-        self.metrics.started.fetch_add(1, Ordering::Relaxed);
+        let rid = self.metrics.started.fetch_add(1, Ordering::Relaxed) + 1;
         let req = match parse_request(line) {
             Ok(req) => req,
             Err(e) => {
@@ -1353,18 +1320,16 @@ impl Service {
         obj.int("ok", 1);
         obj.int("format_version", METRICS_FORMAT_VERSION);
         obj.float("uptime_s", snap.uptime_us as f64 / 1e6);
-        obj.int("requests", snap.requests as i64);
-        obj.int("failures", snap.failures as i64);
+        let requests = snap.lifetime.requests();
+        obj.int("requests", requests as i64);
+        obj.int("failures", snap.lifetime.failures as i64);
         obj.int("started_requests", snap.started as i64);
-        obj.int(
-            "in_flight",
-            snap.started.saturating_sub(snap.requests) as i64,
-        );
+        obj.int("in_flight", snap.started.saturating_sub(requests) as i64);
         obj.int("queue_depth", snap.queue_depth);
         obj.int("busy_workers", snap.busy_workers);
         obj.int("workers", snap.workers);
         obj.int("window_ms", snap.window_ms as i64);
-        obj.int("windows", snap.service_ts.num_windows() as i64);
+        obj.int("windows", snap.windows() as i64);
         obj.int("win_windows", win.windows as i64);
         obj.float("win_covered_s", win.covered_s);
         obj.int("win_requests", win.requests as i64);
@@ -1377,7 +1342,7 @@ impl Service {
         if let Some(p) = win.p99_us {
             obj.int("win_p99_us", i64::try_from(p).unwrap_or(i64::MAX));
         }
-        write_hist(&mut obj, "service", &snap.service_us);
+        write_hist(&mut obj, "service", &snap.lifetime.service_us);
         write_hist(&mut obj, "queue_wait", &snap.queue_wait_us);
         if let Some(cache) = &self.cache {
             let stats = cache.stats();
@@ -1872,9 +1837,8 @@ mod tests {
         // After the stream drains, the cumulative snapshot agrees with
         // the stream accounting and the invariant still holds.
         let snap = service.metrics().snapshot();
-        assert_eq!(snap.requests, 6);
-        assert_eq!(snap.service_us.count(), snap.requests);
-        assert_eq!(snap.queue_wait_us.count(), snap.requests);
+        assert_eq!(snap.lifetime.requests(), 6);
+        assert_eq!(snap.queue_wait_us.count(), 6);
         assert_eq!(snap.queue_depth, 0);
         assert_eq!(snap.busy_workers, 0);
     }
@@ -1920,8 +1884,7 @@ mod tests {
         assert_eq!(probes, 8);
         assert_eq!(stats.requests, 24);
         let snap = service.metrics().snapshot();
-        assert_eq!(snap.requests, 24);
-        assert_eq!(snap.service_us.count(), 24);
+        assert_eq!(snap.lifetime.requests(), 24);
     }
 
     #[test]
@@ -2155,41 +2118,50 @@ mod tests {
     #[test]
     fn tail_sampler_keeps_k_slowest_per_window() {
         let ex = |rid: u64, service_us: u64| Exemplar {
-            request_id: rid,
-            client_id: rid as i64,
-            machine: "toyp".to_string(),
-            strategy: "Postpass".to_string(),
-            funcs: 1,
+            outcome: outcome(rid, rid as i64, "compile"),
+            request_line: String::new(),
             queue_wait_us: 0,
             service_us,
-            cache_hits: 0,
-            cache_misses: 1,
             window: 0,
-            request_line: String::new(),
-            served: Served::default(),
         };
         let mut sampler = TailSampler::new(2, 1000);
         for (rid, us) in [(1, 5), (2, 50), (3, 20), (4, 40)] {
             sampler.offer(100, ex(rid, us));
         }
-        let kept: Vec<u64> = sampler.exemplars().iter().map(|e| e.request_id).collect();
+        let kept: Vec<u64> = sampler
+            .exemplars()
+            .iter()
+            .map(|e| e.outcome.request_id)
+            .collect();
         assert_eq!(kept, [2, 4], "k slowest, slowest first");
         // A new window keeps the previous survivors around.
         sampler.offer(1500, ex(5, 7));
-        let kept: Vec<u64> = sampler.exemplars().iter().map(|e| e.request_id).collect();
+        let kept: Vec<u64> = sampler
+            .exemplars()
+            .iter()
+            .map(|e| e.outcome.request_id)
+            .collect();
         assert_eq!(kept, [2, 4, 5]);
         assert_eq!(sampler.exemplars()[2].window, 1);
         // Retention counts non-empty windows, so survivors outlive idle
         // gaps; only the oldest groups fall off the back.
         sampler.offer(1000 * (2 + TAIL_KEEP_WINDOWS as u64 + 2), ex(6, 1));
-        let kept: Vec<u64> = sampler.exemplars().iter().map(|e| e.request_id).collect();
+        let kept: Vec<u64> = sampler
+            .exemplars()
+            .iter()
+            .map(|e| e.outcome.request_id)
+            .collect();
         assert!(kept.contains(&6));
         assert_eq!(kept.len(), 4, "both earlier windows still retained");
         for _ in 0..TAIL_KEEP_WINDOWS as u64 {
             let w = sampler.cur_window + 1;
             sampler.offer(1000 * w, ex(100 + w, 1));
         }
-        let kept: Vec<u64> = sampler.exemplars().iter().map(|e| e.request_id).collect();
+        let kept: Vec<u64> = sampler
+            .exemplars()
+            .iter()
+            .map(|e| e.outcome.request_id)
+            .collect();
         assert!(
             !kept.contains(&2) && !kept.contains(&4),
             "window 0 aged out after {TAIL_KEEP_WINDOWS} newer non-empty windows: {kept:?}"
@@ -2268,7 +2240,7 @@ mod tests {
             assert!(
                 matches!(replay, Replay::Reproduced(_)),
                 "r{}",
-                ex.request_id
+                ex.outcome.request_id
             );
         }
         assert_eq!(replays.len(), 2, "one replay per distinct compile");
@@ -2279,7 +2251,7 @@ mod tests {
             data.exemplars
                 .iter()
                 .find_map(|(ex, replay)| match replay {
-                    Replay::Reproduced(trace) if ex.request_id == rid => Some(trace),
+                    Replay::Reproduced(trace) if ex.outcome.request_id == rid => Some(trace),
                     _ => None,
                 })
                 .unwrap_or_else(|| panic!("r{rid} reproduced"))
@@ -2299,7 +2271,7 @@ mod tests {
             Replay::Reproduced(_)
         ));
         // Record one instruction more than was really served.
-        service.tail.lock().unwrap().cur[0].served.insts += 1;
+        service.tail.lock().unwrap().cur[0].outcome.served.insts += 1;
         let (lines, _) = respond(&service, "{\"id\":2,\"cmd\":\"dashboard\"}\n", 1);
         let html = field(&lines[0], "html").unwrap();
         let html = html.as_str().unwrap();
@@ -2310,7 +2282,7 @@ mod tests {
         );
         let doctored = service.tail.lock().unwrap().cur[0].clone();
         assert!(
-            matches!(service.replay(&doctored, &mut HashMap::new()), Replay::Diverged(s) if s == ex.served)
+            matches!(service.replay(&doctored, &mut HashMap::new()), Replay::Diverged(s) if s == ex.outcome.served)
         );
         // A request that no longer compiles is shown as failed.
         let broken = Exemplar {
@@ -2476,6 +2448,119 @@ mod tests {
             est < 2 * true_p99,
             "estimate {est} not within 2x of {true_p99}"
         );
+    }
+
+    /// A snapshot of `metrics` as of `now_ms`.
+    fn snapshot_at(metrics: &Metrics, now_ms: u64) -> MetricsSnapshot {
+        let mut snap = metrics.snapshot();
+        snap.now_ms = now_ms;
+        snap
+    }
+
+    /// A ring of 4 windows of 10 ms, with one request of `service_us`
+    /// recorded at each `(now_ms, service_us)`.
+    fn ring(samples: &[(u64, u64)]) -> Metrics {
+        let metrics = Metrics::new(10, 4);
+        for &(now_ms, service_us) in samples {
+            metrics.record_at(now_ms, 0, service_us, &outcome(0, 0, "compile"));
+        }
+        metrics
+    }
+
+    /// `(requests, Σ service_us)` of each window.
+    fn shape(windows: &[Option<&Totals>]) -> Vec<Option<(u64, u64)>> {
+        windows
+            .iter()
+            .map(|w| w.map(|t| (t.requests(), t.service_us.sum())))
+            .collect()
+    }
+
+    #[test]
+    fn requests_land_in_their_window() {
+        let snap = snapshot_at(&ring(&[(0, 5), (9, 7), (10, 100), (35, 1)]), 35);
+        assert_eq!(
+            shape(&snap.series(4)),
+            [Some((2, 12)), Some((1, 100)), None, Some((1, 1))]
+        );
+    }
+
+    #[test]
+    fn a_reused_slot_drops_late_requests_which_the_lifetime_still_counts() {
+        // Window 4 takes window 0's slot; a late request for window 0
+        // is then dropped from the ring, not folded into window 4.
+        let metrics = ring(&[(0, 1), (45, 2)]);
+        metrics.record_at(5, 0, 99, &outcome(0, 0, "compile"));
+        let snap = snapshot_at(&metrics, 45);
+        assert_eq!(
+            shape(&snap.series(5)),
+            [None, None, None, None, Some((1, 2))]
+        );
+        assert_eq!(shape(&[Some(&snap.horizon())]), [Some((1, 2))]);
+        assert_eq!(shape(&[Some(&snap.lifetime)]), [Some((3, 102))]);
+    }
+
+    #[test]
+    fn recent_and_horizon_sum_their_windows() {
+        let snap = snapshot_at(&ring(&[(0, 1), (11, 2), (22, 4), (35, 8)]), 35);
+        assert_eq!(shape(&[Some(&snap.recent(2))]), [Some((2, 12))]);
+        assert_eq!(shape(&[Some(&snap.recent(1))]), [Some((1, 8))]);
+        // Nothing fell out of the ring, so it holds the lifetime.
+        assert_eq!(snap.horizon(), snap.lifetime);
+        assert_eq!(snap.lifetime.requests(), 4);
+    }
+
+    #[test]
+    fn series_has_a_fixed_shape_with_gaps_as_none() {
+        let snap = snapshot_at(&ring(&[(0, 1), (25, 4)]), 35);
+        assert_eq!(
+            shape(&snap.series(4)),
+            [Some((1, 1)), None, Some((1, 4)), None]
+        );
+        assert_eq!(snap.series(1), [None], "current window empty");
+    }
+
+    #[test]
+    fn windowed_span_never_exceeds_the_ring() {
+        // One request with 5 hits at 0 s, one with none at 4 s.
+        let record = |metrics: &Metrics| {
+            let mut hit = outcome(1, 1, "compile");
+            hit.cache_hits = 5;
+            metrics.record_at(0, 0, 100, &hit);
+            metrics.record_at(4000, 0, 100, &outcome(2, 2, "compile"));
+        };
+        let short = Metrics::new(1000, 4);
+        record(&short);
+        let win = snapshot_at(&short, 4000).windowed(SLO_RECENT_WINDOWS);
+        assert_eq!((win.windows, win.covered_s, win.rps), (4, 4.0, 0.25));
+        assert_eq!((win.requests, win.cache_hits, win.hit_rate), (1, 0, 0.0));
+        // The default ring holds both windows and covers all 5 s.
+        let long = Metrics::new(1000, 60);
+        record(&long);
+        let win = snapshot_at(&long, 4000).windowed(SLO_RECENT_WINDOWS);
+        assert_eq!((win.windows, win.covered_s, win.rps), (5, 5.0, 0.4));
+        assert_eq!((win.requests, win.cache_hits, win.hit_rate), (2, 5, 1.0));
+    }
+
+    #[test]
+    fn windowed_hits_belong_to_the_requests_it_counts() {
+        // A ring shorter than SLO_RECENT_WINDOWS; every other run of
+        // three windows has no cache traffic.
+        let metrics = Metrics::new(1000, 4);
+        let mut served: Vec<(u64, u64)> = Vec::new(); // (window, hits)
+        for w in 0..16u64 {
+            let mut out = outcome(w + 1, 0, "compile");
+            out.cache_hits = if (w / 3) % 2 == 0 { 5 } else { 0 };
+            metrics.record_at(w * 1000, 0, 100, &out);
+            served.push((w, out.cache_hits));
+            let win = snapshot_at(&metrics, w * 1000).windowed(SLO_RECENT_WINDOWS);
+            let counted: Vec<u64> = served
+                .iter()
+                .filter(|(sw, _)| sw + win.windows as u64 > w)
+                .map(|&(_, hits)| hits)
+                .collect();
+            assert_eq!(win.requests, counted.len() as u64, "window {w}");
+            assert_eq!(win.cache_hits, counted.iter().sum::<u64>(), "window {w}");
+        }
     }
 
     #[test]

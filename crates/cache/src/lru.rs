@@ -64,7 +64,7 @@ const DEFAULT_SHARDS: usize = 16;
 
 impl<V: Clone> ShardedCache<V> {
     /// A cache holding at most `capacity` entries across
-    /// [`DEFAULT_SHARDS`] shards (per-shard capacity rounds up, so the
+    /// `DEFAULT_SHARDS` (16) shards (per-shard capacity rounds up, so the
     /// effective total may slightly exceed `capacity`).
     pub fn new(capacity: usize) -> ShardedCache<V> {
         ShardedCache::with_shards(capacity, DEFAULT_SHARDS)

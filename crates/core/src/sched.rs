@@ -148,7 +148,7 @@ pub struct SchedMetrics {
     /// more.
     pub cycles_stepped: usize,
     /// Ready instructions the pick scans examined, one per
-    /// [`SchedState::blocker`] call (0 for the serial scheduler).
+    /// `SchedState::blocker` call (0 for the serial scheduler).
     pub candidates_probed: usize,
 }
 

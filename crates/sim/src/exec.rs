@@ -6,9 +6,9 @@
 //! word reads pre-word state and commits afterwards (EAP tick
 //! semantics).
 //!
-//! Semantics are compiled once per template into a postfix [`Code`]
+//! Semantics are compiled once per template into a postfix `Code`
 //! program over a small value stack, with latch names resolved to ids;
-//! operands are decoded once per sub-operation into [`Opnd`]s. A
+//! operands are decoded once per sub-operation into `Opnd`s. A
 //! problem found while decoding (an unplaceable symbol, an unknown
 //! latch) becomes a fault that fires only if the instruction executes.
 

@@ -9,11 +9,9 @@
 //!
 //! A live tracer accumulates [`Record`]s; [`Tracer::finish`] folds the
 //! counter map into the record stream and yields a [`TraceData`],
-//! which can be rendered as a human-readable report
-//! ([`TraceData::render_text`]) or serialised as JSON Lines
-//! ([`TraceData::to_jsonl`]) for downstream aggregation by
-//! `marion-report`. [`TraceData::parse_jsonl`] round-trips the JSONL
-//! form.
+//! which serialises as JSON Lines ([`TraceData::to_jsonl`]) for
+//! `marion-report` to aggregate and render.
+//! [`TraceData::parse_jsonl`] round-trips the JSONL form.
 //!
 //! Spans nest: the guard returned by [`Tracer::span`] records its
 //! start eagerly (so records appear in begin order) and fills in the
@@ -41,10 +39,8 @@ use std::time::Instant;
 
 pub mod hist;
 pub mod json;
-pub mod timeseries;
 
 pub use hist::Histogram;
-pub use timeseries::{TimeSeries, WindowStats};
 
 /// What the tracer should collect beyond the always-on spans,
 /// counters and events.
@@ -643,30 +639,6 @@ impl TraceData {
         })
     }
 
-    /// All histograms named `name`, with their contexts, in record
-    /// order.
-    pub fn hists_named(&self, name: &str) -> Vec<(&str, &Histogram)> {
-        self.records
-            .iter()
-            .filter_map(|r| match r {
-                Record::Hist { name: n, ctx, hist } if n == name => {
-                    Some((ctx.as_str(), hist.as_ref()))
-                }
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// Merge of every histogram named `name` across all contexts
-    /// (empty when none was recorded).
-    pub fn hist_total(&self, name: &str) -> Histogram {
-        let mut total = Histogram::new();
-        for (_, h) in self.hists_named(name) {
-            total.merge(h);
-        }
-        total
-    }
-
     /// All profile nodes, in record order: `(path, count, total_us,
     /// child_us)`.
     pub fn profs(&self) -> Vec<(&str, u64, u64, u64)> {
@@ -800,112 +772,6 @@ impl TraceData {
             }
             self.records.push(record);
         }
-    }
-
-    /// Human-readable report: span tree (indented by depth), counter
-    /// table, then events.
-    pub fn render_text(&self) -> String {
-        let mut out = String::new();
-        let spans: Vec<_> = self
-            .records
-            .iter()
-            .filter(|r| matches!(r, Record::Span { .. }))
-            .collect();
-        if !spans.is_empty() {
-            out.push_str("spans (us):\n");
-            for r in spans {
-                if let Record::Span {
-                    name,
-                    ctx,
-                    depth,
-                    dur_us,
-                    ..
-                } = r
-                {
-                    let indent = "  ".repeat(*depth as usize + 1);
-                    out.push_str(&format!("{indent}{name:<24} {dur_us:>10}  [{ctx}]\n"));
-                }
-            }
-        }
-        let counters: Vec<_> = self
-            .records
-            .iter()
-            .filter(|r| matches!(r, Record::Counter { .. }))
-            .collect();
-        if !counters.is_empty() {
-            out.push_str("counters:\n");
-            for r in counters {
-                if let Record::Counter { name, ctx, value } = r {
-                    out.push_str(&format!("  {name:<28} {value:>12}  [{ctx}]\n"));
-                }
-            }
-        }
-        let hists: Vec<_> = self
-            .records
-            .iter()
-            .filter(|r| matches!(r, Record::Hist { .. }))
-            .collect();
-        if !hists.is_empty() {
-            out.push_str("histograms (log2 buckets):\n");
-            for r in hists {
-                if let Record::Hist { name, ctx, hist } = r {
-                    out.push_str(&format!("  {name:<28} {}  [{ctx}]\n", hist.summarize()));
-                }
-            }
-        }
-        let gauges: Vec<_> = self
-            .records
-            .iter()
-            .filter(|r| matches!(r, Record::Gauge { .. }))
-            .collect();
-        if !gauges.is_empty() {
-            out.push_str("gauges:\n");
-            for r in gauges {
-                if let Record::Gauge { name, ctx, value } = r {
-                    out.push_str(&format!("  {name:<28} {value:>12}  [{ctx}]\n"));
-                }
-            }
-        }
-        let profs = self.profs();
-        if !profs.is_empty() {
-            out.push_str("profile (self us = total - child):\n");
-            for (path, count, total_us, child_us) in profs {
-                let depth = path.matches('/').count();
-                let indent = "  ".repeat(depth + 1);
-                let self_us = total_us.saturating_sub(child_us);
-                let name = path.rsplit('/').next().unwrap_or(path);
-                out.push_str(&format!(
-                    "{indent}{name:<24} total {total_us:>10}  self {self_us:>10}  x{count}\n"
-                ));
-            }
-        }
-        let events: Vec<_> = self
-            .records
-            .iter()
-            .filter(|r| matches!(r, Record::Event { .. }))
-            .collect();
-        if !events.is_empty() {
-            out.push_str("events:\n");
-            for r in events {
-                if let Record::Event { name, ctx, fields } = r {
-                    out.push_str(&format!("  {name} [{ctx}]\n"));
-                    for (k, v) in fields {
-                        match v {
-                            Value::Str(s) if s.contains('\n') => {
-                                out.push_str(&format!("    {k}:\n"));
-                                for line in s.lines() {
-                                    out.push_str(&format!("      {line}\n"));
-                                }
-                            }
-                            Value::Str(s) => out.push_str(&format!("    {k}: {s}\n")),
-                            Value::Int(i) => out.push_str(&format!("    {k}: {i}\n")),
-                            Value::Float(f) => out.push_str(&format!("    {k}: {f}\n")),
-                        }
-                    }
-                }
-            }
-        }
-        out
     }
 
     /// Serialise as JSON Lines: one flat object per record, with a
@@ -1182,21 +1048,6 @@ mod tests {
     }
 
     #[test]
-    fn render_text_mentions_everything() {
-        let tracer = Tracer::new(TraceConfig::default());
-        {
-            let _g = tracer.span("m/f", "compile");
-        }
-        tracer.add("m/f", "spills", 1);
-        tracer.event("m/f", "note", &[("detail", Value::Str("hi".into()))]);
-        let text = tracer.finish().unwrap().render_text();
-        assert!(text.contains("compile"));
-        assert!(text.contains("spills"));
-        assert!(text.contains("note"));
-        assert!(text.contains("detail: hi"));
-    }
-
-    #[test]
     fn merge_sums_duplicate_counters() {
         let mk = |spills: i64, insts: i64| {
             let t = Tracer::new(TraceConfig::default());
@@ -1248,7 +1099,6 @@ mod tests {
         let data = tracer.finish().unwrap();
         assert_eq!(data.gauge("serve", "queue_depth"), Some(4));
         assert_eq!(data.hist("m/f", "service_us").unwrap().count(), 3);
-        assert_eq!(data.hist_total("service_us").count(), 4);
         let parsed = TraceData::parse_jsonl(&data.to_jsonl()).unwrap();
         assert_eq!(parsed, data, "JSONL round-trip is the identity");
     }
@@ -1281,18 +1131,6 @@ mod tests {
             merged.hist("m/f", "wait_us")
         );
         assert_eq!(other_way.gauge("serve", "queue_depth"), Some(9));
-    }
-
-    #[test]
-    fn render_text_mentions_hists_and_gauges() {
-        let tracer = Tracer::new(TraceConfig::default());
-        tracer.observe("m/f", "wait_us", 100);
-        tracer.gauge("serve", "queue_depth", 5);
-        let text = tracer.finish().unwrap().render_text();
-        assert!(text.contains("histograms"), "{text}");
-        assert!(text.contains("wait_us"), "{text}");
-        assert!(text.contains("gauges:"), "{text}");
-        assert!(text.contains("queue_depth"), "{text}");
     }
 
     #[test]
