@@ -27,8 +27,11 @@ cargo run --release --offline -q -p marion-bench --bin marion-explain -- --demo 
 echo "==> selection cross-check (indexed == brute-force reference machine on every machine x workload x strategy)"
 cargo run --release --offline -q -p marion-bench --bin marion-bench -- crosscheck
 
-echo "==> compile bench smoke (single iteration, writes BENCH_compile_smoke.json)"
-cargo run --release --offline -q -p marion-bench --bin marion-bench -- compile --smoke --out BENCH_compile_smoke.json
+# Medians of 5 iterations, like the committed baseline: a single
+# iteration of a sub-millisecond phase reads one preemption as a 5-60x
+# slowdown and trips the 300 % gate below.
+echo "==> compile bench (median of 5 iterations, writes BENCH_compile_smoke.json)"
+cargo run --release --offline -q -p marion-bench --bin marion-bench -- compile --iters 5 --out BENCH_compile_smoke.json
 
 echo "==> quality bench smoke (writes BENCH_quality_smoke.json)"
 cargo run --release --offline -q -p marion-bench --bin marion-bench -- quality --smoke --out BENCH_quality_smoke.json

@@ -9,12 +9,13 @@
 //! 3. **Caches** — run with caches disabled: actual cycles collapse
 //!    toward the estimates, confirming where the Table 4 ratios above
 //!    1.0 come from.
+//! 4. **The IPS local-register limit** — prepass schedule estimates
+//!    and peak local pressure of one kernel as the limit grows: the
+//!    scheduling/allocation tension RASE exists to balance.
 
 use marion_bench::outln;
 use marion_bench::{geomean, measure, row};
-use marion_core::{
-    dag::build_dag, regalloc::allocate, sched, select::select_func, Compiler, StrategyKind,
-};
+use marion_core::{dag::build_dag, sched, select::select_func, Compiler, StrategyKind};
 use marion_sim::{run_program, SimConfig};
 
 fn main() {
@@ -206,7 +207,6 @@ fn main() {
     let mut f = f;
     marion_core::glue::apply_glue(&spec.machine, &mut f).unwrap();
     let code = select_func(&spec.machine, &spec.escapes, &module, &f).unwrap();
-    let _ = allocate; // (allocation not needed for the prepass sweep)
     for limit in [2usize, 4, 6, 8, 12, 16, 24] {
         let mut est = 0u64;
         let mut peak = 0usize;

@@ -3,7 +3,7 @@
 //!
 //! Subcommands:
 //!
-//! * `compile [--smoke] [--iters K] [--out PATH]` — times end-to-end
+//! * `compile [--iters K] [--out PATH]` — times end-to-end
 //!   compilation of the multi-function Livermore and generated suites
 //!   on every bundled machine, comparing serial brute-force selection
 //!   (through `Machine::brute_force_reference`), serial indexed
@@ -54,8 +54,6 @@ use marion_trace::{Fields, Record, TraceConfig};
 use std::num::NonZeroUsize;
 use std::time::Instant;
 
-const PHASES: [&str; 5] = ["glue", "select", "strategy", "emit", "fill_delay_slots"];
-
 /// Strategy-interior micro-spans, plus the IPS strategy's two
 /// scheduling passes, whose self time (total minus nested children)
 /// lands in `BENCH_compile.json` as `subphase_self_ms`, so the perf
@@ -99,13 +97,11 @@ fn main() {
     let cmd = args.first().map(String::as_str).unwrap_or("");
     match cmd {
         "compile" => {
-            let mut smoke = false;
             let mut iters: usize = 5;
             let mut out = "BENCH_compile.json".to_string();
             let mut i = 1;
             while i < args.len() {
                 match args[i].as_str() {
-                    "--smoke" => smoke = true,
                     "--iters" => {
                         i += 1;
                         iters = args[i].parse().expect("--iters takes a number");
@@ -120,9 +116,6 @@ fn main() {
                     }
                 }
                 i += 1;
-            }
-            if smoke {
-                iters = 1;
             }
             bench_compile(iters, &out);
         }
@@ -219,7 +212,7 @@ fn main() {
         }
         _ => {
             eprintln!(
-                "usage: marion-bench <compile [--smoke] [--iters K] [--out PATH] \
+                "usage: marion-bench <compile [--iters K] [--out PATH] \
                  | crosscheck | serve [--smoke] [--out PATH] \
                  | quality [--smoke] [--out PATH] \
                  | diff OLD.json NEW.json [--tolerance PCT]>"
@@ -258,12 +251,14 @@ fn time_compile(spec: &MachineSpec, module: &Module, jobs: usize, iters: usize) 
 }
 
 /// Per-phase wall-time split and per-subphase self-time split
-/// (milliseconds), both medians over `iters` traced runs. Phases come
-/// from their trace spans summed per run; subphases from the profile
-/// trie (`Record::Prof`), self time = total minus nested children,
-/// summed across every trie path ending in the subphase name.
+/// (milliseconds), both medians over `iters` traced runs. Phases are
+/// the driver's spans directly under each `compile_func` (depth 2 of a
+/// serial compile), summed per run, in first-seen order; subphases
+/// come from the profile trie (`Record::Prof`), self time = total
+/// minus nested children, summed across every trie path ending in the
+/// subphase name.
 /// Per-phase and per-subphase `(name, milliseconds)` splits.
-type PhaseSplits = (Vec<(&'static str, f64)>, Vec<(&'static str, f64)>);
+type PhaseSplits = (Vec<(String, f64)>, Vec<(&'static str, f64)>);
 
 fn phase_split(spec: &MachineSpec, module: &Module, iters: usize) -> PhaseSplits {
     let opts = CompileOptions {
@@ -276,56 +271,64 @@ fn phase_split(spec: &MachineSpec, module: &Module, iters: usize) -> PhaseSplits
         StrategyKind::Ips,
         opts,
     );
-    let mut per_phase: Vec<Vec<f64>> = vec![Vec::new(); PHASES.len()];
+    let mut per_phase: Vec<(String, Vec<f64>)> = Vec::new();
     let mut per_sub: Vec<Vec<f64>> = vec![Vec::new(); SUBPHASES.len()];
     for _ in 0..iters {
         let program = compiler
             .compile_module(module)
             .unwrap_or_else(|e| panic!("{}: {e}", spec.machine.name()));
         let trace = program.trace.expect("trace was requested");
-        for (pi, phase) in PHASES.iter().enumerate() {
-            let total_us: u64 = trace
-                .spans_named(phase)
-                .iter()
-                .filter_map(|r| match r {
-                    Record::Span { dur_us, .. } => Some(*dur_us),
-                    _ => None,
-                })
-                .sum();
-            per_phase[pi].push(total_us as f64 / 1e3);
-        }
+        let mut phase_us: Vec<(&str, u64)> = Vec::new();
         let mut self_us = vec![0u64; SUBPHASES.len()];
         for r in &trace.records {
-            if let Record::Prof {
-                path,
-                total_us,
-                child_us,
-                ..
-            } = r
-            {
-                let leaf = path.rsplit('/').next().unwrap_or(path);
-                if let Some(si) = SUBPHASES.iter().position(|s| *s == leaf) {
-                    self_us[si] += total_us.saturating_sub(*child_us);
+            match r {
+                Record::Span {
+                    name,
+                    depth: 2,
+                    dur_us,
+                    ..
+                } => match phase_us.iter_mut().find(|(phase, _)| phase == name) {
+                    Some((_, us)) => *us += dur_us,
+                    None => phase_us.push((name, *dur_us)),
+                },
+                Record::Prof {
+                    path,
+                    total_us,
+                    child_us,
+                    ..
+                } => {
+                    let leaf = path.rsplit('/').next().unwrap_or(path);
+                    if let Some(si) = SUBPHASES.iter().position(|s| *s == leaf) {
+                        self_us[si] += total_us.saturating_sub(*child_us);
+                    }
                 }
+                _ => {}
             }
+        }
+        for (pi, (phase, us)) in phase_us.into_iter().enumerate() {
+            if pi == per_phase.len() {
+                per_phase.push((phase.to_owned(), Vec::new()));
+            }
+            per_phase[pi].1.push(us as f64 / 1e3);
         }
         for (si, us) in self_us.into_iter().enumerate() {
             per_sub[si].push(us as f64 / 1e3);
         }
     }
-    let median = |names: &[&'static str], mut cols: Vec<Vec<f64>>| {
-        names
-            .iter()
-            .zip(cols.iter_mut())
-            .map(|(name, times)| {
-                times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-                (*name, times[times.len() / 2])
-            })
-            .collect::<Vec<_>>()
+    let median = |mut times: Vec<f64>| {
+        times.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        times[times.len() / 2]
     };
     (
-        median(&PHASES[..], per_phase),
-        median(&SUBPHASES[..], per_sub),
+        per_phase
+            .into_iter()
+            .map(|(phase, times)| (phase, median(times)))
+            .collect(),
+        SUBPHASES
+            .iter()
+            .zip(per_sub)
+            .map(|(sub, times)| (*sub, median(times)))
+            .collect(),
     )
 }
 
@@ -337,7 +340,7 @@ struct Row {
     serial_indexed_ms: f64,
     parallel4_ms: f64,
     /// Per-phase split of a serial indexed run (trace spans).
-    phases: Vec<(&'static str, f64)>,
+    phases: Vec<(String, f64)>,
     /// Per-subphase self-time of the same run (profile trie).
     subphases: Vec<(&'static str, f64)>,
     /// The select phase alone on the brute-force reference machine

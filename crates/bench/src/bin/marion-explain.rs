@@ -1,27 +1,33 @@
 //! marion-explain — why did the scheduler do that?
 //!
-//! Compiles a source file for one bundled machine, then prints a
-//! per-block cycle-by-cycle narrative of the schedule: what issued
+//! Compiles a source file for one bundled machine under one strategy
+//! (Postpass unless `--strategy` names another), then prints a
+//! per-block cycle-by-cycle narrative of each final schedule: what issued
 //! each cycle, what was ready but stalled (and on which dependence
 //! edge, resource, packing class, temporal clock or pressure limit it
 //! waited), each instruction's ready/earliest/issue cycles, the
 //! per-reason stall histogram, the DAG critical path, and — after the
 //! blocks — the delay-slot fill provenance (which instruction moved
-//! into which branch's slot, per §4.4). The placement records come
-//! from `sched::explain_schedule`, which re-runs the scheduler with
-//! recording on; every replay is re-audited with `audit_schedule`, an
-//! independent legality checker that also validates the recorded
-//! provenance — the tool refuses to explain a schedule it cannot
-//! prove.
+//! into which branch's slot, per §4.4). Each function is compiled by
+//! `Compiler::compile_func`, the driver's own per-function pipeline.
+//! The placement records come from `explain::audited_replay`, which
+//! re-runs the scheduler with recording on and re-audits the replay
+//! with `audit_schedule`, an independent legality checker that also
+//! validates the recorded provenance — the tool refuses to explain a
+//! schedule it cannot prove.
 //!
 //! Usage:
 //!
 //! ```text
-//! marion-explain MACHINE FILE.c [--strategy postpass|ips|rase] [--dot] [--check]
+//! marion-explain MACHINE FILE.c [--strategy postpass|ips|rase] [--blocks N] [--dot] [--check]
 //! marion-explain MACHINE FILE.c --compare [FUNC]
-//! marion-explain --demo [--dot] [--check] [--compare]
+//! marion-explain --demo [--strategy NAME] [--blocks N] [--dot] [--check] [--compare]
 //! ```
 //!
+//! * `--strategy` — the strategy whose final schedules are explained
+//!   (`postpass`, `ips`, `rase` or `nosched`; default `postpass`);
+//! * `--blocks N` — narrate only the first `N` non-empty blocks of each
+//!   function (all are still audited);
 //! * `--dot` — after each function, also emit the annotated Graphviz
 //!   code DAG (issue cycles, edge kinds, critical path in red, stall
 //!   reasons as tooltips) for its largest block;
@@ -36,10 +42,11 @@
 //! * `--demo` — a built-in dot-product kernel on TOYP (latency
 //!   stalls) and the dual-issue i860 (packing and temporal stalls).
 
-use marion_core::explain;
-use marion_core::sched;
-use marion_core::strategy::strategy_for;
-use marion_core::{CodeBlock, CodeFunc, StrategyKind};
+use marion_bench::{out, outln};
+use marion_core::dag::CodeDag;
+use marion_core::sched::{self, Schedule};
+use marion_core::{audited_replay, explain, CompiledFunc, Compiler, StrategyKind};
+use marion_ir::{Function, Module};
 use marion_maril::Machine;
 use marion_trace::Tracer;
 use std::collections::BTreeMap;
@@ -52,9 +59,13 @@ int main() {
 }";
 
 fn usage() -> ! {
-    eprintln!("usage: marion-explain MACHINE FILE.c [--strategy NAME] [--dot] [--check]");
+    eprintln!(
+        "usage: marion-explain MACHINE FILE.c [--strategy NAME] [--blocks N] [--dot] [--check]"
+    );
     eprintln!("       marion-explain MACHINE FILE.c --compare [FUNC]");
-    eprintln!("       marion-explain --demo [--dot] [--check] [--compare]");
+    eprintln!(
+        "       marion-explain --demo [--strategy NAME] [--blocks N] [--dot] [--check] [--compare]"
+    );
     eprintln!("machines: {:?}", marion_machines::EXTENDED);
     std::process::exit(2);
 }
@@ -63,6 +74,7 @@ struct Options {
     dot: bool,
     check: bool,
     limit: Option<usize>,
+    strategy: StrategyKind,
 }
 
 fn main() {
@@ -70,6 +82,16 @@ fn main() {
     if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
         usage();
     }
+    let strategy = match args.iter().position(|a| a == "--strategy") {
+        None => StrategyKind::Postpass,
+        Some(p) => args
+            .get(p + 1)
+            .and_then(|name| StrategyKind::parse(name))
+            .unwrap_or_else(|| {
+                eprintln!("marion-explain: --strategy takes postpass, ips, rase or nosched");
+                usage()
+            }),
+    };
     let opts = Options {
         dot: args.iter().any(|a| a == "--dot"),
         check: args.iter().any(|a| a == "--check"),
@@ -78,6 +100,7 @@ fn main() {
             .position(|a| a == "--blocks")
             .and_then(|p| args.get(p + 1))
             .and_then(|v| v.parse().ok()),
+        strategy,
     };
     // `--compare [FUNC]`: the optional FUNC rides directly after the
     // flag, so it must not be mistaken for a positional MACHINE/FILE.
@@ -89,7 +112,7 @@ fn main() {
     let value_positions: Vec<usize> = args
         .iter()
         .enumerate()
-        .filter(|(_, a)| *a == "--blocks" || *a == "--compare")
+        .filter(|(_, a)| ["--blocks", "--compare", "--strategy"].contains(&a.as_str()))
         .filter_map(|(i, _)| {
             args.get(i + 1)
                 .filter(|v| !v.starts_with("--"))
@@ -99,7 +122,7 @@ fn main() {
     let mut failures = 0usize;
     if args[0] == "--demo" {
         for machine in ["toyp", "i860"] {
-            println!("==== {machine} (demo dot-product) ====");
+            outln!("==== {machine} (demo dot-product) ====");
             if compare_at.is_some() {
                 failures += compare_source(machine, DEMO_SRC, compare_func.as_deref());
             } else {
@@ -132,47 +155,43 @@ fn main() {
             eprintln!("marion-explain: {failures} check failure(s)");
             std::process::exit(1);
         }
-        println!("all checks passed");
+        outln!("all checks passed");
     }
 }
 
-/// Compiles `src` for `machine`, explains every scheduled block and
-/// returns the number of check failures.
-fn explain_source(machine_name: &str, src: &str, opts: &Options) -> usize {
-    let spec = marion_machines::load(machine_name);
-    let machine = &spec.machine;
+/// `src` compiled to IR with its float constants materialised, as
+/// `Compiler::compile_func` needs it; a front-end error exits 1.
+fn module_of(src: &str) -> Module {
     let mut module = marion_frontend::compile(src).unwrap_or_else(|e| {
         eprintln!("marion-explain: {e}");
         std::process::exit(1);
     });
     marion_core::driver::materialize_float_constants(&mut module);
+    module
+}
+
+/// Compiles `src` for `machine` under `opts.strategy`, explains every
+/// final schedule and returns the number of check failures.
+fn explain_source(machine_name: &str, src: &str, opts: &Options) -> usize {
+    let spec = marion_machines::load(machine_name);
+    let compiler = Compiler::new(spec.machine, spec.escapes, opts.strategy);
+    let module = module_of(src);
     let mut failures = 0usize;
     for f in &module.funcs {
-        let mut f = f.clone();
-        if let Err(e) = marion_core::glue::apply_glue(machine, &mut f) {
-            eprintln!("marion-explain: glue {}: {e}", f.name);
-            failures += 1;
-            continue;
-        }
-        let mut code = match marion_core::select::select_func(machine, &spec.escapes, &module, &f) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("marion-explain: select {}: {e}", f.name);
-                failures += 1;
-                continue;
+        match compiler.compile_func(&module, f, &Tracer::off()) {
+            Ok(compiled) => {
+                outln!(
+                    "function {} ({} blocks)",
+                    f.name,
+                    compiled.code.blocks.len()
+                );
+                failures += explain_func(compiler.machine(), &compiled, opts);
             }
-        };
-        // Postpass-style: allocate, then schedule the allocated code —
-        // what the explanation describes is then the final schedule.
-        if let Err(e) = marion_core::regalloc::allocate(machine, &mut code, &Default::default()) {
-            eprintln!(
-                "marion-explain: allocation failed for {}: {e} (skipped)",
-                f.name
-            );
-            continue;
+            Err(e) => {
+                eprintln!("marion-explain: {}: {e}", f.name);
+                failures += 1;
+            }
         }
-        println!("function {} ({} blocks)", f.name, code.blocks.len());
-        failures += explain_func(machine, &code, opts);
     }
     failures
 }
@@ -190,34 +209,20 @@ struct StrategyPlacements {
     by_key: BTreeMap<(usize, String, usize), (u32, u32, &'static str)>,
 }
 
-/// Runs one strategy over a freshly selected copy of `func` and
-/// collects its aligned placements. `None` when any stage fails (the
+/// Compiles `func` with `compiler` and collects its strategy's
+/// aligned placements. `None` when the compile or a replay fails (the
 /// failure is reported).
 fn placements_for(
-    machine: &Machine,
-    escapes: &marion_core::EscapeRegistry,
-    module: &marion_ir::Module,
-    func: &marion_ir::Function,
-    kind: StrategyKind,
+    compiler: &Compiler,
+    module: &Module,
+    func: &Function,
 ) -> Option<StrategyPlacements> {
-    let mut f = func.clone();
-    if let Err(e) = marion_core::glue::apply_glue(machine, &mut f) {
-        eprintln!("marion-explain: glue {}: {e}", f.name);
-        return None;
-    }
-    let mut code = match marion_core::select::select_func(machine, escapes, module, &f) {
-        Ok(c) => c,
+    let machine = compiler.machine();
+    let kind = compiler.strategy();
+    let f = match compiler.compile_func(module, func, &Tracer::off()) {
+        Ok(f) => f,
         Err(e) => {
-            eprintln!("marion-explain: select {}: {e}", f.name);
-            return None;
-        }
-    };
-    let strategy = strategy_for(kind);
-    let tracer = Tracer::off();
-    let schedules = match strategy.run(machine, &mut code, &tracer, "compare") {
-        Ok((schedules, _)) => schedules,
-        Err(e) => {
-            eprintln!("marion-explain: {} on {}: {e}", kind.name(), f.name);
+            eprintln!("marion-explain: {} on {}: {e}", kind.name(), func.name);
             return None;
         }
     };
@@ -228,13 +233,17 @@ fn placements_for(
         reason_totals: BTreeMap::new(),
         by_key: BTreeMap::new(),
     };
-    for (bi, (block, schedule)) in code.blocks.iter().zip(&schedules).enumerate() {
+    for (bi, (block, schedule)) in f.code.blocks.iter().zip(&f.schedules).enumerate() {
         // Every strategy's final pass runs with default options.
         let schedule =
-            match sched::explain_schedule(machine, &code, block, schedule, &Default::default()) {
+            match sched::explain_schedule(machine, &f.code, block, schedule, &Default::default()) {
                 Ok(replay) => replay,
                 Err(e) => {
-                    eprintln!("marion-explain: {} on {}/b{bi}: {e}", kind.name(), f.name);
+                    eprintln!(
+                        "marion-explain: {} on {}/b{bi}: {e}",
+                        kind.name(),
+                        func.name
+                    );
                     return None;
                 }
             };
@@ -273,12 +282,11 @@ fn placements_for(
 /// functions that failed under some strategy.
 fn compare_source(machine_name: &str, src: &str, func_filter: Option<&str>) -> usize {
     let spec = marion_machines::load(machine_name);
-    let machine = &spec.machine;
-    let mut module = marion_frontend::compile(src).unwrap_or_else(|e| {
-        eprintln!("marion-explain: {e}");
-        std::process::exit(1);
-    });
-    marion_core::driver::materialize_float_constants(&mut module);
+    let compilers: Vec<Compiler> = StrategyKind::ALL
+        .iter()
+        .map(|&kind| Compiler::new(spec.machine.clone(), spec.escapes.clone(), kind))
+        .collect();
+    let module = module_of(src);
     let mut failures = 0usize;
     let mut matched = false;
     for f in &module.funcs {
@@ -286,30 +294,30 @@ fn compare_source(machine_name: &str, src: &str, func_filter: Option<&str>) -> u
             continue;
         }
         matched = true;
-        let all: Vec<StrategyPlacements> = StrategyKind::ALL
+        let all: Vec<StrategyPlacements> = compilers
             .iter()
-            .filter_map(|&kind| placements_for(machine, &spec.escapes, &module, f, kind))
+            .filter_map(|compiler| placements_for(compiler, &module, f))
             .collect();
-        if all.len() != StrategyKind::ALL.len() {
+        if all.len() != compilers.len() {
             failures += 1;
             continue;
         }
-        println!("function {} — strategy comparison", f.name);
-        println!(
+        outln!("function {} — strategy comparison", f.name);
+        outln!(
             "  {:<24} {}",
             "totals",
             all.iter()
                 .map(|s| format!("{:<22}", s.name))
                 .collect::<String>()
         );
-        println!(
+        outln!(
             "  {:<24} {}",
             "schedule length",
             all.iter()
                 .map(|s| format!("{:<22}", s.total_length))
                 .collect::<String>()
         );
-        println!(
+        outln!(
             "  {:<24} {}",
             "stall cycles",
             all.iter()
@@ -324,7 +332,7 @@ fn compare_source(machine_name: &str, src: &str, func_filter: Option<&str>) -> u
         reasons.sort_unstable();
         reasons.dedup();
         for reason in reasons {
-            println!(
+            outln!(
                 "  {:<24} {}",
                 format!("stall[{reason}]"),
                 all.iter()
@@ -342,7 +350,7 @@ fn compare_source(machine_name: &str, src: &str, func_filter: Option<&str>) -> u
             all.iter().flat_map(|s| s.by_key.keys()).collect();
         keys.sort();
         keys.dedup();
-        println!("  per-instruction placements (issue@cycle +stall(reason)):");
+        outln!("  per-instruction placements (issue@cycle +stall(reason)):");
         for key in keys {
             let (bi, mnemonic, occurrence) = key;
             let cells: String = all
@@ -355,12 +363,12 @@ fn compare_source(machine_name: &str, src: &str, func_filter: Option<&str>) -> u
                     None => format!("{:<22}", "-"),
                 })
                 .collect();
-            println!(
+            outln!(
                 "    b{bi:<3} {:<18} {cells}",
                 format!("{mnemonic}#{occurrence}")
             );
         }
-        println!();
+        outln!();
     }
     if !matched {
         if let Some(want) = func_filter {
@@ -371,86 +379,71 @@ fn compare_source(machine_name: &str, src: &str, func_filter: Option<&str>) -> u
     failures
 }
 
-fn explain_func(machine: &Machine, code: &CodeFunc, opts: &Options) -> usize {
+fn explain_func(machine: &Machine, f: &CompiledFunc, opts: &Options) -> usize {
     let mut failures = 0usize;
-    let mut totals: std::collections::BTreeMap<&'static str, u64> = Default::default();
-    let mut biggest: Option<(usize, sched::Schedule)> = None;
+    let mut totals: BTreeMap<&'static str, u64> = BTreeMap::new();
+    let mut biggest: Option<(usize, Schedule, CodeDag)> = None;
     let mut explained = 0usize;
-    // Every block gets a schedule (empty ones trivially) so the
-    // function can be emitted afterwards for delay-slot provenance.
-    let mut schedules: Vec<sched::Schedule> = Vec::with_capacity(code.blocks.len());
     let sched_opts = sched::SchedOptions::default();
-    for (bi, block) in code.blocks.iter().enumerate() {
-        let (schedule, discipline) =
-            sched::schedule_block_robust(machine, code, block, &sched_opts);
+    for (bi, (block, schedule)) in f.code.blocks.iter().zip(&f.schedules).enumerate() {
         if block.insts.is_empty() {
-            schedules.push(schedule);
             continue;
         }
-        // Records come from a recording replay of the schedule.
-        let schedule = match sched::explain_schedule(machine, code, block, &schedule, &sched_opts) {
-            Ok(replay) => replay,
+        // Every strategy's final pass runs with default options; the
+        // records come from an audited replay of its schedule.
+        let (schedule, dag) = match audited_replay(machine, &f.code, block, schedule, &sched_opts) {
+            Ok(replayed) => replayed,
             Err(e) => {
                 eprintln!("marion-explain: b{bi}: {e}");
                 failures += 1;
-                schedules.push(schedule);
                 continue;
             }
         };
-        failures += audit_block(machine, block, &schedule, bi);
         for (key, cycles) in schedule.explanation.stalls.as_pairs() {
             if cycles > 0 {
                 *totals.entry(key).or_insert(0) += cycles;
             }
         }
-        let show = opts.limit.is_none_or(|lim| explained < lim);
-        if show {
-            println!("block b{bi} (discipline {discipline}):");
-            print!("{}", explain::explain_block_text(machine, block, &schedule));
+        if opts.limit.is_none_or(|lim| explained < lim) {
+            outln!(
+                "block b{bi} (discipline {}):",
+                schedule.explanation.discipline
+            );
+            out!("{}", explain::explain_block_text(machine, block, &schedule));
             explained += 1;
         }
         if biggest
             .as_ref()
-            .is_none_or(|(prev, _)| code.blocks[*prev].insts.len() < block.insts.len())
+            .is_none_or(|(prev, ..)| f.code.blocks[*prev].insts.len() < block.insts.len())
         {
-            biggest = Some((bi, schedule.clone()));
+            biggest = Some((bi, schedule, dag));
         }
-        schedules.push(schedule);
     }
-    // Delay-slot fill provenance (§4.4): emit from the schedules just
-    // explained and run the filler, naming which instruction moved
-    // into which branch's slot.
-    match marion_core::emit::emit_func(machine, code, &schedules) {
-        Ok(mut emitted) => {
-            let fills = marion_core::emit::fill_delay_slots(machine, &mut emitted);
-            if fills.is_empty() {
-                println!("delay slots: none filled");
-            } else {
-                println!("delay slots filled ({}):", fills.len());
-                for f in &fills {
-                    println!(
-                        "  b{}: `{}` moved into slot {} of `{}`",
-                        f.block, f.inst, f.slot, f.branch
-                    );
-                }
-            }
-        }
-        Err(e) => {
-            eprintln!("marion-explain: emit: {e}");
-            failures += 1;
+    // Delay-slot fill provenance (§4.4): which instruction the filler
+    // moved into which branch's slot.
+    if f.fills.is_empty() {
+        outln!("delay slots: none filled");
+    } else {
+        outln!("delay slots filled ({}):", f.fills.len());
+        for fill in &f.fills {
+            outln!(
+                "  b{}: `{}` moved into slot {} of `{}`",
+                fill.block,
+                fill.inst,
+                fill.slot,
+                fill.branch
+            );
         }
     }
     if !totals.is_empty() {
         let mut ranked: Vec<(&str, u64)> = totals.into_iter().collect();
         ranked.sort_by_key(|(_, c)| std::cmp::Reverse(*c));
         let rendered: Vec<String> = ranked.iter().map(|(k, c)| format!("{k} {c}")).collect();
-        println!("top stall reasons (cycles): {}", rendered.join(", "));
+        outln!("top stall reasons (cycles): {}", rendered.join(", "));
     }
-    if let Some((bi, schedule)) = biggest {
+    if let Some((bi, schedule, dag)) = biggest {
         if opts.dot || opts.check {
-            let block = &code.blocks[bi];
-            let (dag, _) =
-                explain::dag_for_discipline(machine, block, schedule.explanation.discipline);
+            let block = &f.code.blocks[bi];
             let dot = explain::dag_to_dot(
                 machine,
                 block,
@@ -463,29 +456,10 @@ fn explain_func(machine: &Machine, code: &CodeFunc, opts: &Options) -> usize {
                 failures += 1;
             }
             if opts.dot {
-                print!("{dot}");
+                out!("{dot}");
             }
         }
     }
-    println!();
+    outln!();
     failures
-}
-
-/// Audits one block's schedule against the DAG its discipline used
-/// and reports any violation.
-fn audit_block(
-    machine: &Machine,
-    block: &CodeBlock,
-    schedule: &sched::Schedule,
-    bi: usize,
-) -> usize {
-    let discipline = schedule.explanation.discipline;
-    let (dag, check_rule1) = explain::dag_for_discipline(machine, block, discipline);
-    match explain::audit_schedule(machine, block, &dag, schedule, check_rule1) {
-        Ok(()) => 0,
-        Err(e) => {
-            eprintln!("marion-explain: b{bi}: {e}");
-            1
-        }
-    }
 }

@@ -50,7 +50,7 @@
 //! or truncated trace file, bad flags, missing fields).
 
 use marion_bench::serve::check_slo_fields;
-use marion_bench::{html::render_html_with, row};
+use marion_bench::{html::render_html_with, out, outln, row};
 use marion_core::{CompileOptions, Compiler, StrategyKind};
 use marion_trace::json::parse_flat;
 use marion_trace::{Fields, Record, TraceConfig, TraceData, Value};
@@ -115,14 +115,14 @@ fn check_slo(path: &str) -> ! {
                 })
                 .unwrap_or_default()
         };
-        println!(
+        outln!(
             "slo {name}: {verdict}{}{}",
             detail("budget_used"),
             detail("burn_rate")
         );
     }
     if violated.is_empty() {
-        println!("all SLOs met");
+        outln!("all SLOs met");
         std::process::exit(0);
     }
     eprintln!("marion-report: {} SLO(s) violated", violated.len());
@@ -149,7 +149,7 @@ fn extract_dashboard(path: &str, out: Option<&str>) -> ! {
             });
             eprintln!("wrote {out_path}");
         }
-        None => print!("{html}"),
+        None => out!("{html}"),
     }
     std::process::exit(0);
 }
@@ -248,7 +248,7 @@ fn main() {
         merge_traces(parts.into_iter().map(|(_, d)| d).collect())
     };
     if !html {
-        print!("{}", report(&data));
+        out!("{}", report(&data));
         return;
     }
     // `--serve` points at a file holding one `metrics` response line
@@ -314,7 +314,7 @@ fn main() {
             });
             eprintln!("wrote {path}");
         }
-        None => print!("{page}"),
+        None => out!("{page}"),
     }
 }
 
@@ -396,34 +396,28 @@ fn mismatch_warnings(parts: &[(String, TraceData)]) -> Vec<String> {
 }
 
 /// Native-SVG dependence DAGs for the demo workload: the largest
-/// block of each LL7 function on the R2000, scheduled with the same
-/// robust ladder the strategies use.
+/// block of each LL7 function compiled Postpass for the R2000, with
+/// its final schedule replayed and audited for the annotations.
 fn demo_dag_svgs() -> Vec<(String, String)> {
     let kernels = marion_workloads::livermore::kernels();
     let ll7 = kernels.iter().find(|k| k.name == "LL7").expect("LL7");
     let mut module = ll7.module();
     marion_core::driver::materialize_float_constants(&mut module);
     let spec = marion_machines::load("r2000");
-    let machine = &spec.machine;
+    let compiler = Compiler::new(spec.machine, spec.escapes, StrategyKind::Postpass);
+    let machine = compiler.machine();
     let mut out = Vec::new();
     for f in &module.funcs {
-        let mut f = f.clone();
-        if marion_core::glue::apply_glue(machine, &mut f).is_err() {
-            continue;
-        }
-        let Ok(mut code) = marion_core::select_func(machine, &spec.escapes, &module, &f) else {
+        let Ok(compiled) = compiler.compile_func(&module, f, &marion_trace::Tracer::off()) else {
             continue;
         };
-        if marion_core::regalloc::allocate(machine, &mut code, &std::collections::HashMap::new())
-            .is_err()
-        {
-            continue;
-        }
-        let Some((bi, block)) = code
+        let Some((bi, (block, schedule))) = compiled
+            .code
             .blocks
             .iter()
+            .zip(&compiled.schedules)
             .enumerate()
-            .max_by_key(|(_, b)| b.insts.len())
+            .max_by_key(|(_, (b, _))| b.insts.len())
         else {
             continue;
         };
@@ -431,21 +425,20 @@ fn demo_dag_svgs() -> Vec<(String, String)> {
             continue;
         }
         let opts = marion_core::sched::SchedOptions::default();
-        let (schedule, discipline) =
-            marion_core::sched::schedule_block_robust(machine, &code, block, &opts);
-        // The SVG annotates ready cycles and slack: replay for records.
-        let Ok(schedule) =
-            marion_core::sched::explain_schedule(machine, &code, block, &schedule, &opts)
+        let Ok((schedule, dag)) =
+            marion_core::audited_replay(machine, &compiled.code, block, schedule, &opts)
         else {
             continue;
         };
-        let (dag, _) = marion_core::explain::dag_for_discipline(machine, block, discipline);
         let svg = marion_bench::dagviz::dag_to_svg(
             machine,
             block,
             &dag,
             &schedule,
-            &format!("r2000/{} block {bi} ({discipline})", f.name),
+            &format!(
+                "r2000/{} block {bi} ({})",
+                f.name, schedule.explanation.discipline
+            ),
         );
         out.push((format!("Dependence DAG \u{2014} r2000/{}", f.name), svg));
     }

@@ -34,10 +34,10 @@ fn loc_dir(dir: &Path) -> usize {
     total
 }
 
-/// Lines of the `impl Strategy for X` block in strategy.rs.
-fn strategy_impl_lines(src: &str, name: &str) -> usize {
-    let marker = format!("impl Strategy for {name}");
-    let Some(start) = src.find(&marker) else {
+/// Lines of the braced block that opens at the first `marker` in
+/// `src` (0 when there is none).
+fn block_lines(src: &str, marker: &str) -> usize {
+    let Some(start) = src.find(marker) else {
         return 0;
     };
     let mut depth = 0usize;
@@ -62,6 +62,19 @@ fn strategy_impl_lines(src: &str, name: &str) -> usize {
     lines
 }
 
+/// Lines of one strategy's own code in strategy.rs: its arm of
+/// `StrategyKind::run` plus the helpers named after it (`ips_limit`,
+/// `rase_estimates`).
+fn strategy_lines(src: &str, variant: &str) -> usize {
+    let run = src.find("pub fn run(").map_or("", |at| &src[at..]);
+    let arm = block_lines(run, &format!("StrategyKind::{variant} =>"));
+    let helper = format!("fn {}_", variant.to_lowercase());
+    arm + src
+        .match_indices(&helper)
+        .map(|(at, _)| block_lines(&src[at..], &helper))
+        .sum::<usize>()
+}
+
 fn main() {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
     outln!("Table 2: Marion system source size (non-blank lines of Rust)");
@@ -81,7 +94,7 @@ fn main() {
         outln!(
             "{:44} {:>6}",
             format!("Strategy-dependent (SD), {s}"),
-            strategy_impl_lines(&strategy_src, s)
+            strategy_lines(&strategy_src, s)
         );
     }
     outln!(

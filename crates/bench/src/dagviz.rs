@@ -53,7 +53,7 @@ pub fn dag_to_svg(
     // Layer by dependence depth: longest incoming path in edges (not
     // cycles), so layers are compact and arrows never point up.
     let mut layer = vec![0usize; dag.n];
-    for i in topo(dag) {
+    for i in dag.topo_order() {
         for &ei in &dag.succs[i] {
             let e = dag.edges[ei];
             layer[e.to] = layer[e.to].max(layer[i] + 1);
@@ -213,25 +213,6 @@ pub fn dag_to_svg(
     }
     out.push_str("</svg>\n");
     out
-}
-
-/// Kahn topological order over the DAG (block DAGs are acyclic by
-/// construction; ties resolve in node order, deterministically).
-fn topo(dag: &CodeDag) -> Vec<usize> {
-    let mut indeg: Vec<usize> = dag.preds.iter().map(Vec::len).collect();
-    let mut order = Vec::with_capacity(dag.n);
-    let mut ready: Vec<usize> = (0..dag.n).filter(|&i| indeg[i] == 0).collect();
-    while let Some(i) = ready.pop() {
-        order.push(i);
-        for &ei in &dag.succs[i] {
-            let to = dag.edges[ei].to;
-            indeg[to] -= 1;
-            if indeg[to] == 0 {
-                ready.push(to);
-            }
-        }
-    }
-    order
 }
 
 #[cfg(test)]

@@ -108,10 +108,10 @@ pub fn geomean(xs: &[f64]) -> f64 {
     (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
 }
 
-/// `println!` for the paper-table binaries, whose readers often stop
-/// early (`| head -1`, `| grep -q`): once stdout is closed the program
-/// ends quietly with status 0 instead of panicking with "failed
-/// printing to stdout: Broken pipe".
+/// `println!` for the paper-table and tool binaries, whose readers
+/// often stop early (`| head -1`, `| grep -q`): once stdout is closed
+/// the program ends quietly with status 0 instead of panicking with
+/// "failed printing to stdout: Broken pipe".
 #[macro_export]
 macro_rules! outln {
     () => {
@@ -122,11 +122,24 @@ macro_rules! outln {
     };
 }
 
-/// Writes one line to stdout for [`outln!`], exiting with status 0
-/// when the reader has gone away.
+/// `print!` to [`outln!`]'s `println!`.
+#[macro_export]
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::print_text(format_args!($($arg)*))
+    };
+}
+
+/// Writes one line to stdout for [`outln!`].
 pub fn print_line(line: std::fmt::Arguments<'_>) {
+    print_text(format_args!("{line}\n"));
+}
+
+/// Writes text to stdout for [`out!`] and [`outln!`], exiting with
+/// status 0 when the reader has gone away.
+pub fn print_text(text: std::fmt::Arguments<'_>) {
     use std::io::Write;
-    if let Err(e) = writeln!(std::io::stdout().lock(), "{line}") {
+    if let Err(e) = std::io::stdout().lock().write_fmt(text) {
         if e.kind() == std::io::ErrorKind::BrokenPipe {
             std::process::exit(0);
         }

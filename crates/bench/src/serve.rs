@@ -621,15 +621,6 @@ impl MetricsSnapshot {
         sum
     }
 
-    /// Totals over every window the ring holds.
-    pub fn horizon(&self) -> Totals {
-        let mut sum = Totals::default();
-        for (_, totals) in self.ring.iter().flatten() {
-            sum.merge(totals);
-        }
-        sum
-    }
-
     /// Aggregates over the last `n` rolling windows, capped by the
     /// windows that have elapsed since startup (so rates are never
     /// diluted by time the daemon has not lived) and by the ring.
@@ -688,11 +679,13 @@ fn slow_requests(hist: &Histogram, threshold_us: u64) -> u64 {
 }
 
 /// Evaluates objectives against a snapshot's rolling windows: the
-/// budget over the full retained horizon, the burn rate over the last
-/// [`SLO_RECENT_WINDOWS`] windows. An empty horizon evaluates to a
-/// clean slate (nothing violated).
+/// budget over the last `windows` windows (the ring's span, ending
+/// now), the burn rate over the last [`SLO_RECENT_WINDOWS`]. A slot
+/// older than that span counts for neither, though the ring may still
+/// hold it. An empty horizon evaluates to a clean slate (nothing
+/// violated).
 pub fn evaluate_slos(snap: &MetricsSnapshot, slos: &[Slo]) -> Vec<SloEval> {
-    let horizon = snap.horizon();
+    let horizon = snap.recent(snap.windows());
     let recent = snap.recent(SLO_RECENT_WINDOWS);
     slos.iter()
         .map(|slo| {
@@ -2495,17 +2488,17 @@ mod tests {
             shape(&snap.series(5)),
             [None, None, None, None, Some((1, 2))]
         );
-        assert_eq!(shape(&[Some(&snap.horizon())]), [Some((1, 2))]);
+        assert_eq!(shape(&[Some(&snap.recent(snap.windows()))]), [Some((1, 2))]);
         assert_eq!(shape(&[Some(&snap.lifetime)]), [Some((3, 102))]);
     }
 
     #[test]
-    fn recent_and_horizon_sum_their_windows() {
+    fn recent_sums_its_windows() {
         let snap = snapshot_at(&ring(&[(0, 1), (11, 2), (22, 4), (35, 8)]), 35);
         assert_eq!(shape(&[Some(&snap.recent(2))]), [Some((2, 12))]);
         assert_eq!(shape(&[Some(&snap.recent(1))]), [Some((1, 8))]);
         // Nothing fell out of the ring, so it holds the lifetime.
-        assert_eq!(snap.horizon(), snap.lifetime);
+        assert_eq!(snap.recent(snap.windows()), snap.lifetime);
         assert_eq!(snap.lifetime.requests(), 4);
     }
 
@@ -2517,6 +2510,28 @@ mod tests {
             [Some((1, 1)), None, Some((1, 4)), None]
         );
         assert_eq!(snap.series(1), [None], "current window empty");
+    }
+
+    #[test]
+    fn slo_budgets_forget_windows_older_than_the_ring() {
+        // Five failures at 0-4 s, then one good request at 600 s: the
+        // failures' slots are still in the 60 x 1 s ring (nothing newer
+        // took them), but 10 minutes out of its span.
+        let metrics = Metrics::new(1000, 60);
+        for t in 0..5u64 {
+            let mut bad = outcome(t + 1, 0, "compile");
+            bad.failed = true;
+            metrics.record_at(t * 1000, 0, 100, &bad);
+        }
+        metrics.record_at(600_000, 0, 100, &outcome(6, 0, "compile"));
+        let snap = snapshot_at(&metrics, 600_000);
+        let win = snap.windowed(snap.windows());
+        assert_eq!((win.requests, win.failures), (1, 0));
+        let slos = parse_slos("error_rate=5%").unwrap();
+        let eval = &evaluate_slos(&snap, &slos)[0];
+        assert_eq!((eval.bad, eval.total), (0, 1));
+        assert_eq!(eval.budget_used, 0.0);
+        assert!(!eval.violated);
     }
 
     #[test]

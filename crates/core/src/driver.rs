@@ -1,15 +1,20 @@
 //! The compilation driver: glue → selection → strategy → emission,
-//! per function, over a whole IR module.
+//! per function, over a whole IR module. [`Compiler::compile_func`] is
+//! the back end's one per-function pipeline: [`Compiler::compile_module`]
+//! runs it over a module (cached, in parallel) and links the results
+//! with [`Compiler::link`], and the tools that inspect compiled code
+//! (the retargeting audit, `marion-explain`) call it directly.
 
 use crate::code::CodeFunc;
-use crate::emit::{emit_func, AsmFunc, AsmProgram};
+use crate::emit::{emit_func, AsmFunc, AsmProgram, FillRecord};
 use crate::error::CodegenError;
 use crate::fcache::{
     base_fingerprint, body_key, module_prefix, CacheSummary, CacheTally, CachedFunc, FuncCache,
 };
 use crate::glue::apply_glue;
+use crate::sched::Schedule;
 use crate::select::EscapeRegistry;
-use crate::strategy::{strategy_for, Strategy, StrategyKind, StrategyStats};
+use crate::strategy::{StrategyKind, StrategyStats};
 use marion_cache::StableHasher;
 use marion_ir as ir;
 use marion_ir::{Node, NodeId, NodeKind};
@@ -107,6 +112,23 @@ pub struct FuncStats {
     /// Structural — cached entries replay it exactly (see
     /// [`crate::quality`]).
     pub blocks: Vec<crate::quality::BlockQuality>,
+}
+
+/// One function compiled through the whole back end, as
+/// [`Compiler::compile_func`] returns it.
+#[derive(Debug, Clone)]
+pub struct CompiledFunc {
+    /// The selected, allocated code (spill code included).
+    pub code: CodeFunc,
+    /// The strategy's final per-block schedules of `code`.
+    pub schedules: Vec<Schedule>,
+    /// The emitted function.
+    pub asm: AsmFunc,
+    /// The delay slots the filler filled (none when
+    /// [`CompileOptions::fill_delay_slots`] is off).
+    pub fills: Vec<FillRecord>,
+    /// The function's statistics.
+    pub stats: FuncStats,
 }
 
 /// Options controlling one [`Compiler`].
@@ -227,7 +249,6 @@ impl Compiler {
             Cow::Borrowed(module)
         };
         let module: &ir::Module = &module;
-        let strategy = strategy_for(self.strategy);
         let module_ctx = self.machine.name().to_owned();
         let module_span = tracer.span(&module_ctx, "compile_module");
 
@@ -261,23 +282,13 @@ impl Compiler {
         let cached = cache.zip(prefix.as_ref());
         let tally = CacheTally::default();
 
-        let mut asm = AsmProgram::default();
-        let mut stats = CompileStats::default();
+        let mut funcs = Vec::with_capacity(module.funcs.len());
         let mut shards: Vec<TraceData> = Vec::new();
         if workers <= 1 {
             // Strictly serial: compile on the calling thread, tracing
             // straight into the main tracer.
             for func in &module.funcs {
-                let (emitted, fs) = self.compile_func_cached(
-                    module,
-                    func,
-                    strategy.as_ref(),
-                    &tracer,
-                    cached,
-                    &tally,
-                )?;
-                stats.accumulate(fs);
-                asm.funcs.push(emitted);
+                funcs.push(self.compile_func_cached(module, func, &tracer, cached, &tally)?);
             }
         } else {
             let n = module.funcs.len();
@@ -285,7 +296,6 @@ impl Compiler {
             type Slot = Option<Result<(AsmFunc, FuncStats, Option<TraceData>), CodegenError>>;
             let slots: Mutex<Vec<Slot>> = Mutex::new((0..n).map(|_| None).collect());
             let module_ref = module;
-            let strategy_ref: &(dyn Strategy + Send + Sync) = strategy.as_ref();
             let tally_ref = &tally;
             std::thread::scope(|s| {
                 for _ in 0..workers {
@@ -299,7 +309,6 @@ impl Compiler {
                             .compile_func_cached(
                                 module_ref,
                                 &module_ref.funcs[i],
-                                strategy_ref,
                                 &shard,
                                 cached,
                                 tally_ref,
@@ -311,8 +320,7 @@ impl Compiler {
             });
             for slot in slots.into_inner().unwrap() {
                 let (emitted, fs, shard) = slot.expect("worker pool left a function uncompiled")?;
-                stats.accumulate(fs);
-                asm.funcs.push(emitted);
+                funcs.push((emitted, fs));
                 shards.extend(shard);
             }
         }
@@ -324,6 +332,27 @@ impl Compiler {
                 data.merge(shard);
             }
         }
+        Ok(CompiledProgram {
+            trace,
+            cache: cached.map(|_| tally.summary()),
+            ..self.link(module, funcs)
+        })
+    }
+
+    /// Links compiled functions, in module order, into a program with
+    /// `module`'s symbol and global tables and the functions' summed
+    /// statistics; no trace and no cache summary.
+    pub fn link(
+        &self,
+        module: &ir::Module,
+        funcs: impl IntoIterator<Item = (AsmFunc, FuncStats)>,
+    ) -> CompiledProgram {
+        let mut asm = AsmProgram::default();
+        let mut stats = CompileStats::default();
+        for (emitted, fs) in funcs {
+            asm.funcs.push(emitted);
+            stats.accumulate(fs);
+        }
         let symbols: Vec<String> = (0..module.symbol_count())
             .map(|i| module.symbol_name(ir::SymbolId(i as u32)).to_owned())
             .collect();
@@ -332,16 +361,16 @@ impl Compiler {
             .iter()
             .map(|g| (g.name.clone(), g.init.clone()))
             .collect();
-        Ok(CompiledProgram {
+        CompiledProgram {
             asm,
             globals,
             symbols,
             machine_name: self.machine.name().to_owned(),
             strategy: self.strategy,
             stats,
-            trace,
-            cache: cached.map(|_| tally.summary()),
-        })
+            trace: None,
+            cache: None,
+        }
     }
 
     /// [`Compiler::compile_func`] behind the cache, when `cached` holds
@@ -353,20 +382,24 @@ impl Compiler {
         &self,
         module: &ir::Module,
         func: &ir::Function,
-        strategy: &(dyn Strategy + Send + Sync),
         tracer: &Tracer,
         cached: Option<(&FuncCache, &StableHasher)>,
         tally: &CacheTally,
     ) -> Result<(AsmFunc, FuncStats), CodegenError> {
         let Some((cache, prefix)) = cached else {
-            return self.compile_func(module, func, strategy, tracer);
+            let compiled = self.compile_func(module, func, tracer)?;
+            return Ok((compiled.asm, compiled.stats));
         };
         let key = body_key(prefix, func);
         if let Some(entry) = cache.get(key) {
             tally.hit();
             return Ok((entry.asm, entry.stats));
         }
-        let (mut emitted, fs) = self.compile_func(module, func, strategy, tracer)?;
+        let CompiledFunc {
+            asm: mut emitted,
+            stats: fs,
+            ..
+        } = self.compile_func(module, func, tracer)?;
         // One compact copy (a `Vec` clone allocates exact capacities
         // all the way down), held by the cache and the caller alike.
         emitted.blocks = Arc::new(emitted.blocks.to_vec());
@@ -389,15 +422,23 @@ impl Compiler {
         }
     }
 
-    /// Compiles one function: glue → select → strategy → emit →
-    /// delay-slot fill, tracing into `tracer`.
-    fn compile_func(
+    /// Compiles one function of `module`: glue → select → strategy →
+    /// emit → delay-slot fill, tracing into `tracer` (pass
+    /// [`Tracer::off`] to collect nothing). `func` is one of
+    /// `module`'s functions, and `module` must have its float
+    /// constants materialised ([`materialize_float_constants`]), as
+    /// [`Compiler::compile_module`] does first. The cache is not
+    /// consulted.
+    ///
+    /// # Errors
+    ///
+    /// The first phase that fails, tagged with the phase name.
+    pub fn compile_func(
         &self,
         module: &ir::Module,
         func: &ir::Function,
-        strategy: &(dyn Strategy + Send + Sync),
         tracer: &Tracer,
-    ) -> Result<(AsmFunc, FuncStats), CodegenError> {
+    ) -> Result<CompiledFunc, CodegenError> {
         let ctx = format!("{}/{}", self.machine.name(), func.name);
         let _func_span = tracer.span(&ctx, "compile_func");
         let mut func = func.clone();
@@ -412,15 +453,15 @@ impl Compiler {
         };
         let (schedules, s): (_, StrategyStats) = {
             let _span = tracer.span(&ctx, "strategy");
-            strategy.run(&self.machine, &mut code, tracer, &ctx)?
+            self.strategy.run(&self.machine, &mut code, tracer, &ctx)?
         };
-        let mut emitted = {
+        let mut asm = {
             let _span = tracer.span(&ctx, "emit");
             emit_func(&self.machine, &code, &schedules)?
         };
         let fills = if self.options.fill_delay_slots {
             let _span = tracer.span(&ctx, "fill_delay_slots");
-            crate::emit::fill_delay_slots(&self.machine, &mut emitted)
+            crate::emit::fill_delay_slots(&self.machine, &mut asm)
         } else {
             Vec::new()
         };
@@ -437,12 +478,12 @@ impl Compiler {
         }
         let fs = FuncStats {
             name: func.name.clone(),
-            insts_generated: emitted.inst_count(),
+            insts_generated: asm.inst_count(),
             spills: s.spills,
             schedule_passes: s.schedule_passes,
             estimated_cycles: s.estimated_cycles,
             delay_slots_filled: fills.len(),
-            nops_emitted: emitted.nop_count(&self.machine),
+            nops_emitted: asm.nop_count(&self.machine),
             blocks: schedules
                 .iter()
                 .map(crate::quality::BlockQuality::from_schedule)
@@ -463,7 +504,13 @@ impl Compiler {
         let mctx = self.machine.name();
         tracer.observe(mctx, "func_insts", fs.insts_generated as u64);
         tracer.observe(mctx, "func_est_cycles", fs.estimated_cycles);
-        Ok((emitted, fs))
+        Ok(CompiledFunc {
+            code,
+            schedules,
+            asm,
+            fills,
+            stats: fs,
+        })
     }
 }
 

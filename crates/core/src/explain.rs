@@ -23,15 +23,17 @@
 //! the reservation timeline cycle by cycle rather than reusing the
 //! scheduler's checks) and then validates every recorded stall
 //! against the final schedule — provenance that lies is worse than
-//! none. [`dag_to_dot`] renders the annotated code DAG
+//! none. [`audited_replay`] does both for one block: replay, then
+//! audit the replay against its discipline's DAG. [`dag_to_dot`]
+//! renders the annotated code DAG
 //! (scheduled cycles, edge kinds, the critical path, stall tooltips)
 //! and [`explain_block_text`] produces the cycle-by-cycle narrative
 //! used by the `marion-explain` tool.
 
-use crate::code::CodeBlock;
+use crate::code::{CodeBlock, CodeFunc};
 use crate::dag::{CodeDag, EdgeKind};
 use crate::quality::StallBreakdown;
-use crate::sched::Schedule;
+use crate::sched::{SchedOptions, Schedule};
 use marion_maril::machine::ClockId;
 use marion_maril::{Machine, ResSet};
 use std::collections::HashMap;
@@ -875,18 +877,30 @@ fn audit_stall(
     Ok(())
 }
 
-/// Rebuilds the code DAG (and whether Rule 1 applies) for the
-/// discipline named in a schedule's explanation, exactly as the
-/// scheduler built it (see [`Discipline`]); a name that is no
-/// discipline gets the Rule-1 DAG. Returns the DAG and the
-/// `check_rule1` flag to audit or verify against.
-pub fn dag_for_discipline(
+/// Replays `schedule` for its placement records
+/// ([`crate::sched::explain_schedule`], with the `opts` it was
+/// scheduled with) and audits the replay with [`audit_schedule`]
+/// against the DAG its [`Discipline`] names. Returns the replay and
+/// that DAG.
+///
+/// # Errors
+///
+/// The replay's failure, or the audit's behind `audit_schedule: `.
+pub fn audited_replay(
     machine: &Machine,
+    func: &CodeFunc,
     block: &CodeBlock,
-    discipline: &str,
-) -> (CodeDag, bool) {
-    let d = Discipline::parse(discipline).unwrap_or(Discipline::Rule1);
-    (d.dag(machine, block), d.checks_rule1())
+    schedule: &Schedule,
+    opts: &SchedOptions,
+) -> Result<(Schedule, CodeDag), String> {
+    let replay = crate::sched::explain_schedule(machine, func, block, schedule, opts)
+        .map_err(|e| e.to_string())?;
+    let discipline = Discipline::parse(replay.explanation.discipline)
+        .expect("a replayed schedule names its discipline");
+    let dag = discipline.dag(machine, block);
+    audit_schedule(machine, block, &dag, &replay, discipline.checks_rule1())
+        .map_err(|e| format!("audit_schedule: {e}"))?;
+    Ok((replay, dag))
 }
 
 fn dot_escape(s: &str) -> String {

@@ -8,7 +8,7 @@
 //!
 //! The entry point is [`driver::Compiler`], which binds a compiled
 //! Maril [`marion_maril::Machine`], an [`select::EscapeRegistry`] of
-//! `*func` escapes, and a [`strategy::Strategy`].
+//! `*func` escapes, and a [`strategy::StrategyKind`].
 
 pub mod code;
 pub mod dag;
@@ -27,13 +27,16 @@ pub mod stablehash;
 pub mod strategy;
 
 pub use code::{CodeBlock, CodeFunc, ImmVal, Inst, Operand, Vreg, VregInfo, VregKind};
-pub use driver::{CompileOptions, CompileStats, CompiledProgram, Compiler, FuncStats};
+pub use driver::{
+    CompileOptions, CompileStats, CompiledFunc, CompiledProgram, Compiler, FuncStats,
+};
 pub use emit::{AsmBlock, AsmFunc, AsmInst, AsmProgram, Word};
 pub use error::{CodegenError, Phase};
 pub use explain::{
-    audit_schedule, AuditError, PlacementRecord, ScheduleExplanation, Stall, StallReason,
+    audit_schedule, audited_replay, AuditError, PlacementRecord, ScheduleExplanation, Stall,
+    StallReason,
 };
 pub use fcache::{CacheLoad, CacheSummary, CachedFunc, FuncCache};
 pub use quality::{BlockQuality, ProgramQuality, QualityRecord, StallBreakdown};
 pub use select::{select_func, EscapeCtx, EscapeFn, EscapeRegistry};
-pub use strategy::{Strategy, StrategyKind};
+pub use strategy::StrategyKind;

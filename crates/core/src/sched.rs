@@ -515,14 +515,14 @@ fn schedule_length(
 /// Schedules a block with the full fallback ladder the strategies
 /// use: Rule 1 list scheduling, then same-clock sequence
 /// serialisation, then the latch name-dependence discipline, then a
-/// serial thread-order schedule. Never fails; the returned flag names
-/// the discipline that succeeded.
+/// serial thread-order schedule. Never fails; the schedule's
+/// `explanation.discipline` names the rung that succeeded.
 pub fn schedule_block_robust(
     machine: &Machine,
     func: &CodeFunc,
     block: &CodeBlock,
     opts: &SchedOptions,
-) -> (Schedule, &'static str) {
+) -> Schedule {
     schedule_block_robust_scratch(
         machine,
         func,
@@ -545,12 +545,12 @@ pub fn schedule_block_robust_scratch(
     opts: &SchedOptions,
     tracer: &Tracer,
     scratch: &mut Scratch,
-) -> (Schedule, &'static str) {
+) -> Schedule {
     let m = tracer.mspan("dag_build");
     let mut dag = Discipline::Rule1.dag(machine, block);
     drop(m);
     if let Ok(s) = schedule_block_scratch(machine, func, block, &dag, opts, tracer, scratch) {
-        return (s, Discipline::Rule1.name());
+        return s;
     }
     // Rung 2 serialises rung 1's DAG in place.
     let m = tracer.mspan("dag_build");
@@ -558,7 +558,7 @@ pub fn schedule_block_robust_scratch(
     drop(m);
     if let Ok(mut s) = schedule_block_scratch(machine, func, block, &dag, opts, tracer, scratch) {
         s.explanation.discipline = Discipline::Serialized.name();
-        return (s, Discipline::Serialized.name());
+        return s;
     }
     let m = tracer.mspan("dag_build");
     let dag3 = Discipline::NameDeps.dag(machine, block);
@@ -568,13 +568,10 @@ pub fn schedule_block_robust_scratch(
         ..opts.clone()
     };
     if let Ok(s) = schedule_block_scratch(machine, func, block, &dag3, &relaxed, tracer, scratch) {
-        return (s, Discipline::NameDeps.name());
+        return s;
     }
     // The serial rung's DAG is the name-deps rung's.
-    (
-        serial_schedule(machine, block, &dag3),
-        Discipline::Serial.name(),
-    )
+    serial_schedule(machine, block, &dag3)
 }
 
 /// Provenance on demand: re-runs the deterministic scheduler that
@@ -1677,11 +1674,9 @@ mod tests {
         assert!(stopped * 100 < cap, "{msg}");
         // The ladder's second rung serialises the two sequences, and
         // its replay passes the audit.
-        let (s, discipline) = schedule_block_robust(&m, &f, &block, &opts);
-        assert_eq!(discipline, "serialized");
-        let replay = explain_schedule(&m, &f, &block, &s, &opts).unwrap();
-        let (dag, check_rule1) = crate::explain::dag_for_discipline(&m, &block, discipline);
-        crate::explain::audit_schedule(&m, &block, &dag, &replay, check_rule1).unwrap();
+        let s = schedule_block_robust(&m, &f, &block, &opts);
+        assert_eq!(s.explanation.discipline, "serialized");
+        crate::explain::audited_replay(&m, &f, &block, &s, &opts).unwrap();
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!   gather schedule cost estimates, allocate with those estimates
 //!   biasing spill choices, then do final scheduling.
 
-use crate::code::{CodeFunc, Operand, VregKind};
+use crate::code::{CodeFunc, Operand, Vreg, VregKind};
 use crate::error::CodegenError;
 use crate::explain::Discipline;
 use crate::regalloc::{allocate_traced, AllocResult};
@@ -66,6 +66,78 @@ impl StrategyKind {
             _ => None,
         }
     }
+
+    /// Runs the strategy over selected code: allocation and scheduling
+    /// in the strategy's order, ending with a final pass that schedules
+    /// the allocated (possibly spill-expanded) function. Returns that
+    /// pass's per-block schedules. `tracer` collects spans and
+    /// per-block scheduler metrics (pass a [`Tracer::off`] to collect
+    /// nothing); `ctx` scopes the trace records, conventionally
+    /// `machine/function`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates allocation failures.
+    pub fn run(
+        self,
+        machine: &Machine,
+        func: &mut CodeFunc,
+        tracer: &Tracer,
+        ctx: &str,
+    ) -> Result<(Vec<Schedule>, StrategyStats), CodegenError> {
+        let no_bias = HashMap::new();
+        // Everything before the final pass: allocation, and whatever
+        // scheduling feeds it. `pass` names the final pass.
+        let (alloc, pass, schedule_passes) = match self {
+            StrategyKind::Postpass => {
+                let alloc = run_allocate(machine, func, &no_bias, tracer, ctx)?;
+                (alloc, "sched:postpass", 1)
+            }
+            StrategyKind::NoSchedule => {
+                let alloc = run_allocate(machine, func, &no_bias, tracer, ctx)?;
+                // Its blocks record pass "serial" inside a
+                // "sched:serial" span.
+                (alloc, "serial", 0)
+            }
+            StrategyKind::Ips => {
+                let prepass = schedule_all(
+                    machine,
+                    func,
+                    &limited(ips_limit(machine)),
+                    tracer,
+                    ctx,
+                    "sched:ips-prepass",
+                );
+                let abandoned = "ips_reorder_abandoned";
+                let alloc =
+                    allocate_in_order(machine, func, &prepass, &no_bias, tracer, ctx, abandoned)?;
+                (alloc, "sched:ips-final", 2)
+            }
+            StrategyKind::Rase => {
+                let (estimate, bias) = rase_estimates(machine, func, tracer, ctx);
+                let abandoned = "rase_reorder_abandoned";
+                let alloc =
+                    allocate_in_order(machine, func, &estimate, &bias, tracer, ctx, abandoned)?;
+                (alloc, "sched:rase-final", 3)
+            }
+        };
+        let opts = SchedOptions::default();
+        let schedules = if self == StrategyKind::NoSchedule {
+            serial_all(machine, func, tracer, ctx)
+        } else {
+            schedule_all(machine, func, &opts, tracer, ctx, pass)
+        };
+        {
+            let _m = tracer.mspan("sched_metrics");
+            record_sched_pass(machine, func, &schedules, &opts, tracer, ctx, pass);
+        }
+        let stats = StrategyStats {
+            spills: alloc.spills,
+            schedule_passes,
+            estimated_cycles: schedules.iter().map(|s| s.length as u64).sum(),
+        };
+        Ok((schedules, stats))
+    }
 }
 
 impl std::fmt::Display for StrategyKind {
@@ -85,95 +157,42 @@ pub struct StrategyStats {
     pub estimated_cycles: u64,
 }
 
-/// A code generation strategy: consumes selected code, returns the
-/// final per-block schedules (over the possibly spill-expanded
-/// function).
-pub trait Strategy {
-    /// The strategy's display name.
-    fn name(&self) -> &'static str;
-
-    /// Runs allocation and scheduling over `func`. `tracer` collects
-    /// spans and per-block scheduler metrics (pass a
-    /// [`Tracer::off`] to collect nothing); `ctx` scopes the trace
-    /// records, conventionally `machine/function`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates scheduling and allocation failures.
-    fn run(
-        &self,
-        machine: &Machine,
-        func: &mut CodeFunc,
-        tracer: &Tracer,
-        ctx: &str,
-    ) -> Result<(Vec<Schedule>, StrategyStats), CodegenError>;
+/// Returns `kind` itself, whose [`StrategyKind::run`] runs the
+/// strategy. Kept for perfbench's replay, which calls
+/// `strategy_for(kind).run(..)`.
+pub fn strategy_for(kind: StrategyKind) -> StrategyKind {
+    kind
 }
 
-/// Builds the strategy object for a kind.
-pub fn strategy_for(kind: StrategyKind) -> Box<dyn Strategy + Send + Sync> {
-    match kind {
-        StrategyKind::Postpass => Box::new(Postpass),
-        StrategyKind::Ips => Box::new(Ips),
-        StrategyKind::Rase => Box::new(Rase),
-        StrategyKind::NoSchedule => Box::new(NoSchedule),
-    }
+/// The ablation baseline's final pass: each block in serial thread
+/// order (dependence- and resource-legal, with no reordering), over
+/// the plain DAG. Comparing against Postpass isolates what list
+/// scheduling itself buys.
+fn serial_all(machine: &Machine, func: &CodeFunc, tracer: &Tracer, ctx: &str) -> Vec<Schedule> {
+    let _span = tracer.span(ctx, "sched:serial");
+    func.blocks
+        .iter()
+        .map(|block| {
+            let dag = {
+                let _m = tracer.mspan("dag_build");
+                Discipline::NoSched.dag(machine, block)
+            };
+            // Serial over the plain DAG, not the ladder's serial rung:
+            // name the discipline a replay must rebuild.
+            let mut s = crate::sched::serial_schedule(machine, block, &dag);
+            s.explanation.discipline = Discipline::NoSched.name();
+            s
+        })
+        .collect()
 }
 
-/// The ablation baseline: global register allocation followed by a
-/// serial thread-order "schedule" (dependence- and resource-legal but
-/// with no reordering). Comparing against [`Postpass`] isolates what
-/// list scheduling itself buys.
-pub struct NoSchedule;
-
-impl Strategy for NoSchedule {
-    fn name(&self) -> &'static str {
-        "NoSched"
-    }
-
-    fn run(
-        &self,
-        machine: &Machine,
-        func: &mut CodeFunc,
-        tracer: &Tracer,
-        ctx: &str,
-    ) -> Result<(Vec<Schedule>, StrategyStats), CodegenError> {
-        let alloc = run_allocate(machine, func, &HashMap::new(), tracer, ctx)?;
-        let mut schedules = Vec::with_capacity(func.blocks.len());
-        {
-            let _span = tracer.span(ctx, "sched:serial");
-            for block in &func.blocks {
-                let dag = {
-                    let _m = tracer.mspan("dag_build");
-                    Discipline::NoSched.dag(machine, block)
-                };
-                // Serial over the plain DAG, not the ladder's serial
-                // rung: name the discipline a replay must rebuild.
-                let mut s = crate::sched::serial_schedule(machine, block, &dag);
-                s.explanation.discipline = Discipline::NoSched.name();
-                schedules.push(s);
-            }
-        }
-        {
-            let _m = tracer.mspan("sched_metrics");
-            let opts = SchedOptions::default();
-            record_sched_pass(machine, func, &schedules, &opts, tracer, ctx, "serial");
-        }
-        let stats = StrategyStats {
-            spills: alloc.spills,
-            schedule_passes: 0,
-            estimated_cycles: sum_len(&schedules),
-        };
-        Ok((schedules, stats))
-    }
-}
-
-/// Wraps [`allocate`] in a trace span and records its metrics:
-/// interference-graph size, simplify/spill rounds, spill count and
-/// the loop-weighted cost of what was spilled.
+/// Wraps [`allocate`](crate::regalloc::allocate) in a trace span and
+/// records its metrics: interference-graph size, simplify/spill rounds,
+/// spill count and the loop-weighted cost of what was spilled.
 fn run_allocate(
     machine: &Machine,
     func: &mut CodeFunc,
-    extra_cost: &HashMap<crate::code::Vreg, f64>,
+    extra_cost: &HashMap<Vreg, f64>,
     tracer: &Tracer,
     ctx: &str,
 ) -> Result<AllocResult, CodegenError> {
@@ -309,6 +328,9 @@ fn record_sched_pass(
     }
 }
 
+/// Schedules every block of `func` with `opts` through the fallback
+/// ladder, inside a `pass` span, counting fallbacks and (traced) the
+/// pass's scheduler work.
 fn schedule_all(
     machine: &Machine,
     func: &CodeFunc,
@@ -316,15 +338,14 @@ fn schedule_all(
     tracer: &Tracer,
     ctx: &str,
     pass: &'static str,
-    final_pass: bool,
-) -> Result<Vec<Schedule>, CodegenError> {
+) -> Vec<Schedule> {
     let mut out = Vec::with_capacity(func.blocks.len());
     {
         let _span = tracer.span(ctx, pass);
         // One scratch arena reused by every block this pass schedules.
         let mut scratch = crate::sched::Scratch::new();
         for (bi, block) in func.blocks.iter().enumerate() {
-            let (schedule, discipline) = crate::sched::schedule_block_robust_scratch(
+            let schedule = crate::sched::schedule_block_robust_scratch(
                 machine,
                 func,
                 block,
@@ -332,6 +353,7 @@ fn schedule_all(
                 tracer,
                 &mut scratch,
             );
+            let discipline = schedule.explanation.discipline;
             if discipline != Discipline::Rule1.name() {
                 // Temporal sequence protection failed to keep plain
                 // Rule 1 scheduling live; record which fallback
@@ -361,11 +383,7 @@ fn schedule_all(
         tracer.add(ctx, &format!("{pass}.cycles_stepped"), stepped as i64);
         tracer.add(ctx, &format!("{pass}.candidates_probed"), probed as i64);
     }
-    if final_pass {
-        let _m = tracer.mspan("sched_metrics");
-        record_sched_pass(machine, func, &out, opts, tracer, ctx, pass);
-    }
-    Ok(out)
+    out
 }
 
 /// Reorders each block's instructions into schedule order, so that the
@@ -421,8 +439,12 @@ fn reorder(machine: &Machine, func: &mut CodeFunc, schedules: &[Schedule], trace
     }
 }
 
-fn sum_len(schedules: &[Schedule]) -> u64 {
-    schedules.iter().map(|s| s.length as u64).sum()
+/// Scheduler options with a local register limit.
+fn limited(limit: usize) -> SchedOptions {
+    SchedOptions {
+        local_reg_limit: Some(limit),
+        ..SchedOptions::default()
+    }
 }
 
 /// The IPS local-register limit: the smallest general-purpose
@@ -442,188 +464,61 @@ fn ips_limit(machine: &Machine) -> usize {
     }
 }
 
-/// Postpass: allocation first, scheduling after (on physical
-/// registers, with full anti-dependences).
-pub struct Postpass;
-
-impl Strategy for Postpass {
-    fn name(&self) -> &'static str {
-        "Postpass"
-    }
-
-    fn run(
-        &self,
-        machine: &Machine,
-        func: &mut CodeFunc,
-        tracer: &Tracer,
-        ctx: &str,
-    ) -> Result<(Vec<Schedule>, StrategyStats), CodegenError> {
-        let alloc = run_allocate(machine, func, &HashMap::new(), tracer, ctx)?;
-        let schedules = schedule_all(
-            machine,
-            func,
-            &SchedOptions::default(),
-            tracer,
-            ctx,
-            "sched:postpass",
-            true,
-        )?;
-        let stats = StrategyStats {
-            spills: alloc.spills,
-            schedule_passes: 1,
-            estimated_cycles: sum_len(&schedules),
-        };
-        Ok((schedules, stats))
-    }
-}
-
-/// Integrated Prepass Scheduling: schedule each block with a limit on
-/// local register use, allocate, then schedule again.
-pub struct Ips;
-
-impl Strategy for Ips {
-    fn name(&self) -> &'static str {
-        "IPS"
-    }
-
-    fn run(
-        &self,
-        machine: &Machine,
-        func: &mut CodeFunc,
-        tracer: &Tracer,
-        ctx: &str,
-    ) -> Result<(Vec<Schedule>, StrategyStats), CodegenError> {
-        let prepass = schedule_all(
-            machine,
-            func,
-            &SchedOptions {
-                local_reg_limit: Some(ips_limit(machine)),
-                ..SchedOptions::default()
-            },
-            tracer,
-            ctx,
-            "sched:ips-prepass",
-            false,
-        )?;
-        let before = func.clone();
-        reorder(machine, func, &prepass, tracer);
-        let alloc = match run_allocate(machine, func, &HashMap::new(), tracer, ctx) {
-            Ok(a) => a,
-            Err(_) => {
-                // On register-starved machines the reordered code can
-                // be structurally uncolorable; fall back to the code
-                // thread order (degrading IPS towards Postpass for
-                // this function rather than failing).
-                *func = before;
-                tracer.event(ctx, "ips_reorder_abandoned", &[]);
-                run_allocate(machine, func, &HashMap::new(), tracer, ctx)?
-            }
-        };
-        let schedules = schedule_all(
-            machine,
-            func,
-            &SchedOptions::default(),
-            tracer,
-            ctx,
-            "sched:ips-final",
-            true,
-        )?;
-        let stats = StrategyStats {
-            spills: alloc.spills,
-            schedule_passes: 2,
-            estimated_cycles: sum_len(&schedules),
-        };
-        Ok((schedules, stats))
-    }
-}
-
-/// Register Allocation with Schedule Estimates: prepass schedules with
-/// and without a register limit give per-block sensitivity; globals
-/// crossing schedule-sensitive blocks have their spill costs reduced
-/// by the estimated schedule benefit of freeing a register there, the
-/// allocator runs with those biases, and a final pass schedules the
-/// allocated code.
-pub struct Rase;
-
-impl Strategy for Rase {
-    fn name(&self) -> &'static str {
-        "RASE"
-    }
-
-    fn run(
-        &self,
-        machine: &Machine,
-        func: &mut CodeFunc,
-        tracer: &Tracer,
-        ctx: &str,
-    ) -> Result<(Vec<Schedule>, StrategyStats), CodegenError> {
-        // Two estimate passes per block: unconstrained and tight.
-        let unlimited = schedule_all(
-            machine,
-            func,
-            &SchedOptions::default(),
-            tracer,
-            ctx,
-            "sched:rase-estimate",
-            false,
-        )?;
-        let tight_limit = (ips_limit(machine) / 2).max(2);
-        let tight = schedule_all(
-            machine,
-            func,
-            &SchedOptions {
-                local_reg_limit: Some(tight_limit),
-                ..SchedOptions::default()
-            },
-            tracer,
-            ctx,
-            "sched:rase-tight",
-            false,
-        )?;
-        // Sensitivity of each block's schedule to register pressure.
-        let mut extra_cost: HashMap<crate::code::Vreg, f64> = HashMap::new();
-        for (bi, block) in func.blocks.iter().enumerate() {
-            let sensitivity = tight[bi].length.saturating_sub(unlimited[bi].length) as f64;
-            if sensitivity == 0.0 {
-                continue;
-            }
-            // Global vregs occurring in a pressure-sensitive block are
-            // cheaper to spill: evicting them frees registers exactly
-            // where the schedule needs them.
-            for inst in &block.insts {
-                for op in &inst.ops {
-                    if let Operand::Vreg(v) | Operand::VregHalf(v, _) = op {
-                        if func.vreg(*v).kind == VregKind::Global {
-                            *extra_cost.entry(*v).or_insert(0.0) -= sensitivity;
-                        }
+/// RASE's schedule estimates: every block scheduled without a register
+/// limit and under a tight one. Global vregs occurring in a block whose
+/// schedule the tight limit lengthens are cheaper to spill by that
+/// sensitivity: evicting them frees registers exactly where the
+/// schedule needs them. Returns the unconstrained schedules and the
+/// spill-cost bias.
+fn rase_estimates(
+    machine: &Machine,
+    func: &CodeFunc,
+    tracer: &Tracer,
+    ctx: &str,
+) -> (Vec<Schedule>, HashMap<Vreg, f64>) {
+    let default = SchedOptions::default();
+    let unlimited = schedule_all(machine, func, &default, tracer, ctx, "sched:rase-estimate");
+    let tight_limit = limited((ips_limit(machine) / 2).max(2));
+    let tight = schedule_all(machine, func, &tight_limit, tracer, ctx, "sched:rase-tight");
+    let mut bias: HashMap<Vreg, f64> = HashMap::new();
+    for ((block, u), t) in func.blocks.iter().zip(&unlimited).zip(&tight) {
+        let sensitivity = t.length.saturating_sub(u.length) as f64;
+        if sensitivity == 0.0 {
+            continue;
+        }
+        for inst in &block.insts {
+            for op in &inst.ops {
+                if let Operand::Vreg(v) | Operand::VregHalf(v, _) = op {
+                    if func.vreg(*v).kind == VregKind::Global {
+                        *bias.entry(*v).or_insert(0.0) -= sensitivity;
                     }
                 }
             }
         }
-        let before = func.clone();
-        reorder(machine, func, &unlimited, tracer);
-        let alloc = match run_allocate(machine, func, &extra_cost, tracer, ctx) {
-            Ok(a) => a,
-            Err(_) => {
-                *func = before;
-                tracer.event(ctx, "rase_reorder_abandoned", &[]);
-                run_allocate(machine, func, &extra_cost, tracer, ctx)?
-            }
-        };
-        let schedules = schedule_all(
-            machine,
-            func,
-            &SchedOptions::default(),
-            tracer,
-            ctx,
-            "sched:rase-final",
-            true,
-        )?;
-        let stats = StrategyStats {
-            spills: alloc.spills,
-            schedule_passes: 3,
-            estimated_cycles: sum_len(&schedules),
-        };
-        Ok((schedules, stats))
     }
+    (unlimited, bias)
+}
+
+/// The IPS and RASE tail before the final pass: reorder `func` into
+/// `order`'s schedule order and allocate it. On register-starved
+/// machines the reordered code can be structurally uncolorable; then
+/// the code thread order is allocated instead (degrading the strategy
+/// towards Postpass for this function rather than failing), and the
+/// `abandoned` event is recorded.
+fn allocate_in_order(
+    machine: &Machine,
+    func: &mut CodeFunc,
+    order: &[Schedule],
+    bias: &HashMap<Vreg, f64>,
+    tracer: &Tracer,
+    ctx: &str,
+    abandoned: &str,
+) -> Result<AllocResult, CodegenError> {
+    let before = func.clone();
+    reorder(machine, func, order, tracer);
+    run_allocate(machine, func, bias, tracer, ctx).or_else(|_| {
+        *func = before;
+        tracer.event(ctx, abandoned, &[]);
+        run_allocate(machine, func, bias, tracer, ctx)
+    })
 }

@@ -14,23 +14,24 @@
 //!   interpreter's checksum (computed once per workload, machines
 //!   don't change IR semantics);
 //! * **reproducibility** — one rotating (workload, strategy) pair per
-//!   machine is compiled twice and the rendered assembly must be
-//!   byte-identical;
+//!   machine is compiled again through `Compiler::compile_module`, the
+//!   entry point users call, and its rendered assembly must be
+//!   byte-identical to the audited program's;
 //! * **quality differentials** — every passing run's sim-measured and
 //!   estimated cycles are recorded, and cross-strategy comparison
 //!   flags a strategy drastically worse than the best on the same
 //!   workload or an estimate implausibly far from the simulator —
 //!   scheduler bugs that still produce correct code.
 //!
-//! The harness replicates the driver's per-function pipeline (glue →
-//! select → strategy → emit → delay-slot fill) so the audited
-//! schedules are exactly the ones behind the simulated program, then
-//! assembles the same [`CompiledProgram`] the driver would.
+//! The harness compiles each function with the driver's own
+//! `Compiler::compile_func`, so the audited schedules are exactly the
+//! ones behind the simulated program, then links them with
+//! `Compiler::link` into the [`CompiledProgram`] `compile_module`
+//! would build.
 
-use marion_core::driver::{CompileStats, CompiledProgram};
-use marion_core::emit::{emit_func, fill_delay_slots, render_program, AsmProgram};
-use marion_core::strategy::strategy_for;
-use marion_core::{explain, glue, sched, select, EscapeRegistry, StrategyKind};
+use marion_core::driver::{materialize_float_constants, CompiledProgram};
+use marion_core::sched::SchedOptions;
+use marion_core::{audited_replay, Compiler, EscapeRegistry, StrategyKind};
 use marion_ir::interp::{Interp, Value};
 use marion_maril::{Machine, Ty};
 use marion_sim::{run_program, SimConfig};
@@ -279,23 +280,20 @@ pub fn audit_machine(
     repro_rotation: usize,
 ) -> MachineAudit {
     let mut audit = MachineAudit::default();
-    let pairs = workloads.len() * StrategyKind::ALL.len();
+    let compilers: Vec<Compiler> = StrategyKind::ALL
+        .iter()
+        .map(|&strategy| Compiler::new(machine.clone(), escapes.clone(), strategy))
+        .collect();
+    let pairs = workloads.len() * compilers.len();
     let repro_pick = if pairs == 0 {
         0
     } else {
         repro_rotation % pairs
     };
     for (wi, w) in workloads.iter().enumerate() {
-        for (si, &strategy) in StrategyKind::ALL.iter().enumerate() {
-            let pair_index = wi * StrategyKind::ALL.len() + si;
-            audit_one(
-                machine,
-                escapes,
-                w,
-                strategy,
-                pair_index == repro_pick,
-                &mut audit,
-            );
+        for (si, compiler) in compilers.iter().enumerate() {
+            let pair_index = wi * compilers.len() + si;
+            audit_one(compiler, w, pair_index == repro_pick, &mut audit);
         }
         audit.workloads_run += 1;
     }
@@ -311,20 +309,21 @@ pub fn audit_pair(
     strategy: StrategyKind,
 ) -> Vec<AuditFailure> {
     let mut audit = MachineAudit::default();
-    audit_one(machine, escapes, w, strategy, false, &mut audit);
+    let compiler = Compiler::new(machine.clone(), escapes.clone(), strategy);
+    audit_one(&compiler, w, false, &mut audit);
     audit.failures
 }
 
-/// Compiles one workload under one strategy with block auditing, then
-/// simulates and cross-checks. Failures are appended to `audit`.
+/// Compiles one workload with block auditing, then simulates and
+/// cross-checks. Failures are appended to `audit`.
 fn audit_one(
-    machine: &Machine,
-    escapes: &EscapeRegistry,
+    compiler: &Compiler,
     w: &PreparedWorkload,
-    strategy: StrategyKind,
     check_repro: bool,
     audit: &mut MachineAudit,
 ) {
+    let machine = compiler.machine();
+    let strategy = compiler.strategy();
     let fail = |audit: &mut MachineAudit, kind, detail: String| {
         audit.failures.push(AuditFailure {
             kind,
@@ -334,7 +333,7 @@ fn audit_one(
         });
     };
     audit.compilations += 1;
-    let (program, blocks) = match compile_audited(machine, escapes, &w.module, strategy) {
+    let (program, blocks) = match compile_audited(compiler, &w.module) {
         Ok(ok) => ok,
         Err((kind, detail)) => {
             fail(audit, kind, detail);
@@ -344,8 +343,8 @@ fn audit_one(
     audit.blocks_audited += blocks;
     if check_repro {
         audit.compilations += 1;
-        match compile_audited(machine, escapes, &w.module, strategy) {
-            Ok((second, _)) => {
+        match compiler.compile_module(&w.module) {
+            Ok(second) => {
                 if program.render(machine) != second.render(machine) {
                     fail(
                         audit,
@@ -354,11 +353,11 @@ fn audit_one(
                     );
                 }
             }
-            Err((_, detail)) => {
+            Err(e) => {
                 fail(
                     audit,
                     FailureKind::Reproducibility,
-                    format!("second compile failed: {detail}"),
+                    format!("second compile failed: {e}"),
                 );
             }
         }
@@ -409,82 +408,37 @@ fn audit_one(
     }
 }
 
-/// The driver's per-function pipeline with per-block auditing wired
-/// in between scheduling and emission, assembled into the same
-/// [`CompiledProgram`] the driver builds. Returns the program and the
-/// number of audited (non-empty) blocks.
-#[allow(clippy::result_large_err)]
+/// Compiles `module` one function at a time with
+/// [`Compiler::compile_func`], audits every non-empty block's final
+/// schedule with [`audited_replay`], and links the functions into the
+/// program [`Compiler::compile_module`] would build. Returns the
+/// program and the number of audited blocks.
 pub fn compile_audited(
-    machine: &Machine,
-    escapes: &EscapeRegistry,
+    compiler: &Compiler,
     module: &marion_ir::Module,
-    strategy_kind: StrategyKind,
 ) -> Result<(CompiledProgram, usize), (FailureKind, String)> {
     let mut module = module.clone();
-    marion_core::driver::materialize_float_constants(&mut module);
-    let strategy = strategy_for(strategy_kind);
+    materialize_float_constants(&mut module);
+    let machine = compiler.machine();
     let tracer = Tracer::off();
-    let mut asm = AsmProgram::default();
+    let mut funcs = Vec::with_capacity(module.funcs.len());
     let mut blocks_audited = 0usize;
     for func in &module.funcs {
-        let mut f = func.clone();
-        glue::apply_glue(machine, &mut f)
-            .map_err(|e| (FailureKind::Compile, format!("glue {}: {e}", f.name)))?;
-        let mut code = select::select_func(machine, escapes, &module, &f)
-            .map_err(|e| (FailureKind::Compile, format!("select {}: {e}", f.name)))?;
-        let (schedules, _stats) = strategy
-            .run(machine, &mut code, &tracer, &f.name)
-            .map_err(|e| (FailureKind::Compile, format!("strategy {}: {e}", f.name)))?;
-        for (bi, (block, schedule)) in code.blocks.iter().zip(&schedules).enumerate() {
+        let f = compiler
+            .compile_func(&module, func, &tracer)
+            .map_err(|e| (FailureKind::Compile, format!("{}: {e}", func.name)))?;
+        for (bi, (block, schedule)) in f.code.blocks.iter().zip(&f.schedules).enumerate() {
             if block.insts.is_empty() {
                 continue;
             }
-            // The final pass runs with default options; its replay
-            // carries the placement records the audit checks.
-            let replay =
-                sched::explain_schedule(machine, &code, block, schedule, &Default::default())
-                    .map_err(|e| (FailureKind::BlockAudit, format!("{}/b{bi}: {e}", f.name)))?;
-            let discipline = replay.explanation.discipline;
-            let (dag, check_rule1) = explain::dag_for_discipline(machine, block, discipline);
-            explain::audit_schedule(machine, block, &dag, &replay, check_rule1).map_err(|e| {
-                (
-                    FailureKind::BlockAudit,
-                    format!("{}/b{bi}: audit_schedule: {e}", f.name),
-                )
-            })?;
+            // Every strategy's final pass runs with default options.
+            audited_replay(machine, &f.code, block, schedule, &SchedOptions::default())
+                .map_err(|e| (FailureKind::BlockAudit, format!("{}/b{bi}: {e}", func.name)))?;
             blocks_audited += 1;
         }
-        let mut emitted = emit_func(machine, &code, &schedules)
-            .map_err(|e| (FailureKind::Compile, format!("emit {}: {e}", f.name)))?;
-        fill_delay_slots(machine, &mut emitted);
-        asm.funcs.push(emitted);
+        funcs.push((f.asm, f.stats));
     }
-    let symbols: Vec<String> = (0..module.symbol_count())
-        .map(|i| module.symbol_name(marion_ir::SymbolId(i as u32)).to_owned())
-        .collect();
-    let globals = module
-        .globals
-        .iter()
-        .map(|g| (g.name.clone(), g.init.clone()))
-        .collect();
-    Ok((
-        CompiledProgram {
-            asm,
-            globals,
-            symbols,
-            machine_name: machine.name().to_owned(),
-            strategy: strategy_kind,
-            stats: CompileStats::default(),
-            trace: None,
-            cache: None,
-        },
-        blocks_audited,
-    ))
-}
-
-/// Renders a program for byte-comparison (exposed for tests).
-pub fn render(machine: &Machine, program: &CompiledProgram) -> String {
-    render_program(machine, &program.asm, &program.symbols)
+    Ok((compiler.link(&module, funcs), blocks_audited))
 }
 
 #[cfg(test)]

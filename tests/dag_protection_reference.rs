@@ -163,7 +163,7 @@ fn check_block(machine: &Machine, block: &CodeBlock, tally: &mut Tally, what: im
 fn schedule_order(machine: &Machine, code: &CodeFunc) -> CodeFunc {
     let mut out = code.clone();
     for (block, scheduled) in code.blocks.iter().zip(&mut out.blocks) {
-        let (schedule, _) = schedule_block_robust(machine, code, block, &Default::default());
+        let schedule = schedule_block_robust(machine, code, block, &Default::default());
         scheduled.insts = schedule
             .cycles
             .iter()

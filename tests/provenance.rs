@@ -21,8 +21,7 @@ use marion::backend::explain::{self, StallReason};
 use marion::backend::regalloc::allocate;
 use marion::backend::sched::{self, SchedOptions, Schedule};
 use marion::backend::select::select_func;
-use marion::backend::strategy::strategy_for;
-use marion::backend::{audit_schedule, StrategyKind};
+use marion::backend::{audit_schedule, Compiler, StrategyKind};
 use marion::machines::MachineSpec;
 use marion::maril::Machine;
 use marion::rng::SplitMix64;
@@ -386,19 +385,18 @@ fn fused_stall_counts_match_replayed_provenance() {
                 .into_iter()
                 .chain([StrategyKind::NoSchedule])
             {
+                let compiler = Compiler::new(spec.machine.clone(), spec.escapes.clone(), kind);
                 for f in &module.funcs {
-                    let mut f = f.clone();
-                    marion::backend::glue::apply_glue(&spec.machine, &mut f).unwrap();
-                    let mut code = select_func(&spec.machine, &spec.escapes, &module, &f).unwrap();
-                    let (schedules, _) = strategy_for(kind)
-                        .run(&spec.machine, &mut code, &Tracer::off(), &f.name)
-                        .unwrap();
-                    for (bi, (block, schedule)) in code.blocks.iter().zip(&schedules).enumerate() {
+                    let compiled = compiler.compile_func(&module, f, &Tracer::off()).unwrap();
+                    let code = &compiled.code;
+                    for (bi, (block, schedule)) in
+                        code.blocks.iter().zip(&compiled.schedules).enumerate()
+                    {
                         // Every strategy's final pass runs with default
                         // options.
                         let what = format!("{machine_name} {} {kind} {}/b{bi}", w.name, f.name);
                         let opts = SchedOptions::default();
-                        assert_replay_matches(&spec.machine, &code, block, schedule, &opts, &what);
+                        assert_replay_matches(&spec.machine, code, block, schedule, &opts, &what);
                         blocks += 1;
                     }
                 }
@@ -425,8 +423,7 @@ fn fused_stall_counts_match_replayed_provenance() {
             marion::backend::glue::apply_glue(&spec.machine, &mut f).unwrap();
             let code = select_func(&spec.machine, &spec.escapes, &module, &f).unwrap();
             for (bi, block) in code.blocks.iter().enumerate() {
-                let (schedule, _) =
-                    sched::schedule_block_robust(&spec.machine, &code, block, &opts);
+                let schedule = sched::schedule_block_robust(&spec.machine, &code, block, &opts);
                 let what = format!("toyp seed {seed} {}/b{bi}", f.name);
                 assert_replay_matches(&spec.machine, &code, block, &schedule, &opts, &what);
                 pressure += schedule.explanation.stalls.pressure;
@@ -451,7 +448,7 @@ fn replay_refuses_a_schedule_it_does_not_reproduce() {
         marion::backend::glue::apply_glue(&spec.machine, &mut f).unwrap();
         let code = select_func(&spec.machine, &spec.escapes, &module, &f).unwrap();
         for block in code.blocks.iter().filter(|b| !b.insts.is_empty()) {
-            let (schedule, _) = sched::schedule_block_robust(&spec.machine, &code, block, &opts);
+            let schedule = sched::schedule_block_robust(&spec.machine, &code, block, &opts);
             let replay =
                 |s: &Schedule| sched::explain_schedule(&spec.machine, &code, block, s, &opts);
             replay(&schedule).unwrap_or_else(|e| panic!("replay: {e}"));

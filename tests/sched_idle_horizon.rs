@@ -86,7 +86,7 @@ fn check_blocks(
                 ..SchedOptions::default()
             };
             let what = || format!("{label}, block {bi}, limit {local_reg_limit:?}");
-            let (s, _) = schedule_block_robust(machine, code, block, &opts);
+            let s = schedule_block_robust(machine, code, block, &opts);
             let replay: Schedule = explain_schedule(machine, code, block, &s, &opts)
                 .unwrap_or_else(|e| panic!("{}: replay: {e}", what()));
             assert_eq!(s.cycles, replay.cycles, "{}", what());
