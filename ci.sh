@@ -181,6 +181,16 @@ grep -q 'Quality observatory' report.html
 grep -q 'stall-cycle composition' report.html
 grep -q 'speedups over Postpass' report.html
 
+echo "==> trace JSONL round trip (demo trace written, read back; profile lines, no per-call span lines)"
+./target/release/marion-report --demo --jsonl demo_trace.jsonl > /dev/null
+./target/release/marion-report demo_trace.jsonl | grep -q 'phase timing'
+grep -q '"t":"prof"' demo_trace.jsonl
+if grep -q '"t":"span"' demo_trace.jsonl; then
+  echo "demo_trace.jsonl carries per-call span lines" >&2
+  exit 1
+fi
+rm -f demo_trace.jsonl
+
 echo "==> perf-regression gate self-test (identical -> 0, 2x strategy time -> 1)"
 ./target/release/marion-bench diff BENCH_compile.json BENCH_compile.json --tolerance 5 > /dev/null
 sed 's/"strategy": [0-9][0-9.]*/"strategy": 99999.0/' BENCH_compile.json > BENCH_regressed_tmp.json

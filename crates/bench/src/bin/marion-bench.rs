@@ -44,23 +44,23 @@
 //!   diffs the committed matrix with `--tolerance 0`: any regression
 //!   in codegen quality fails the build.
 
+use marion_bench::flame::flame_tree;
 use marion_bench::serve::{run_stream, ServeConfig, Service};
 use marion_core::{CompileOptions, Compiler, StrategyKind};
 use marion_ir::Module;
 use marion_machines::MachineSpec;
 use marion_maril::Machine;
 use marion_trace::json::{parse_flat, ObjWriter};
-use marion_trace::{Fields, Record, TraceConfig};
+use marion_trace::{Fields, TraceConfig};
 use std::num::NonZeroUsize;
 use std::time::Instant;
 
-/// Strategy-interior micro-spans, plus the IPS strategy's two
-/// scheduling passes, whose self time (total minus nested children)
-/// lands in `BENCH_compile.json` as `subphase_self_ms`, so the perf
-/// gate sees where inside the scheduler and allocator the time moved,
-/// not just the phase total. A pass's self time is the list
-/// scheduler's cycle loop: everything it runs outside the per-block
-/// micro-spans.
+/// Strategy-interior spans, plus the IPS strategy's two scheduling
+/// passes, whose self time (total minus nested children) lands in
+/// `BENCH_compile.json` as `subphase_self_ms`, so the perf gate sees
+/// where inside the scheduler and allocator the time moved, not just
+/// the phase total. A pass's self time is the list scheduler's cycle
+/// loop: everything it runs outside the per-block spans.
 const SUBPHASES: [&str; 13] = [
     "sched:ips-prepass",
     "sched:ips-final",
@@ -92,58 +92,64 @@ const OBSERVABILITY_PAIRS: usize = 5;
 /// pass's wall time to rise above timer and scheduler noise.
 const OBSERVABILITY_REPEATS: usize = 40;
 
+const USAGE: &str = "usage: marion-bench <compile [--iters K] [--out PATH] \
+                     | crosscheck | serve [--smoke] [--out PATH] \
+                     | quality [--smoke] [--out PATH] \
+                     | diff OLD.json NEW.json [--tolerance PCT]>";
+
+/// Reports a bad command line and exits 2, before any bench work.
+fn usage(problem: &str) -> ! {
+    eprintln!("marion-bench: {problem}");
+    eprintln!("{USAGE}");
+    std::process::exit(2);
+}
+
+/// The value after `flag`, or a usage error when there is none.
+fn value<'a>(flags: &mut impl Iterator<Item = &'a str>, flag: &str) -> &'a str {
+    flags
+        .next()
+        .unwrap_or_else(|| usage(&format!("{flag} needs a value")))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cmd = args.first().map(String::as_str).unwrap_or("");
+    let mut flags = args.iter().skip(1).map(String::as_str);
     match cmd {
         "compile" => {
             let mut iters: usize = 5;
-            let mut out = "BENCH_compile.json".to_string();
-            let mut i = 1;
-            while i < args.len() {
-                match args[i].as_str() {
+            let mut out = "BENCH_compile.json";
+            while let Some(flag) = flags.next() {
+                match flag {
                     "--iters" => {
-                        i += 1;
-                        iters = args[i].parse().expect("--iters takes a number");
+                        iters = match value(&mut flags, flag).parse() {
+                            Ok(n) if n > 0 => n,
+                            _ => usage("--iters takes a whole number of at least 1"),
+                        }
                     }
-                    "--out" => {
-                        i += 1;
-                        out = args[i].clone();
-                    }
-                    other => {
-                        eprintln!("unknown flag `{other}`");
-                        std::process::exit(2);
-                    }
+                    "--out" => out = value(&mut flags, flag),
+                    other => usage(&format!("unknown flag `{other}`")),
                 }
-                i += 1;
             }
-            bench_compile(iters, &out);
+            bench_compile(iters, out);
         }
         "crosscheck" => crosscheck(),
         "diff" => {
             let mut tolerance = 10.0f64;
-            let mut files: Vec<String> = Vec::new();
-            let mut i = 1;
-            while i < args.len() {
-                match args[i].as_str() {
+            let mut files: Vec<&str> = Vec::new();
+            while let Some(flag) = flags.next() {
+                match flag {
                     "--tolerance" => {
-                        i += 1;
-                        tolerance = args.get(i).and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                            eprintln!("--tolerance takes a percentage");
-                            std::process::exit(2);
-                        });
+                        tolerance = value(&mut flags, flag)
+                            .parse()
+                            .unwrap_or_else(|_| usage("--tolerance takes a percentage"));
                     }
-                    other if other.starts_with('-') => {
-                        eprintln!("unknown flag `{other}`");
-                        std::process::exit(2);
-                    }
-                    path => files.push(path.to_string()),
+                    other if other.starts_with('-') => usage(&format!("unknown flag `{other}`")),
+                    path => files.push(path),
                 }
-                i += 1;
             }
             let [old_path, new_path] = files.as_slice() else {
-                eprintln!("usage: marion-bench diff OLD.json NEW.json [--tolerance PCT]");
-                std::process::exit(2);
+                usage("diff takes two files");
             };
             let read = |path: &str| {
                 std::fs::read_to_string(path).unwrap_or_else(|e| {
@@ -163,62 +169,26 @@ fn main() {
                 }
             }
         }
-        "serve" => {
+        "serve" | "quality" => {
             let mut smoke = false;
-            let mut out = "BENCH_serve.json".to_string();
-            let mut i = 1;
-            while i < args.len() {
-                match args[i].as_str() {
+            let mut out: Option<&str> = None;
+            while let Some(flag) = flags.next() {
+                match flag {
                     "--smoke" => smoke = true,
-                    "--out" => {
-                        i += 1;
-                        out = args[i].clone();
-                    }
-                    other => {
-                        eprintln!("unknown flag `{other}`");
-                        std::process::exit(2);
-                    }
+                    "--out" => out = Some(value(&mut flags, flag)),
+                    other => usage(&format!("unknown flag `{other}`")),
                 }
-                i += 1;
             }
-            bench_serve(smoke, &out);
-        }
-        "quality" => {
-            let mut smoke = false;
-            let mut out: Option<String> = None;
-            let mut i = 1;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--smoke" => smoke = true,
-                    "--out" => {
-                        i += 1;
-                        out = Some(args[i].clone());
-                    }
-                    other => {
-                        eprintln!("unknown flag `{other}`");
-                        std::process::exit(2);
-                    }
-                }
-                i += 1;
+            if cmd == "serve" {
+                bench_serve(smoke, out.unwrap_or("BENCH_serve.json"));
+            } else if smoke {
+                bench_quality(smoke, out.unwrap_or("BENCH_quality_smoke.json"));
+            } else {
+                bench_quality(smoke, out.unwrap_or("BENCH_quality.json"));
             }
-            let out = out.unwrap_or_else(|| {
-                if smoke {
-                    "BENCH_quality_smoke.json".to_string()
-                } else {
-                    "BENCH_quality.json".to_string()
-                }
-            });
-            bench_quality(smoke, &out);
         }
-        _ => {
-            eprintln!(
-                "usage: marion-bench <compile [--iters K] [--out PATH] \
-                 | crosscheck | serve [--smoke] [--out PATH] \
-                 | quality [--smoke] [--out PATH] \
-                 | diff OLD.json NEW.json [--tolerance PCT]>"
-            );
-            std::process::exit(2);
-        }
+        "" => usage("no subcommand"),
+        other => usage(&format!("unknown subcommand `{other}`")),
     }
 }
 
@@ -250,16 +220,16 @@ fn time_compile(spec: &MachineSpec, module: &Module, jobs: usize, iters: usize) 
     times[times.len() / 2]
 }
 
-/// Per-phase wall-time split and per-subphase self-time split
-/// (milliseconds), both medians over `iters` traced runs. Phases are
-/// the driver's spans directly under each `compile_func` (depth 2 of a
-/// serial compile), summed per run, in first-seen order; subphases
-/// come from the profile trie (`Record::Prof`), self time = total
-/// minus nested children, summed across every trie path ending in the
-/// subphase name.
 /// Per-phase and per-subphase `(name, milliseconds)` splits.
 type PhaseSplits = (Vec<(String, f64)>, Vec<(&'static str, f64)>);
 
+/// Per-phase wall-time split and per-subphase self-time split
+/// (milliseconds), both medians over `iters` traced runs, read from
+/// each run's flame tree. Phases are the children of `compile_func`
+/// (the driver's spans around glue, select, strategy, emit and
+/// delay-slot filling), in name order; a subphase's time is the
+/// [`FlameNode::self_us`](marion_bench::flame::FlameNode::self_us) of
+/// every tree node with its name, summed.
 fn phase_split(spec: &MachineSpec, module: &Module, iters: usize) -> PhaseSplits {
     let opts = CompileOptions {
         trace: Some(TraceConfig::default()),
@@ -277,39 +247,21 @@ fn phase_split(spec: &MachineSpec, module: &Module, iters: usize) -> PhaseSplits
         let program = compiler
             .compile_module(module)
             .unwrap_or_else(|e| panic!("{}: {e}", spec.machine.name()));
-        let trace = program.trace.expect("trace was requested");
-        let mut phase_us: Vec<(&str, u64)> = Vec::new();
-        let mut self_us = vec![0u64; SUBPHASES.len()];
-        for r in &trace.records {
-            match r {
-                Record::Span {
-                    name,
-                    depth: 2,
-                    dur_us,
-                    ..
-                } => match phase_us.iter_mut().find(|(phase, _)| phase == name) {
-                    Some((_, us)) => *us += dur_us,
-                    None => phase_us.push((name, *dur_us)),
-                },
-                Record::Prof {
-                    path,
-                    total_us,
-                    child_us,
-                    ..
-                } => {
-                    let leaf = path.rsplit('/').next().unwrap_or(path);
-                    if let Some(si) = SUBPHASES.iter().position(|s| *s == leaf) {
-                        self_us[si] += total_us.saturating_sub(*child_us);
-                    }
-                }
-                _ => {}
-            }
-        }
-        for (pi, (phase, us)) in phase_us.into_iter().enumerate() {
+        let tree = flame_tree(&program.trace.expect("trace was requested"));
+        let phases = tree.find("compile_func").map_or(&[][..], |f| &f.children);
+        for (pi, phase) in phases.iter().enumerate() {
             if pi == per_phase.len() {
-                per_phase.push((phase.to_owned(), Vec::new()));
+                per_phase.push((phase.name.clone(), Vec::new()));
             }
-            per_phase[pi].1.push(us as f64 / 1e3);
+            per_phase[pi].1.push(phase.total_us as f64 / 1e3);
+        }
+        let mut self_us = vec![0u64; SUBPHASES.len()];
+        let mut stack = vec![&tree];
+        while let Some(node) = stack.pop() {
+            if let Some(si) = SUBPHASES.iter().position(|s| *s == node.name) {
+                self_us[si] += node.self_us();
+            }
+            stack.extend(&node.children);
         }
         for (si, us) in self_us.into_iter().enumerate() {
             per_sub[si].push(us as f64 / 1e3);
@@ -341,7 +293,7 @@ struct Row {
     parallel4_ms: f64,
     /// Per-phase split of a serial indexed run (trace spans).
     phases: Vec<(String, f64)>,
-    /// Per-subphase self-time of the same run (profile trie).
+    /// Per-subphase self-time of the same run (flame tree).
     subphases: Vec<(&'static str, f64)>,
     /// The select phase alone on the brute-force reference machine
     /// (trace spans).

@@ -95,11 +95,14 @@ fn main() {
     let opts = Options {
         dot: args.iter().any(|a| a == "--dot"),
         check: args.iter().any(|a| a == "--check"),
-        limit: args
-            .iter()
-            .position(|a| a == "--blocks")
-            .and_then(|p| args.get(p + 1))
-            .and_then(|v| v.parse().ok()),
+        limit: args.iter().position(|a| a == "--blocks").map(|p| {
+            args.get(p + 1)
+                .and_then(|v| v.parse().ok())
+                .unwrap_or_else(|| {
+                    eprintln!("marion-explain: --blocks takes a number of blocks");
+                    usage()
+                })
+        }),
         strategy,
     };
     // `--compare [FUNC]`: the optional FUNC rides directly after the

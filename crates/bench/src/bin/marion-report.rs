@@ -1,8 +1,10 @@
 //! marion-report — aggregates JSONL pipeline traces (see
 //! `marion_trace`) into the paper-style summary tables:
 //!
-//! * a per-phase wall-clock table (where compile time goes, Table 3's
-//!   "Marion compilers are not fast" breakdown);
+//! * a wall-clock table with one row per span name, its calls and
+//!   total time summed over every call-tree path that ends in it
+//!   (where compile time goes, Table 3's "Marion compilers are not
+//!   fast" breakdown);
 //! * a per-function summary of the static counters (instructions
 //!   generated, spills, estimated cycles, delay slots, stalls — the
 //!   Table 1 / Table 2 shape);
@@ -45,6 +47,11 @@
 //! carries no SLO fields. `--dashboard` extracts the self-contained
 //! HTML payload from a `dashboard` response line and writes it out.
 //!
+//! Trace files hold the JSON Lines of `TraceData::to_jsonl`; several
+//! files, or one file that concatenates several traces, read as their
+//! merge. A line of a type the format does not have, such as a
+//! per-call `span` line, makes the file unusable.
+//!
 //! Exit codes everywhere: 0 success, 1 a report/check failed (SLO
 //! violated, output unwritable), 2 the input was unusable (unreadable
 //! or truncated trace file, bad flags, missing fields).
@@ -53,7 +60,7 @@ use marion_bench::serve::check_slo_fields;
 use marion_bench::{html::render_html_with, out, outln, row};
 use marion_core::{CompileOptions, Compiler, StrategyKind};
 use marion_trace::json::parse_flat;
-use marion_trace::{Fields, Record, TraceConfig, TraceData, Value};
+use marion_trace::{Fields, TraceConfig, TraceData, Value};
 use std::collections::{BTreeMap, BTreeSet};
 
 fn usage() -> ! {
@@ -331,8 +338,9 @@ fn merge_traces(parts: Vec<TraceData>) -> TraceData {
 }
 
 /// `(machines, scheduling passes)` seen in one trace file: machine
-/// names are the first `/`-segment of record contexts; passes come
-/// from `sched_block` event labels plus `sched:*` span names. This is
+/// names are the first `/`-segment of counter, histogram, gauge and
+/// event contexts; passes come from `sched_block` event labels plus
+/// the `sched:*` segments of profile paths. This is
 /// the identity a merge must agree on — summing counters from a
 /// `r2000` trace into an `i860` one, or IPS passes into Postpass
 /// ones, produces a nonsense flame tree.
@@ -345,20 +353,14 @@ fn trace_signature(data: &TraceData) -> (BTreeSet<String>, BTreeSet<String>) {
             machines.insert(first.to_string());
         }
     };
-    for r in &data.records {
-        match r {
-            Record::Counter { ctx, .. }
-            | Record::Gauge { ctx, .. }
-            | Record::Hist { ctx, .. }
-            | Record::Event { ctx, .. } => ctx_machine(ctx),
-            Record::Span { name, ctx, .. } => {
-                ctx_machine(ctx);
-                if name.starts_with("sched:") {
-                    passes.insert(name.clone());
-                }
-            }
-            Record::Prof { .. } => {}
-        }
+    let keys = data.counters.keys().chain(data.gauges.keys());
+    let ctxs = keys.chain(data.hists.keys()).map(|(ctx, _)| ctx);
+    for ctx in ctxs.chain(data.events.iter().map(|e| &e.ctx)) {
+        ctx_machine(ctx);
+    }
+    for path in data.profile.keys() {
+        let sched = path.split('/').filter(|seg| seg.starts_with("sched:"));
+        passes.extend(sched.map(str::to_string));
     }
     for (_, fields) in data.events_named("sched_block") {
         if let Some(pass) = fields.str("pass") {
@@ -485,15 +487,8 @@ fn demo() -> TraceData {
 fn report(data: &TraceData) -> String {
     let mut out = String::new();
 
-    // ---- per-phase wall-clock ----
-    let mut phases: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
-    for r in &data.records {
-        if let Record::Span { name, dur_us, .. } = r {
-            let slot = phases.entry(name).or_insert((0, 0));
-            slot.0 += dur_us;
-            slot.1 += 1;
-        }
-    }
+    // ---- per-span wall-clock ----
+    let phases = data.span_totals();
     if !phases.is_empty() {
         let widths = [24, 12, 8, 10];
         out.push_str("phase timing (wall clock)\n");
@@ -501,22 +496,21 @@ fn report(data: &TraceData) -> String {
             &[
                 "phase".into(),
                 "total us".into(),
-                "spans".into(),
+                "calls".into(),
                 "mean us".into(),
             ],
             &widths,
         ));
         out.push('\n');
-        let mut rows: Vec<(&str, u64, u64)> =
-            phases.into_iter().map(|(n, (t, c))| (n, t, c)).collect();
-        rows.sort_by_key(|(_, t, _)| std::cmp::Reverse(*t));
-        for (name, total, count) in rows {
+        let mut rows: Vec<_> = phases.into_iter().collect();
+        rows.sort_by_key(|(_, p)| std::cmp::Reverse(p.total_us));
+        for (name, p) in rows {
             out.push_str(&row(
                 &[
                     name.into(),
-                    total.to_string(),
-                    count.to_string(),
-                    format!("{:.1}", total as f64 / count.max(1) as f64),
+                    p.total_us.to_string(),
+                    p.count.to_string(),
+                    format!("{:.1}", p.total_us as f64 / p.count.max(1) as f64),
                 ],
                 &widths,
             ));
@@ -526,12 +520,7 @@ fn report(data: &TraceData) -> String {
     }
 
     // ---- per-function static counters ----
-    let mut funcs: BTreeMap<&str, BTreeMap<&str, i64>> = BTreeMap::new();
-    for r in &data.records {
-        if let Record::Counter { name, ctx, value } = r {
-            *funcs.entry(ctx).or_default().entry(name).or_insert(0) += value;
-        }
-    }
+    let funcs = data.counters_by_ctx();
     if !funcs.is_empty() {
         let cols = [
             ("insts_generated", "insts"),
@@ -624,30 +613,18 @@ fn report(data: &TraceData) -> String {
     }
 
     // ---- sample distributions + gauges ----
-    let mut any_hist = false;
-    for r in &data.records {
-        if let Record::Hist { name, ctx, hist } = r {
-            if !any_hist {
-                out.push_str("sample distributions (log2 buckets)\n");
-                any_hist = true;
-            }
+    if !data.hists.is_empty() {
+        out.push_str("sample distributions (log2 buckets)\n");
+        for ((ctx, name), hist) in &data.hists {
             out.push_str(&format!("  {ctx} \u{2014} {name}: {}\n", hist.summarize()));
         }
-    }
-    if any_hist {
         out.push('\n');
     }
-    let mut any_gauge = false;
-    for r in &data.records {
-        if let Record::Gauge { name, ctx, value } = r {
-            if !any_gauge {
-                out.push_str("gauges (high-water)\n");
-                any_gauge = true;
-            }
+    if !data.gauges.is_empty() {
+        out.push_str("gauges (high-water)\n");
+        for ((ctx, name), value) in &data.gauges {
             out.push_str(&format!("  {ctx} \u{2014} {name}: {value}\n"));
         }
-    }
-    if any_gauge {
         out.push('\n');
     }
 
@@ -788,13 +765,13 @@ mod tests {
         let t = Tracer::new(TraceConfig::default());
         t.add("r2000/f", "insts_generated", 3);
         {
-            let _s = t.span("r2000/f", "sched:ips-final");
+            let _s = t.span("sched:ips-final");
         }
         let a = t.finish().unwrap();
         let t = Tracer::new(TraceConfig::default());
         t.add("i860/f", "insts_generated", 4);
         {
-            let _s = t.span("i860/f", "sched:postpass");
+            let _s = t.span("sched:postpass");
         }
         let b = t.finish().unwrap();
         let warnings = mismatch_warnings(&[("a.jsonl".into(), a), ("b.jsonl".into(), b)]);
@@ -809,7 +786,7 @@ mod tests {
             let t = Tracer::new(TraceConfig::default());
             t.add("r2000/f", "insts_generated", 3);
             {
-                let _s = t.span("r2000/f", "sched:postpass");
+                let _s = t.span("sched:postpass");
             }
             t.finish().unwrap()
         };

@@ -10,25 +10,12 @@
 //! `<polygon>` arrowheads, `<text>`, `<title>` tooltips; no scripts,
 //! no links, no external assets.
 
+use crate::html::esc;
 use marion_core::dag::{CodeDag, EdgeKind};
 use marion_core::explain::inst_label;
 use marion_core::sched::Schedule;
 use marion_core::CodeBlock;
 use marion_maril::Machine;
-
-fn esc(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for c in text.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            _ => out.push(c),
-        }
-    }
-    out
-}
 
 const NODE_W: f64 = 150.0;
 const NODE_H: f64 = 34.0;

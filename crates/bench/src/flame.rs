@@ -1,19 +1,23 @@
 //! Flame tree aggregation and pure-SVG flamegraph rendering.
 //!
-//! [`flame_tree`] folds the `prof` records of a merged [`TraceData`]
-//! (emitted by `Tracer::mspan` / `Tracer::span` aggregation) into one
-//! deterministic tree: paths are normalized (a leading
-//! `compile_module` segment is dropped, so serial and parallel runs —
-//! whose span nesting differs only by that module-level wrapper —
-//! produce the same tree), duplicates are summed, and children are
-//! kept name-sorted. Self time is computed structurally:
-//! `self = total − Σ direct children totals`, which telescopes so the
-//! self times of a subtree sum *exactly* to the subtree root's total.
+//! [`flame_tree`] folds the call-tree profile of a merged
+//! [`TraceData`] (one `(calls, total µs)` entry per path of
+//! `Tracer::span` names) into one deterministic tree: paths are
+//! normalized (a leading `compile_module` segment is dropped, so
+//! serial and parallel runs — whose span nesting differs only by that
+//! module-level wrapper — produce the same tree), duplicates are
+//! summed, and children are kept name-sorted. The profile records no
+//! self time; [`FlameNode::self_us`] derives it from the tree as
+//! `total − Σ direct children totals`, which telescopes so the self
+//! times of a subtree sum *exactly* to the subtree root's total. It is
+//! the one definition of self time: the report's frame table and
+//! `marion-bench`'s `subphase_self_ms` both read it.
 //!
 //! [`render_svg`] draws the tree as a self-contained SVG: `<rect>`,
 //! `<text>` and `<title>` only — no JavaScript, no links, no external
 //! assets — safe to inline into the HTML report.
 
+use crate::html::esc;
 use marion_trace::TraceData;
 
 /// One node of the aggregated flame tree. Children are sorted by name.
@@ -105,12 +109,12 @@ impl FlameNode {
     }
 }
 
-/// Builds the flame tree from a trace's `prof` records. The returned
+/// Builds the flame tree from a trace's profile. The returned
 /// root is synthetic (empty name); its `total_us` is the sum of the
 /// top-level nodes so bar widths normalize against it.
 pub fn flame_tree(data: &TraceData) -> FlameNode {
     let mut root = FlameNode::default();
-    for (path, count, total_us, _child_us) in data.profs() {
+    for (path, prof) in &data.profile {
         let mut segs: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
         // Serial runs nest everything under the module-level span;
         // parallel runs trace functions on per-shard tracers without
@@ -121,7 +125,7 @@ pub fn flame_tree(data: &TraceData) -> FlameNode {
         if segs.is_empty() {
             continue;
         }
-        root.insert(&segs, count, total_us);
+        root.insert(&segs, prof.count, prof.total_us);
     }
     root.total_us = root.children.iter().map(|c| c.total_us).sum();
     root.count = root.children.iter().map(|c| c.count).sum();
@@ -131,20 +135,6 @@ pub fn flame_tree(data: &TraceData) -> FlameNode {
 const ROW_H: u32 = 18;
 const WIDTH: u32 = 1000;
 const MIN_W: f64 = 0.5;
-
-fn esc(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for c in text.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            _ => out.push(c),
-        }
-    }
-    out
-}
 
 /// Deterministic warm hue per frame name (FNV-1a over the bytes).
 fn hue(name: &str) -> u32 {
@@ -227,17 +217,12 @@ fn render_node(out: &mut String, node: &FlameNode, x: f64, w: f64, level: u32, g
 #[cfg(test)]
 mod tests {
     use super::*;
-    use marion_trace::Record;
+    use marion_trace::Prof;
 
-    fn data(rows: &[(&str, u64, u64, u64)]) -> TraceData {
+    fn data(rows: &[(&str, u64, u64)]) -> TraceData {
         let mut d = TraceData::default();
-        for (path, count, total_us, child_us) in rows {
-            d.records.push(Record::Prof {
-                path: (*path).to_string(),
-                count: *count,
-                total_us: *total_us,
-                child_us: *child_us,
-            });
+        for &(path, count, total_us) in rows {
+            d.profile.insert(path.to_string(), Prof { count, total_us });
         }
         d
     }
@@ -245,10 +230,10 @@ mod tests {
     #[test]
     fn tree_builds_with_exact_self_time_telescoping() {
         let d = data(&[
-            ("compile_func", 2, 100, 90),
-            ("compile_func/strategy", 2, 90, 65),
-            ("compile_func/strategy/regalloc", 2, 40, 0),
-            ("compile_func/strategy/sched:postpass", 2, 25, 0),
+            ("compile_func", 2, 100),
+            ("compile_func/strategy", 2, 90),
+            ("compile_func/strategy/regalloc", 2, 40),
+            ("compile_func/strategy/sched:postpass", 2, 25),
         ]);
         let tree = flame_tree(&d);
         let strategy = tree.find("compile_func/strategy").unwrap();
@@ -262,10 +247,10 @@ mod tests {
     #[test]
     fn module_wrapper_is_normalized_away() {
         let serial = data(&[
-            ("compile_module", 1, 500, 400),
-            ("compile_module/compile_func", 3, 400, 0),
+            ("compile_module", 1, 500),
+            ("compile_module/compile_func", 3, 400),
         ]);
-        let parallel = data(&[("compile_module", 1, 500, 0), ("compile_func", 3, 400, 0)]);
+        let parallel = data(&[("compile_module", 1, 500), ("compile_func", 3, 400)]);
         assert_eq!(
             flame_tree(&serial).structure(),
             flame_tree(&parallel).structure()
@@ -274,8 +259,11 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_paths_sum() {
-        let d = data(&[("compile_func", 1, 10, 0), ("compile_func", 2, 30, 0)]);
+    fn paths_equal_after_normalizing_sum() {
+        let d = data(&[
+            ("compile_module/compile_func", 1, 10),
+            ("compile_func", 2, 30),
+        ]);
         let tree = flame_tree(&d);
         let f = tree.find("compile_func").unwrap();
         assert_eq!((f.count, f.total_us), (3, 40));
@@ -284,9 +272,9 @@ mod tests {
     #[test]
     fn svg_is_self_contained() {
         let d = data(&[
-            ("compile_func", 2, 100, 90),
-            ("compile_func/strategy", 2, 90, 0),
-            ("compile_func/strategy/<evil> & \"co\"", 2, 60, 0),
+            ("compile_func", 2, 100),
+            ("compile_func/strategy", 2, 90),
+            ("compile_func/strategy/<evil> & \"co\"", 2, 60),
         ]);
         let svg = render_svg(&flame_tree(&d), "flame <&>");
         assert!(svg.starts_with("<svg "));

@@ -18,11 +18,12 @@
 
 use crate::serve::Replay;
 use marion_trace::json::Json;
-use marion_trace::{hist, Fields, Histogram, Record, TraceData, Value};
+use marion_trace::{hist, Fields, Histogram, TraceData, Value};
 use std::collections::BTreeMap;
 
-/// Escapes text for HTML body and attribute positions.
-fn esc(text: &str) -> String {
+/// Escapes text for HTML body and attribute positions; the crate's one
+/// HTML escaper, shared by the flamegraph and DAG renderers.
+pub(crate) fn esc(text: &str) -> String {
     let mut out = String::with_capacity(text.len());
     for c in text.chars() {
         match c {
@@ -176,22 +177,8 @@ pub fn render_html_with(
     out.push_str(&format!("<style>{STYLE}</style>\n"));
     out.push_str("</head><body>\n<h1>Marion observability report</h1>\n");
 
-    // ---- aggregate the counters per ctx once ----
-    let mut funcs: BTreeMap<&str, BTreeMap<&str, i64>> = BTreeMap::new();
-    let mut phases: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
-    for r in &data.records {
-        match r {
-            Record::Counter { name, ctx, value } => {
-                *funcs.entry(ctx).or_default().entry(name).or_insert(0) += value;
-            }
-            Record::Span { name, dur_us, .. } => {
-                let slot = phases.entry(name).or_insert((0, 0));
-                slot.0 += dur_us;
-                slot.1 += 1;
-            }
-            _ => {}
-        }
-    }
+    let funcs = data.counters_by_ctx();
+    let phases = data.span_totals();
     let total = |name: &str| data.counter_total(name);
 
     // ---- summary tiles ----
@@ -212,38 +199,39 @@ pub fn render_html_with(
         "stall cycles",
         &total("sched_stall_cycles").to_string(),
     );
-    let wall: u64 = phases.values().map(|(t, _)| t).sum();
-    tile(&mut out, "traced wall time", &format!("{wall} us"));
+    tile(
+        &mut out,
+        "traced wall time",
+        &format!("{} us", traced_wall_us(data)),
+    );
     out.push_str("</div>\n");
 
     // ---- phase timing ----
     if !phases.is_empty() {
         section(&mut out, "Phase timing (wall clock)");
-        let mut rows: Vec<(&str, u64, u64)> =
-            phases.iter().map(|(n, (t, c))| (*n, *t, *c)).collect();
-        rows.sort_by_key(|(_, t, _)| std::cmp::Reverse(*t));
-        let max = rows.first().map(|(_, t, _)| *t).unwrap_or(0) as f64;
-        for (name, total, count) in rows {
+        let mut rows: Vec<_> = phases.into_iter().collect();
+        rows.sort_by_key(|(_, p)| std::cmp::Reverse(p.total_us));
+        let max = rows.first().map(|(_, p)| p.total_us).unwrap_or(0) as f64;
+        for (name, p) in rows {
             bar(
                 &mut out,
                 name,
-                total as f64,
+                p.total_us as f64,
                 max,
-                &format!("{total} us / {count} span(s)"),
+                &format!("{} us / {} call(s)", p.total_us, p.count),
             );
         }
     }
 
-    // ---- strategy-interior flamegraph ----
-    // `prof` records (micro-span aggregation) render as a call-tree
-    // flamegraph next to the phase bars: where `strategy`'s wall time
-    // actually goes, loop by loop.
+    // ---- call-tree flamegraph ----
+    // The profile renders as a flamegraph next to the phase bars:
+    // where `strategy`'s wall time actually goes, loop by loop.
     let flame_root = crate::flame::flame_tree(data);
     if !flame_root.children.is_empty() {
         section(&mut out, "Where the time goes (self-profile flamegraph)");
         out.push_str(&crate::flame::render_svg(
             &flame_root,
-            "micro-span wall-clock attribution (hover for self time)",
+            "span wall-clock attribution (hover for self time)",
         ));
         // Top self-time frames as a table, for grep-ability.
         let mut rows: Vec<(String, u64, u64, u64)> = Vec::new();
@@ -300,11 +288,6 @@ pub fn render_html_with(
     // strategy-by-strategy breakdown.
     let mut by_pass: BTreeMap<String, BTreeMap<&str, i64>> = BTreeMap::new();
     for (_, fields) in data.events_named("sched_block") {
-        // Only traces from older builds (saved JSONL) carry `final`;
-        // their estimate passes, marked `final: 0`, would count twice.
-        if fields.int("final") == Some(0) {
-            continue;
-        }
         let pass = fields.str("pass").unwrap_or("?").to_string();
         let slot = by_pass.entry(pass).or_default();
         for (key, reason) in STALL_REASONS {
@@ -339,34 +322,18 @@ pub fn render_html_with(
     }
 
     // ---- sample distributions (log2 histograms) ----
-    let hists: Vec<(&str, &str, &Histogram)> = data
-        .records
-        .iter()
-        .filter_map(|r| match r {
-            Record::Hist { name, ctx, hist } => Some((ctx.as_str(), name.as_str(), hist.as_ref())),
-            _ => None,
-        })
-        .collect();
-    if !hists.is_empty() {
+    if !data.hists.is_empty() {
         section(&mut out, "Sample distributions (log2 buckets)");
-        for (ctx, name, h) in hists {
+        for ((ctx, name), h) in &data.hists {
             hist_block(&mut out, &format!("{ctx} \u{2014} {name}"), h, "");
         }
     }
 
     // ---- gauges ----
-    let gauges: Vec<(&str, &str, i64)> = data
-        .records
-        .iter()
-        .filter_map(|r| match r {
-            Record::Gauge { name, ctx, value } => Some((ctx.as_str(), name.as_str(), *value)),
-            _ => None,
-        })
-        .collect();
-    if !gauges.is_empty() {
+    if !data.gauges.is_empty() {
         section(&mut out, "Gauges (high-water)");
         table_open(&mut out, &["context", "gauge", "value"]);
-        for (ctx, name, value) in gauges {
+        for ((ctx, name), value) in &data.gauges {
             table_row(
                 &mut out,
                 &[ctx.to_string(), name.to_string(), value.to_string()],
@@ -495,7 +462,7 @@ pub fn subphase_diff_table(old_text: &str, new_text: &str) -> Result<String, Str
     }
     table_close(&mut out);
     out.push_str(
-        "<p class=\"muted\">self time = wall time minus nested micro-spans, \
+        "<p class=\"muted\">self time = wall time minus nested spans, \
          summed over all machines and workloads of each bench file; \
          sub-floor entries are omitted at recording time.</p>\n",
     );
@@ -804,6 +771,17 @@ pub fn quality_section(text: &str) -> Result<String, String> {
     Ok(out)
 }
 
+/// Wall time of the traced regions: the summed totals of the
+/// profile's top-level paths, so nested spans count once, inside
+/// their outermost span.
+fn traced_wall_us(data: &TraceData) -> u64 {
+    data.profile
+        .iter()
+        .filter(|(path, _)| !path.contains('/'))
+        .map(|(_, p)| p.total_us)
+        .sum()
+}
+
 /// Depth-first collection of `(path, self_us, total_us, count)` rows
 /// from the flame tree, for the top-frames table.
 fn collect_self_rows(
@@ -1101,7 +1079,7 @@ pub fn render_dashboard(d: &crate::serve::DashboardData) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use marion_trace::{TraceConfig, Tracer};
+    use marion_trace::{Prof, TraceConfig, Tracer};
 
     fn sample_trace() -> TraceData {
         let t = Tracer::new(TraceConfig {
@@ -1122,16 +1100,6 @@ mod tests {
                 ("stall_resource", Value::Int(2)),
             ],
         );
-        // An estimate pass as traces from older builds recorded it.
-        t.event(
-            "r2000/kernel/b0",
-            "sched_block",
-            &[
-                ("pass", Value::from("sched:ips-prepass")),
-                ("final", Value::Int(0)),
-                ("stall_dependence", Value::Int(9)),
-            ],
-        );
         t.event(
             "r2000/kernel/b0",
             "reservation_table",
@@ -1149,26 +1117,14 @@ mod tests {
             ],
         );
         let mut data = t.finish().unwrap();
-        for (name, dur_us) in [("select", 120u64), ("sched", 80)] {
-            data.records.push(Record::Span {
-                name: name.to_string(),
-                ctx: "module".to_string(),
-                depth: 0,
-                start_us: 0,
-                dur_us,
-            });
-        }
-        for (path, count, total_us, child_us) in [
-            ("compile_func", 1u64, 200u64, 180u64),
-            ("compile_func/strategy", 1, 180, 100),
-            ("compile_func/strategy/regalloc", 1, 100, 0),
+        for (path, count, total_us) in [
+            ("compile_func", 1, 200),
+            ("compile_func/strategy", 1, 180),
+            ("compile_func/strategy/regalloc", 1, 100),
+            ("compile_func/select", 1, 15),
         ] {
-            data.records.push(Record::Prof {
-                path: path.to_string(),
-                count,
-                total_us,
-                child_us,
-            });
+            data.profile
+                .insert(path.to_string(), Prof { count, total_us });
         }
         data
     }
@@ -1204,13 +1160,33 @@ mod tests {
         ] {
             assert!(html.contains(needle), "missing section `{needle}`");
         }
-        assert!(
-            !html.contains("sched:ips-prepass"),
-            "old estimate pass counted"
-        );
         // Raw event text is escaped, not injected.
         assert!(html.contains("&lt;raw&gt; &amp; stuff"));
         assert!(!html.contains("<raw>"));
+    }
+
+    #[test]
+    fn phase_table_lists_every_span_name_with_its_calls() {
+        let html = render_html(&sample_trace(), None);
+        assert!(html.contains("200 us / 1 call(s)"), "compile_func row");
+        assert!(html.contains("regalloc"), "nested spans get rows too");
+    }
+
+    #[test]
+    fn traced_wall_time_counts_nested_spans_once() {
+        let mut data = TraceData::default();
+        for (path, count, total_us) in [
+            ("compile_module", 2, 1000),
+            ("compile_module/compile_func", 3, 900),
+            ("compile_module/compile_func/strategy", 3, 700),
+            ("replay", 1, 50),
+        ] {
+            data.profile
+                .insert(path.to_string(), Prof { count, total_us });
+        }
+        assert_eq!(traced_wall_us(&data), 1050);
+        let html = render_html(&data, None);
+        assert!(html.contains(">1050 us<"), "tile shows top-level totals");
     }
 
     #[test]

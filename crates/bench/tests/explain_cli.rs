@@ -1,6 +1,7 @@
 //! `marion-explain` end to end: `--strategy` selects the strategy
-//! whose final schedules are narrated and audited, an unknown one is
-//! a usage error, and the usage line lists every explain flag.
+//! whose final schedules are narrated and audited, an unknown one or
+//! a `--blocks` without a number is a usage error, and the usage line
+//! lists every explain flag.
 
 use std::process::{Command, Output};
 
@@ -28,6 +29,8 @@ fn strategy_flag_selects_the_explained_schedules() {
     let ips = explain(&["r2000", src, "--strategy", "ips", "--check"]);
     let postpass = explain(&["r2000", src, "--strategy", "postpass", "--check"]);
     let bogus = explain(&["r2000", src, "--strategy", "bogus"]);
+    let bad_blocks = explain(&["r2000", src, "--blocks", "x"]);
+    let no_blocks = explain(&["r2000", src, "--blocks"]);
     std::fs::remove_dir_all(&dir).unwrap();
 
     for (name, out) in [("ips", &ips), ("postpass", &postpass)] {
@@ -43,7 +46,14 @@ fn strategy_flag_selects_the_explained_schedules() {
         ips.stdout, postpass.stdout,
         "IPS explained Postpass's schedules"
     );
-    assert_eq!(bogus.status.code(), Some(2));
-    let usage = String::from_utf8_lossy(&bogus.stderr);
-    assert!(usage.contains("--blocks N"), "{usage}");
+    for (name, out) in [
+        ("--strategy bogus", &bogus),
+        ("--blocks x", &bad_blocks),
+        ("--blocks", &no_blocks),
+    ] {
+        assert_eq!(out.status.code(), Some(2), "{name}");
+        assert!(out.stdout.is_empty(), "{name}: narrated anyway");
+        let usage = String::from_utf8_lossy(&out.stderr);
+        assert!(usage.contains("--blocks N"), "{name}: {usage}");
+    }
 }

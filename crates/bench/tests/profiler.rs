@@ -1,7 +1,7 @@
 //! End-to-end checks on the self-profiler: the flame tree built from a
 //! compile trace must be structurally identical at any `jobs` count,
 //! its self-times must telescope exactly to the enclosing `strategy`
-//! span, the micro-spans must account for nearly all of the
+//! span, the spans nested in it must account for nearly all of the
 //! strategy's wall time on a real workload, and none of them may sit
 //! inside the scheduler's per-cycle loop. (A traced compile never
 //! touches the compile cache; `tests/cache_correctness.rs` checks that.)
@@ -71,14 +71,14 @@ fn strategy_subtree_self_times_sum_to_span_total() {
     );
 }
 
-/// The micro-spans inside `strategy` attribute at least 90% of its
-/// wall time on the combined Livermore module — the profiler is dense
-/// enough that "where does the time go" has a real answer. The shares
-/// are summed over several compiles per strategy: one compile lasts a
-/// few milliseconds, and a single preemption on a loaded host can land
-/// between two micro-spans and take a tenth of it.
+/// The spans inside `strategy` attribute at least 90% of its wall time
+/// on the combined Livermore module — the profiler is dense enough
+/// that "where does the time go" has a real answer. The shares are
+/// summed over several compiles per strategy: one compile lasts a few
+/// milliseconds, and a single preemption on a loaded host can land
+/// between two spans and take a tenth of it.
 #[test]
-fn micro_spans_attribute_at_least_90_percent_of_strategy_time() {
+fn nested_spans_attribute_at_least_90_percent_of_strategy_time() {
     const COMPILES: usize = 5;
     for strategy in [
         StrategyKind::Postpass,
@@ -96,7 +96,7 @@ fn micro_spans_attribute_at_least_90_percent_of_strategy_time() {
         }
         assert!(
             attributed * 10 >= total * 9,
-            "{strategy:?}: over {COMPILES} compiles, micro-spans cover {attributed} of {total} us \
+            "{strategy:?}: over {COMPILES} compiles, nested spans cover {attributed} of {total} us \
              (< 90%)"
         );
     }
@@ -104,9 +104,9 @@ fn micro_spans_attribute_at_least_90_percent_of_strategy_time() {
 
 /// Nothing inside the list scheduler's cycle loop opens a span: below
 /// every `sched:*` pass the flame tree holds only the per-block
-/// `dag_build`, `prep` and `finalize` micro-spans.
+/// `dag_build`, `prep` and `finalize` spans.
 #[test]
-fn scheduler_passes_hold_only_per_block_micro_spans() {
+fn scheduler_passes_hold_only_per_block_spans() {
     for strategy in [
         StrategyKind::Postpass,
         StrategyKind::Ips,

@@ -249,8 +249,7 @@ impl Compiler {
             Cow::Borrowed(module)
         };
         let module: &ir::Module = &module;
-        let module_ctx = self.machine.name().to_owned();
-        let module_span = tracer.span(&module_ctx, "compile_module");
+        let module_span = tracer.span("compile_module");
 
         let jobs = self
             .options
@@ -324,7 +323,7 @@ impl Compiler {
                 shards.extend(shard);
             }
         }
-        tracer.gauge(&module_ctx, "workers", workers as i64);
+        tracer.gauge(self.machine.name(), "workers", workers as i64);
         drop(module_span);
         let mut trace = tracer.finish();
         if let Some(data) = &mut trace {
@@ -440,27 +439,27 @@ impl Compiler {
         tracer: &Tracer,
     ) -> Result<CompiledFunc, CodegenError> {
         let ctx = format!("{}/{}", self.machine.name(), func.name);
-        let _func_span = tracer.span(&ctx, "compile_func");
+        let _func_span = tracer.span("compile_func");
         let mut func = func.clone();
         {
-            let _span = tracer.span(&ctx, "glue");
+            let _span = tracer.span("glue");
             apply_glue(&self.machine, &mut func)?;
         }
         let mut code: CodeFunc = {
-            let _span = tracer.span(&ctx, "select");
-            let _m = tracer.mspan("match_cover");
+            let _span = tracer.span("select");
+            let _cover = tracer.span("match_cover");
             crate::select::select_func(&self.machine, &self.escapes, module, &func)?
         };
         let (schedules, s): (_, StrategyStats) = {
-            let _span = tracer.span(&ctx, "strategy");
+            let _span = tracer.span("strategy");
             self.strategy.run(&self.machine, &mut code, tracer, &ctx)?
         };
         let mut asm = {
-            let _span = tracer.span(&ctx, "emit");
+            let _span = tracer.span("emit");
             emit_func(&self.machine, &code, &schedules)?
         };
         let fills = if self.options.fill_delay_slots {
-            let _span = tracer.span(&ctx, "fill_delay_slots");
+            let _span = tracer.span("fill_delay_slots");
             crate::emit::fill_delay_slots(&self.machine, &mut asm)
         } else {
             Vec::new()

@@ -72,9 +72,9 @@ pub fn allocate(
     allocate_traced(machine, func, extra_cost, &Tracer::off())
 }
 
-/// [`allocate`] with micro-span profiling: the interference-graph
-/// build, simplify/select coloring loops, eviction scans and spill
-/// rewrites each fold into the tracer's profile trie (no-ops when the
+/// [`allocate`] with span profiling: the interference-graph build,
+/// simplify/select coloring loops, eviction scans and spill rewrites
+/// each fold into the tracer's call-tree profile (no-ops when the
 /// tracer is off).
 ///
 /// # Errors
@@ -112,7 +112,7 @@ fn allocate_with(
         result.rounds = round + 1;
         no_spill.resize(func.vregs.len(), false);
         let graph = {
-            let _m = tracer.mspan("ig_build");
+            let _span = tracer.span("ig_build");
             build_interference(machine, func)
         };
         if round == 0 {
@@ -122,7 +122,7 @@ fn allocate_with(
         match color(machine, func, &graph, extra_cost, &no_spill, tracer)? {
             Coloring::Complete { colors } => {
                 {
-                    let _m = tracer.mspan("phys_rewrite");
+                    let _span = tracer.span("phys_rewrite");
                     rewrite(machine, func, &colors)?;
                 }
                 let mut saves: Vec<PhysReg> = Vec::new();
@@ -144,7 +144,7 @@ fn allocate_with(
                 // A failing spill temporary must not be re-spilled (that
                 // loops): evict a colourable neighbor instead, or give
                 // up — the site is structurally over-committed.
-                let _m = tracer.mspan("evict_scan");
+                let _span = tracer.span("evict_scan");
                 let mut to_spill: Vec<Vreg> = Vec::new();
                 for v in vregs {
                     if !no_spill[v.0 as usize] {
@@ -193,8 +193,8 @@ fn allocate_with(
                         }
                     }
                 }
-                drop(_m);
-                let _m = tracer.mspan("spill_rewrite");
+                drop(_span);
+                let _span = tracer.span("spill_rewrite");
                 for v in &to_spill {
                     result.spill_cost += graph.cost[v.0 as usize];
                 }
@@ -466,7 +466,7 @@ fn color(
     // so the low-degree set grows monotonically: a min-id heap seeded
     // with the initially-low nodes and fed on each below-k crossing
     // yields exactly the lowest-numbered low-degree node each step.
-    let _m = tracer.mspan("simplify");
+    let _span = tracer.span("simplify");
     let mut degree: Vec<u32> = vec![0; graph.nv];
     let mut low: BinaryHeap<Reverse<u32>> = BinaryHeap::new();
     for v in graph.occurs.iter() {
@@ -547,8 +547,8 @@ fn color(
     // plus every colored neighbor's units — are gathered into one
     // bitset, so the candidate scan is O(candidates · width) bit
     // probes instead of O(candidates · neighbors) overlap tests.
-    drop(_m);
-    let _m = tracer.mspan("select_colors");
+    drop(_span);
+    let _span = tracer.span("select_colors");
     let nunits = machine.unit_count() as usize;
     type Order = Vec<(PhysReg, u32, u32)>;
     // [caller-save-first, callee-save-first] per class id.

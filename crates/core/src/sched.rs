@@ -21,8 +21,8 @@
 //! register limit that turns it down. The candidate scan picks and
 //! tallies stalls from it, and the provenance replay
 //! ([`explain_schedule`]) logs it. Nothing inside the per-cycle loop
-//! touches the tracer: the micro-spans are per block (`prep`,
-//! `finalize`) and per fallback rung (`dag_build`).
+//! touches the tracer: its spans are per block (`prep`, `finalize`)
+//! and per fallback rung (`dag_build`).
 
 use crate::code::{CodeBlock, CodeFunc, Operand, VregKind};
 use crate::dag::{CodeDag, EdgeKind};
@@ -217,7 +217,7 @@ pub fn schedule_block(
 }
 
 /// [`schedule_block`] with caller-provided [`Scratch`] and the
-/// tracer's `prep` and `finalize` micro-spans around the cycle loop;
+/// tracer's `prep` and `finalize` spans around the cycle loop;
 /// nothing inside the loop touches the tracer or allocates, and a
 /// caller scheduling many blocks (see [`crate::strategy`]) amortises
 /// the scheduler's working set across all of them. This is the hot
@@ -260,7 +260,7 @@ fn list_schedule(
         empty.explanation.discipline = discipline.name();
         return Ok(empty);
     }
-    let prep = tracer.mspan("prep");
+    let prep = tracer.span("prep");
     let priority = dag.critical_path();
 
     // Local-vreg pressure bookkeeping (for the IPS limit), dense over
@@ -467,7 +467,7 @@ fn list_schedule(
         }
     }
 
-    let _m = tracer.mspan("finalize");
+    let _span = tracer.span("finalize");
     metrics.candidates_probed = state.probes;
     let (cycles, inst_cycle, peak_pressure) = state.reclaim(scratch, dests);
     let length = schedule_length(machine, block, &cycles, &inst_cycle);
@@ -533,7 +533,7 @@ pub fn schedule_block_robust(
     )
 }
 
-/// [`schedule_block_robust`] with micro-span attribution and
+/// [`schedule_block_robust`] with span attribution and
 /// caller-provided [`Scratch`], reused by every rung of the fallback
 /// ladder. DAG construction for each rung folds into `dag_build`, and
 /// the list scheduler's interior is traced as in
@@ -546,23 +546,23 @@ pub fn schedule_block_robust_scratch(
     tracer: &Tracer,
     scratch: &mut Scratch,
 ) -> Schedule {
-    let m = tracer.mspan("dag_build");
+    let span = tracer.span("dag_build");
     let mut dag = Discipline::Rule1.dag(machine, block);
-    drop(m);
+    drop(span);
     if let Ok(s) = schedule_block_scratch(machine, func, block, &dag, opts, tracer, scratch) {
         return s;
     }
     // Rung 2 serialises rung 1's DAG in place.
-    let m = tracer.mspan("dag_build");
+    let span = tracer.span("dag_build");
     crate::dag::serialize_same_clock_sequences(&mut dag);
-    drop(m);
+    drop(span);
     if let Ok(mut s) = schedule_block_scratch(machine, func, block, &dag, opts, tracer, scratch) {
         s.explanation.discipline = Discipline::Serialized.name();
         return s;
     }
-    let m = tracer.mspan("dag_build");
+    let span = tracer.span("dag_build");
     let dag3 = Discipline::NameDeps.dag(machine, block);
-    drop(m);
+    drop(span);
     let relaxed = SchedOptions {
         ignore_rule1: true,
         ..opts.clone()

@@ -123,12 +123,12 @@ impl StrategyKind {
         };
         let opts = SchedOptions::default();
         let schedules = if self == StrategyKind::NoSchedule {
-            serial_all(machine, func, tracer, ctx)
+            serial_all(machine, func, tracer)
         } else {
             schedule_all(machine, func, &opts, tracer, ctx, pass)
         };
         {
-            let _m = tracer.mspan("sched_metrics");
+            let _span = tracer.span("sched_metrics");
             record_sched_pass(machine, func, &schedules, &opts, tracer, ctx, pass);
         }
         let stats = StrategyStats {
@@ -168,13 +168,13 @@ pub fn strategy_for(kind: StrategyKind) -> StrategyKind {
 /// order (dependence- and resource-legal, with no reordering), over
 /// the plain DAG. Comparing against Postpass isolates what list
 /// scheduling itself buys.
-fn serial_all(machine: &Machine, func: &CodeFunc, tracer: &Tracer, ctx: &str) -> Vec<Schedule> {
-    let _span = tracer.span(ctx, "sched:serial");
+fn serial_all(machine: &Machine, func: &CodeFunc, tracer: &Tracer) -> Vec<Schedule> {
+    let _span = tracer.span("sched:serial");
     func.blocks
         .iter()
         .map(|block| {
             let dag = {
-                let _m = tracer.mspan("dag_build");
+                let _span = tracer.span("dag_build");
                 Discipline::NoSched.dag(machine, block)
             };
             // Serial over the plain DAG, not the ladder's serial rung:
@@ -197,7 +197,7 @@ fn run_allocate(
     ctx: &str,
 ) -> Result<AllocResult, CodegenError> {
     let alloc = {
-        let _span = tracer.span(ctx, "regalloc");
+        let _span = tracer.span("regalloc");
         allocate_traced(machine, func, extra_cost, tracer)?
     };
     tracer.add(ctx, "ra_graph_nodes", alloc.graph_nodes as i64);
@@ -341,7 +341,7 @@ fn schedule_all(
 ) -> Vec<Schedule> {
     let mut out = Vec::with_capacity(func.blocks.len());
     {
-        let _span = tracer.span(ctx, pass);
+        let _span = tracer.span(pass);
         // One scratch arena reused by every block this pass schedules.
         let mut scratch = crate::sched::Scratch::new();
         for (bi, block) in func.blocks.iter().enumerate() {
@@ -397,7 +397,7 @@ fn schedule_all(
 /// the instruction *writing* it, or the rebuilt code DAG would pair
 /// stages with the wrong pipeline occupancy.
 fn reorder(machine: &Machine, func: &mut CodeFunc, schedules: &[Schedule], tracer: &Tracer) {
-    let _m = tracer.mspan("reorder");
+    let _span = tracer.span("reorder");
     for (block, schedule) in func.blocks.iter_mut().zip(schedules) {
         let mut order: Vec<usize> = Vec::with_capacity(block.insts.len());
         for cycle in &schedule.cycles {
