@@ -180,13 +180,21 @@ grep -q 'blocks audited' report.html
 grep -q 'Quality observatory' report.html
 grep -q 'stall-cycle composition' report.html
 grep -q 'speedups over Postpass' report.html
+# Per-function stall attribution, and the demo blocks' replayed
+# reservation tables (`cycle |` is a table's header).
+grep -q 'Stall attribution' report.html
+grep -q 'cycle |' report.html
 
-echo "==> trace JSONL round trip (demo trace written, read back; profile lines, no per-call span lines)"
+echo "==> trace JSONL round trip (demo trace written, read back; profile lines, no per-call span or per-block event lines)"
 ./target/release/marion-report --demo --jsonl demo_trace.jsonl > /dev/null
 ./target/release/marion-report demo_trace.jsonl | grep -q 'phase timing'
 grep -q '"t":"prof"' demo_trace.jsonl
 if grep -q '"t":"span"' demo_trace.jsonl; then
   echo "demo_trace.jsonl carries per-call span lines" >&2
+  exit 1
+fi
+if grep -q '"t":"event"' demo_trace.jsonl; then
+  echo "demo_trace.jsonl carries event lines" >&2
   exit 1
 fi
 rm -f demo_trace.jsonl

@@ -6,7 +6,8 @@
 //! each cycle, what was ready but stalled (and on which dependence
 //! edge, resource, packing class, temporal clock or pressure limit it
 //! waited), each instruction's ready/earliest/issue cycles, the
-//! per-reason stall histogram, the DAG critical path, and — after the
+//! per-reason stall histogram, the DAG critical path, then the block's
+//! reservation table (cycles × resource vector, §4.3), and — after the
 //! blocks — the delay-slot fill provenance (which instruction moved
 //! into which branch's slot, per §4.4). Each function is compiled by
 //! `Compiler::compile_func`, the driver's own per-function pipeline.
@@ -413,6 +414,9 @@ fn explain_func(machine: &Machine, f: &CompiledFunc, opts: &Options) -> usize {
                 schedule.explanation.discipline
             );
             out!("{}", explain::explain_block_text(machine, block, &schedule));
+            for row in sched::reservation_rows(machine, block, &schedule) {
+                outln!("  {row}");
+            }
             explained += 1;
         }
         if biggest

@@ -7,11 +7,12 @@
 //!   fast" breakdown);
 //! * a per-function summary of the static counters (instructions
 //!   generated, spills, estimated cycles, delay slots, stalls — the
-//!   Table 1 / Table 2 shape);
-//! * every per-block reservation table (cycles × resource vector)
-//!   recorded in the trace, with the scheduler's cycle-by-cycle
-//!   stall narrative (`sched_explain`, when `TraceConfig::explanations`
-//!   was on) rendered next to its table.
+//!   Table 1 / Table 2 shape) and the stall attribution by reason;
+//! * with `--demo`, every non-empty final block of the demo compiles,
+//!   replayed: its reservation table (cycles × resource vector) and
+//!   the scheduler's audited cycle-by-cycle stall narrative. A trace
+//!   holds no per-block records; blocks are replayed from their
+//!   schedules.
 //!
 //! Usage:
 //!
@@ -22,9 +23,9 @@
 //! ```
 //!
 //! `--demo` compiles a Livermore kernel for the R2000 (IPS) and the
-//! dual-issue i860 (Postpass) with tracing and reservation tables
-//! enabled, then reports on the result; `--jsonl` additionally writes
-//! the merged trace for re-aggregation. `--html` renders the same
+//! dual-issue i860 (Postpass) with tracing on, then reports on the
+//! result; `--jsonl` additionally writes the merged trace for
+//! re-aggregation. `--html` renders the same
 //! aggregation as one self-contained HTML page (inline CSS, no
 //! external assets — it opens offline from a `file:` URL) to stdout or
 //! to `--out`; `--serve` folds one `metrics` response line from
@@ -50,18 +51,30 @@
 //! Trace files hold the JSON Lines of `TraceData::to_jsonl`; several
 //! files, or one file that concatenates several traces, read as their
 //! merge. A line of a type the format does not have, such as a
-//! per-call `span` line, makes the file unusable.
+//! per-call `span` line or an `event` line of an older build, makes
+//! the file unusable. A flag of a mode not chosen (`--serve`,
+//! `--quality`, `--retarget`, `--bench-diff` without `--html`, `--out`
+//! without `--html` or `--dashboard`, `--jsonl` without `--demo`) is a
+//! usage error.
 //!
 //! Exit codes everywhere: 0 success, 1 a report/check failed (SLO
 //! violated, output unwritable), 2 the input was unusable (unreadable
 //! or truncated trace file, bad flags, missing fields).
 
+use marion_bench::html::{
+    block_details, counter_rows, render_html_with, FUNC_COLUMNS, STALL_COLUMNS,
+};
 use marion_bench::serve::check_slo_fields;
-use marion_bench::{html::render_html_with, out, outln, row};
-use marion_core::{CompileOptions, Compiler, StrategyKind};
+use marion_bench::{out, outln, row};
+use marion_core::sched::{reservation_rows, SchedOptions};
+use marion_core::{audited_replay, explain, CompileOptions, Compiler, StrategyKind};
+use marion_ir::Module;
 use marion_trace::json::parse_flat;
-use marion_trace::{Fields, TraceConfig, TraceData, Value};
-use std::collections::{BTreeMap, BTreeSet};
+use marion_trace::{Fields, TraceConfig, TraceData, Tracer, Value};
+use std::collections::BTreeSet;
+
+/// One replayed block: `(title, reservation table, narrative)`.
+type BlockText = (String, String, String);
 
 fn usage() -> ! {
     eprintln!("usage: marion-report TRACE.jsonl [MORE.jsonl ...]");
@@ -204,6 +217,25 @@ fn main() {
             path => traces.push(path.to_string()),
         }
     }
+    // A flag of a mode not chosen is a mistake, not a no-op.
+    let html_only = [
+        ("--serve", serve_path.is_some()),
+        ("--bench-diff", bench_diff.is_some()),
+        ("--retarget", retarget_path.is_some()),
+        ("--quality", quality_path.is_some()),
+    ];
+    if let Some((flag, _)) = html_only.iter().find(|(_, given)| *given && !html) {
+        eprintln!("marion-report: {flag} needs --html");
+        usage()
+    }
+    if html_out.is_some() && !html && dashboard_path.is_none() {
+        eprintln!("marion-report: --out needs --html or --dashboard");
+        usage()
+    }
+    if jsonl_out.is_some() && !demo_mode {
+        eprintln!("marion-report: --jsonl needs --demo");
+        usage()
+    }
     if let Some(path) = check_slo_path {
         check_slo(&path);
     }
@@ -218,12 +250,13 @@ fn main() {
     {
         usage();
     }
-    let data = if !demo_mode && traces.is_empty() {
+    // Only the demo has replayed blocks: trace files carry none.
+    let (data, blocks) = if !demo_mode && traces.is_empty() {
         // `--bench-diff` alone: a page holding just the before/after
         // subphase table, no trace-derived sections.
-        TraceData::default()
+        (TraceData::default(), Vec::new())
     } else if demo_mode {
-        let data = demo();
+        let (data, blocks) = demo();
         if let Some(path) = &jsonl_out {
             std::fs::write(path, data.to_jsonl()).unwrap_or_else(|e| {
                 eprintln!("marion-report: cannot write {path}: {e}");
@@ -231,7 +264,7 @@ fn main() {
             });
             eprintln!("wrote {path}");
         }
-        data
+        (data, blocks)
     } else {
         let parts: Vec<(String, TraceData)> = traces
             .iter()
@@ -252,10 +285,11 @@ fn main() {
         for warning in mismatch_warnings(&parts) {
             eprintln!("marion-report: warning: {warning}");
         }
-        merge_traces(parts.into_iter().map(|(_, d)| d).collect())
+        let data = merge_traces(parts.into_iter().map(|(_, d)| d).collect());
+        (data, Vec::new())
     };
     if !html {
-        out!("{}", report(&data));
+        out!("{}{}", report(&data), blocks_text(&blocks));
         return;
     }
     // `--serve` points at a file holding one `metrics` response line
@@ -279,6 +313,12 @@ fn main() {
     } else {
         Vec::new()
     };
+    if !blocks.is_empty() {
+        extra_svg.push((
+            "Reservation tables and scheduler narratives (replayed)".to_string(),
+            block_details(&blocks),
+        ));
+    }
     // `--bench-diff OLD.json NEW.json`: a before/after table of
     // strategy-subphase self-times from two BENCH_compile.json files.
     if let Some((old_path, new_path)) = &bench_diff {
@@ -338,10 +378,9 @@ fn merge_traces(parts: Vec<TraceData>) -> TraceData {
 }
 
 /// `(machines, scheduling passes)` seen in one trace file: machine
-/// names are the first `/`-segment of counter, histogram, gauge and
-/// event contexts; passes come from `sched_block` event labels plus
-/// the `sched:*` segments of profile paths. This is
-/// the identity a merge must agree on — summing counters from a
+/// names are the first `/`-segment of counter, histogram and gauge
+/// contexts; passes are the `sched:*` segments of profile paths. This
+/// is the identity a merge must agree on — summing counters from a
 /// `r2000` trace into an `i860` one, or IPS passes into Postpass
 /// ones, produces a nonsense flame tree.
 fn trace_signature(data: &TraceData) -> (BTreeSet<String>, BTreeSet<String>) {
@@ -355,17 +394,12 @@ fn trace_signature(data: &TraceData) -> (BTreeSet<String>, BTreeSet<String>) {
     };
     let keys = data.counters.keys().chain(data.gauges.keys());
     let ctxs = keys.chain(data.hists.keys()).map(|(ctx, _)| ctx);
-    for ctx in ctxs.chain(data.events.iter().map(|e| &e.ctx)) {
+    for ctx in ctxs {
         ctx_machine(ctx);
     }
     for path in data.profile.keys() {
         let sched = path.split('/').filter(|seg| seg.starts_with("sched:"));
         passes.extend(sched.map(str::to_string));
-    }
-    for (_, fields) in data.events_named("sched_block") {
-        if let Some(pass) = fields.str("pass") {
-            passes.insert(pass.to_string());
-        }
     }
     (machines, passes)
 }
@@ -447,43 +481,116 @@ fn demo_dag_svgs() -> Vec<(String, String)> {
     out
 }
 
-/// Compiles a kernel on a scalar and a dual-issue machine with full
-/// tracing and returns the merged trace.
-fn demo() -> TraceData {
+/// Compiles a kernel on a scalar and a dual-issue machine with
+/// tracing on; returns the merged trace and every non-empty final
+/// block of both compiles, replayed.
+fn demo() -> (TraceData, Vec<BlockText>) {
     let kernels = marion_workloads::livermore::kernels();
     let ll7 = kernels
         .iter()
         .find(|k| k.name == "LL7")
         .expect("LL7 kernel");
-    let module = ll7.module();
+    let mut module = ll7.module();
+    marion_core::driver::materialize_float_constants(&mut module);
     let options = CompileOptions {
-        trace: Some(TraceConfig {
-            reservation_tables: true,
-            explanations: true,
-        }),
+        trace: Some(TraceConfig::default()),
         ..CompileOptions::default()
     };
     let mut data = TraceData::default();
+    let mut blocks = Vec::new();
     for (machine, strategy) in [
         ("r2000", StrategyKind::Ips),
         ("i860", StrategyKind::Postpass),
     ] {
         let spec = marion_machines::load(machine);
-        let compiler = Compiler::with_options(
-            spec.machine.clone(),
-            spec.escapes.clone(),
-            strategy,
-            options.clone(),
-        );
+        let compiler =
+            Compiler::with_options(spec.machine, spec.escapes, strategy, options.clone());
         let program = compiler
             .compile_module(&module)
             .unwrap_or_else(|e| panic!("LL7 on {machine}: {e}"));
         data.merge(program.trace.expect("tracing was enabled"));
+        blocks.extend(replayed_blocks(&compiler, &module));
     }
-    data
+    (data, blocks)
 }
 
-/// Renders the three summary tables from an aggregated trace.
+/// Every non-empty final block of `module` compiled by `compiler`:
+/// its reservation table and the narrative of its audited replay.
+/// The scheduler is deterministic, so compiling again reproduces the
+/// schedules of the traced compile.
+fn replayed_blocks(compiler: &Compiler, module: &Module) -> Vec<BlockText> {
+    let machine = compiler.machine();
+    let strategy = compiler.strategy();
+    let mut out = Vec::new();
+    for f in &module.funcs {
+        let compiled = compiler
+            .compile_func(module, f, &Tracer::off())
+            .unwrap_or_else(|e| panic!("{} on {}: {e}", f.name, machine.name()));
+        let code = &compiled.code;
+        for (bi, (block, schedule)) in code.blocks.iter().zip(&compiled.schedules).enumerate() {
+            if block.insts.is_empty() {
+                continue;
+            }
+            let table = reservation_rows(machine, block, schedule).join("\n");
+            // Every strategy's final pass runs with default options.
+            let narrative =
+                match audited_replay(machine, code, block, schedule, &SchedOptions::default()) {
+                    Ok((replay, _)) => explain::explain_block_text(machine, block, &replay),
+                    Err(e) => format!("no narrative: {e}"),
+                };
+            let title = format!("{}/{}/b{bi} ({strategy})", machine.name(), f.name);
+            out.push((title, table, narrative));
+        }
+    }
+    out
+}
+
+/// The replayed blocks as text: each block's title, its reservation
+/// table and its narrative.
+fn blocks_text(blocks: &[BlockText]) -> String {
+    if blocks.is_empty() {
+        return String::new();
+    }
+    let mut out = String::from("reservation tables and scheduler narratives (replayed)\n");
+    let indent = |out: &mut String, text: &str| {
+        for line in text.lines() {
+            out.push_str("  ");
+            out.push_str(line);
+            out.push('\n');
+        }
+    };
+    for (title, table, narrative) in blocks {
+        out.push_str(&format!("\n{title}\n"));
+        indent(&mut out, table);
+        out.push_str("  narrative:\n");
+        indent(&mut out, narrative);
+    }
+    out
+}
+
+/// A per-function counter table over `cols`, titled `title`; nothing
+/// when no function has a non-zero value in the columns.
+fn counter_table(out: &mut String, data: &TraceData, title: &str, cols: &[(&str, &str)]) {
+    let rows = counter_rows(data, cols);
+    if rows.is_empty() {
+        return;
+    }
+    let mut widths = vec![28usize];
+    widths.extend(cols.iter().map(|(_, h)| h.len().max(7)));
+    out.push_str(title);
+    out.push('\n');
+    let mut header: Vec<String> = vec!["machine/function".into()];
+    header.extend(cols.iter().map(|(_, h)| h.to_string()));
+    out.push_str(&row(&header, &widths));
+    out.push('\n');
+    for cells in &rows {
+        out.push_str(&row(cells, &widths));
+        out.push('\n');
+    }
+    out.push('\n');
+}
+
+/// Renders the summary tables of an aggregated trace.
 fn report(data: &TraceData) -> String {
     let mut out = String::new();
 
@@ -520,40 +627,11 @@ fn report(data: &TraceData) -> String {
     }
 
     // ---- per-function static counters ----
-    let funcs = data.counters_by_ctx();
-    if !funcs.is_empty() {
-        let cols = [
-            ("insts_generated", "insts"),
-            ("spills", "spills"),
-            ("estimated_cycles", "est cyc"),
-            ("delay_slots_filled", "filled"),
-            ("nops_emitted", "nops"),
-            ("sched_stall_cycles", "stalls"),
-            ("packed_words", "packed"),
-            ("ra_rounds", "ra rnd"),
-        ];
-        let mut widths = vec![28usize];
-        widths.extend(cols.iter().map(|(_, h)| h.len().max(7)));
-        out.push_str("per-function summary\n");
-        let mut header: Vec<String> = vec!["machine/function".into()];
-        header.extend(cols.iter().map(|(_, h)| h.to_string()));
-        out.push_str(&row(&header, &widths));
-        out.push('\n');
-        for (ctx, counters) in &funcs {
-            let mut cells: Vec<String> = vec![(*ctx).into()];
-            cells.extend(
-                cols.iter()
-                    .map(|(key, _)| counters.get(key).copied().unwrap_or(0).to_string()),
-            );
-            out.push_str(&row(&cells, &widths));
-            out.push('\n');
-        }
-        out.push('\n');
-    }
+    counter_table(&mut out, data, "per-function summary", &FUNC_COLUMNS);
 
     // ---- issue-slot utilization (multi-issue machines) ----
     let mut any_util = false;
-    for (ctx, counters) in &funcs {
+    for (ctx, counters) in &data.counters_by_ctx() {
         let slots = counters.get("issue_slots_used").copied().unwrap_or(0);
         let cycles = counters.get("issue_cycles").copied().unwrap_or(0);
         if cycles > 0 && slots > cycles {
@@ -572,45 +650,12 @@ fn report(data: &TraceData) -> String {
     }
 
     // ---- stall attribution (scheduler provenance histograms) ----
-    let stall_cols = [
-        ("stall_dependence", "depend"),
-        ("stall_resource", "resrc"),
-        ("stall_class", "class"),
-        ("stall_temporal", "tempo"),
-        ("stall_pressure", "press"),
-        ("stall_order", "order"),
-    ];
-    let any_stalls = funcs.iter().any(|(_, counters)| {
-        stall_cols
-            .iter()
-            .any(|(key, _)| counters.get(key).copied().unwrap_or(0) > 0)
-    });
-    if any_stalls {
-        let mut widths = vec![28usize];
-        widths.extend(stall_cols.iter().map(|(_, h)| h.len().max(7)));
-        out.push_str("stall attribution (cycles waited, by reason)\n");
-        let mut header: Vec<String> = vec!["machine/function".into()];
-        header.extend(stall_cols.iter().map(|(_, h)| h.to_string()));
-        out.push_str(&row(&header, &widths));
-        out.push('\n');
-        for (ctx, counters) in &funcs {
-            if !stall_cols
-                .iter()
-                .any(|(key, _)| counters.get(key).copied().unwrap_or(0) > 0)
-            {
-                continue;
-            }
-            let mut cells: Vec<String> = vec![(*ctx).into()];
-            cells.extend(
-                stall_cols
-                    .iter()
-                    .map(|(key, _)| counters.get(key).copied().unwrap_or(0).to_string()),
-            );
-            out.push_str(&row(&cells, &widths));
-            out.push('\n');
-        }
-        out.push('\n');
-    }
+    counter_table(
+        &mut out,
+        data,
+        "stall attribution (cycles waited, by reason)",
+        &STALL_COLUMNS,
+    );
 
     // ---- sample distributions + gauges ----
     if !data.hists.is_empty() {
@@ -627,64 +672,15 @@ fn report(data: &TraceData) -> String {
         }
         out.push('\n');
     }
-
-    // ---- reservation tables, with scheduler narratives alongside ----
-    // `(ctx, pass) -> narratives`, drained as tables consume them so
-    // leftovers (explanations on, tables off) still render below.
-    let mut narratives: BTreeMap<(String, String), Vec<String>> = BTreeMap::new();
-    for (ctx, fields) in data.events_named("sched_explain") {
-        let pass = fields.str("pass").unwrap_or("?").to_string();
-        if let Some(text) = fields.str("narrative") {
-            narratives
-                .entry((ctx.to_string(), pass))
-                .or_default()
-                .push(text.to_string());
-        }
-    }
-    let indent = |out: &mut String, text: &str| {
-        for line in text.lines() {
-            out.push_str("  ");
-            out.push_str(line);
-            out.push('\n');
-        }
-    };
-    let tables = data.events_named("reservation_table");
-    if !tables.is_empty() {
-        out.push_str("reservation tables (cycle x resource)\n");
-        for (ctx, fields) in tables {
-            let pass = fields.str("pass").unwrap_or("?").to_string();
-            out.push_str(&format!("\n{ctx} [{pass}]\n"));
-            if let Some(table) = fields.str("table") {
-                indent(&mut out, table);
-            }
-            if let Some(texts) = narratives.remove(&(ctx.to_string(), pass)) {
-                for text in texts {
-                    out.push_str("  narrative:\n");
-                    indent(&mut out, &text);
-                }
-            }
-        }
-        out.push('\n');
-    }
-    if !narratives.is_empty() {
-        out.push_str("scheduler narratives\n");
-        for ((ctx, pass), texts) in narratives {
-            out.push_str(&format!("\n{ctx} [{pass}]\n"));
-            for text in texts {
-                indent(&mut out, &text);
-            }
-        }
-    }
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use marion_trace::Tracer;
 
     fn trace_with(ctx: &str, insts: i64, stalls: i64) -> TraceData {
-        let t = Tracer::new(TraceConfig::default());
+        let t = Tracer::on();
         t.add(ctx, "insts_generated", insts);
         t.add(ctx, "stall_resource", stalls);
         t.finish().unwrap()
@@ -713,62 +709,59 @@ mod tests {
     }
 
     #[test]
-    fn narratives_render_next_to_their_reservation_tables() {
-        use marion_trace::Value;
-        let t = Tracer::new(TraceConfig {
-            reservation_tables: true,
-            explanations: true,
-        });
-        t.event(
-            "m/f/b0",
-            "reservation_table",
-            &[
-                ("pass", Value::from("final")),
-                ("table", Value::from("cyc0 ALU\ncyc1 MEM")),
-            ],
-        );
-        t.event(
-            "m/f/b0",
-            "sched_explain",
-            &[
-                ("pass", Value::from("final")),
-                ("narrative", Value::from("cycle 1: stalled on load latency")),
-            ],
-        );
-        // A narrative with no matching table lands in its own section.
-        t.event(
-            "m/f/b1",
-            "sched_explain",
-            &[
-                ("pass", Value::from("final")),
-                ("narrative", Value::from("no stalls")),
-            ],
-        );
-        let rendered = report(&t.finish().unwrap());
-        let table_at = rendered.find("cyc0 ALU").expect("table rendered");
-        let narrative_at = rendered
-            .find("stalled on load latency")
-            .expect("narrative rendered");
-        assert!(
-            narrative_at > table_at,
-            "narrative follows its table:\n{rendered}"
-        );
-        assert!(
-            rendered.contains("scheduler narratives"),
-            "unpaired narrative gets its own section:\n{rendered}"
-        );
-        assert!(rendered.contains("no stalls"));
+    fn demo_replays_every_final_block_and_agrees_with_the_trace() {
+        let (data, blocks) = demo();
+        // One `block_len_cycles` sample per non-empty final block.
+        let traced: u64 = data
+            .hists
+            .iter()
+            .filter(|((_, name), _)| name == "block_len_cycles")
+            .map(|(_, h)| h.count())
+            .sum();
+        assert_eq!(blocks.len() as u64, traced);
+        // Each narrative's stall line sums, per function, to the
+        // traced stall counters.
+        let mut stalls: std::collections::BTreeMap<(String, String), i64> = Default::default();
+        for (title, table, narrative) in &blocks {
+            assert!(table.starts_with("cycle |"), "{title}:\n{table}");
+            assert!(
+                !narrative.starts_with("no narrative"),
+                "{title}: {narrative}"
+            );
+            let ctx = &title[..title.rfind("/b").expect("block title")];
+            let line = narrative
+                .lines()
+                .find_map(|l| l.trim().strip_prefix("stall cycles by reason: "));
+            for pair in line.into_iter().flat_map(|l| l.split(", ")) {
+                let (key, cycles) = pair.split_once(' ').expect("`key cycles`");
+                *stalls
+                    .entry((ctx.to_string(), format!("stall_{key}")))
+                    .or_default() += cycles.parse::<i64>().expect("cycles");
+            }
+        }
+        assert!(!stalls.is_empty(), "no demo block stalled");
+        let traced: std::collections::BTreeMap<(String, String), i64> = data
+            .counters
+            .iter()
+            .filter(|((_, name), _)| name.starts_with("stall_"))
+            .map(|(key, value)| (key.clone(), *value))
+            .collect();
+        assert_eq!(stalls, traced);
+        let text = blocks_text(&blocks);
+        assert_eq!(text.matches("  narrative:").count(), blocks.len());
+        let html = block_details(&blocks);
+        assert_eq!(html.matches("<details>").count(), blocks.len());
     }
 
     #[test]
     fn mismatched_machines_and_strategies_warn_on_merge() {
-        let t = Tracer::new(TraceConfig::default());
+        let t = Tracer::on();
         t.add("r2000/f", "insts_generated", 3);
         {
             let _s = t.span("sched:ips-final");
         }
         let a = t.finish().unwrap();
-        let t = Tracer::new(TraceConfig::default());
+        let t = Tracer::on();
         t.add("i860/f", "insts_generated", 4);
         {
             let _s = t.span("sched:postpass");
@@ -783,7 +776,7 @@ mod tests {
     #[test]
     fn matching_trace_files_merge_without_warnings() {
         let mk = || {
-            let t = Tracer::new(TraceConfig::default());
+            let t = Tracer::on();
             t.add("r2000/f", "insts_generated", 3);
             {
                 let _s = t.span("sched:postpass");

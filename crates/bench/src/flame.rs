@@ -3,15 +3,16 @@
 //! [`flame_tree`] folds the call-tree profile of a merged
 //! [`TraceData`] (one `(calls, total µs)` entry per path of
 //! `Tracer::span` names) into one deterministic tree: paths are
-//! normalized (a leading `compile_module` segment is dropped, so
-//! serial and parallel runs — whose span nesting differs only by that
-//! module-level wrapper — produce the same tree), duplicates are
-//! summed, and children are kept name-sorted. The profile records no
-//! self time; [`FlameNode::self_us`] derives it from the tree as
-//! `total − Σ direct children totals`, which telescopes so the self
-//! times of a subtree sum *exactly* to the subtree root's total. It is
-//! the one definition of self time: the report's frame table and
-//! `marion-bench`'s `subphase_self_ms` both read it.
+//! normalized (a leading `compile_module` segment is dropped: a
+//! compile at any `jobs` count nests every path under that one
+//! module-level span, so the tree starts at the per-function frames),
+//! duplicates are summed, and children are kept name-sorted. The
+//! profile records no self time; [`FlameNode::self_us`] derives it
+//! from the tree as `total − Σ direct children totals`, which
+//! telescopes so the self times of a subtree sum *exactly* to the
+//! subtree root's total. It is the one definition of self time: the
+//! report's frame table and `marion-bench`'s `subphase_self_ms` both
+//! read it.
 //!
 //! [`render_svg`] draws the tree as a self-contained SVG: `<rect>`,
 //! `<text>` and `<title>` only — no JavaScript, no links, no external
@@ -116,9 +117,9 @@ pub fn flame_tree(data: &TraceData) -> FlameNode {
     let mut root = FlameNode::default();
     for (path, prof) in &data.profile {
         let mut segs: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
-        // Serial runs nest everything under the module-level span;
-        // parallel runs trace functions on per-shard tracers without
-        // it. Drop the wrapper so both shapes aggregate identically.
+        // Every compile path sits under the module-level span (worker
+        // shards are nested under it at merge); drop the wrapper so
+        // the tree starts at the per-function frames.
         if segs.first() == Some(&"compile_module") {
             segs.remove(0);
         }
@@ -250,10 +251,10 @@ mod tests {
             ("compile_module", 1, 500),
             ("compile_module/compile_func", 3, 400),
         ]);
-        let parallel = data(&[("compile_module", 1, 500), ("compile_func", 3, 400)]);
+        let unwrapped = data(&[("compile_module", 1, 500), ("compile_func", 3, 400)]);
         assert_eq!(
             flame_tree(&serial).structure(),
-            flame_tree(&parallel).structure()
+            flame_tree(&unwrapped).structure()
         );
         assert_eq!(flame_tree(&serial).structure(), "compile_func 3\n");
     }

@@ -10,16 +10,77 @@
 //! that way.
 //!
 //! Sections mirror the text report (`marion-report`): phase wall-clock
-//! timing, per-function counters, stall attribution per scheduling
-//! strategy, the log2 sample distributions recorded by
-//! `Tracer::observe`, reservation tables with their scheduler
-//! narratives — and, when serve metrics are supplied, request-latency
-//! distributions and worker utilization.
+//! timing, the per-function counters and stall attribution (both
+//! reports read their columns from [`FUNC_COLUMNS`] and
+//! [`STALL_COLUMNS`]), the log2 sample distributions recorded by
+//! `Tracer::observe` — and, when serve metrics are supplied,
+//! request-latency distributions and worker utilization. A trace holds
+//! no per-block records; [`block_details`] renders blocks a caller has
+//! replayed (`marion-report --demo` does) as reservation tables with
+//! their narratives.
 
 use crate::serve::Replay;
 use marion_trace::json::Json;
 use marion_trace::{hist, Fields, Histogram, TraceData, Value};
 use std::collections::BTreeMap;
+
+/// The per-function summary columns of both reports, as
+/// `(counter, header)`.
+pub const FUNC_COLUMNS: [(&str, &str); 8] = [
+    ("insts_generated", "insts"),
+    ("spills", "spills"),
+    ("estimated_cycles", "est cycles"),
+    ("delay_slots_filled", "filled"),
+    ("nops_emitted", "nops"),
+    ("sched_stall_cycles", "stalls"),
+    ("packed_words", "packed"),
+    ("ra_rounds", "ra rounds"),
+];
+
+/// The stall-attribution columns of both reports, one per stall
+/// reason, as `(counter, header)`.
+pub const STALL_COLUMNS: [(&str, &str); 6] = [
+    ("stall_dependence", "dependence"),
+    ("stall_resource", "resource"),
+    ("stall_class", "class"),
+    ("stall_temporal", "temporal"),
+    ("stall_pressure", "pressure"),
+    ("stall_order", "order"),
+];
+
+/// The rows of a per-function counter table over `cols`: each counter
+/// context with a non-zero value in some column, then its values in
+/// column order.
+pub fn counter_rows(data: &TraceData, cols: &[(&str, &str)]) -> Vec<Vec<String>> {
+    let mut rows = Vec::new();
+    for (ctx, counters) in data.counters_by_ctx() {
+        let values: Vec<i64> = cols
+            .iter()
+            .map(|(key, _)| counters.get(key).copied().unwrap_or(0))
+            .collect();
+        if values.iter().any(|&v| v != 0) {
+            let mut cells = vec![ctx.to_string()];
+            cells.extend(values.iter().map(i64::to_string));
+            rows.push(cells);
+        }
+    }
+    rows
+}
+
+/// Replayed blocks as collapsible sections, one `<details>` per block:
+/// `(title, reservation table, narrative)` triples.
+pub fn block_details(blocks: &[(String, String, String)]) -> String {
+    let mut out = String::new();
+    for (title, table, narrative) in blocks {
+        out.push_str(&format!(
+            "<details><summary>{}</summary>\n<pre>{}</pre>\n<pre>{}</pre>\n</details>\n",
+            esc(title),
+            esc(table),
+            esc(narrative)
+        ));
+    }
+    out
+}
 
 /// Escapes text for HTML body and attribute positions; the crate's one
 /// HTML escaper, shared by the flamegraph and DAG renderers.
@@ -112,15 +173,6 @@ fn hist_block(out: &mut String, title: &str, h: &Histogram, unit: &str) {
     }
     out.push_str("</div>\n");
 }
-
-const STALL_REASONS: [(&str, &str); 6] = [
-    ("stall_dependence", "dependence"),
-    ("stall_resource", "resource"),
-    ("stall_class", "class"),
-    ("stall_temporal", "temporal"),
-    ("stall_pressure", "pressure"),
-    ("stall_order", "order"),
-];
 
 const STYLE: &str = "\
 :root{color-scheme:light dark}\
@@ -255,70 +307,26 @@ pub fn render_html_with(
         }
     }
 
-    // ---- per-function counters ----
-    if !funcs.is_empty() {
-        section(&mut out, "Per-function summary");
-        let cols = [
-            ("insts_generated", "insts"),
-            ("spills", "spills"),
-            ("estimated_cycles", "est cycles"),
-            ("delay_slots_filled", "filled"),
-            ("nops_emitted", "nops"),
-            ("sched_stall_cycles", "stalls"),
-            ("packed_words", "packed"),
-        ];
+    // ---- per-function counters and stall attribution ----
+    for (title, cols) in [
+        ("Per-function summary", &FUNC_COLUMNS[..]),
+        (
+            "Stall attribution (cycles waited, by reason)",
+            &STALL_COLUMNS[..],
+        ),
+    ] {
+        let rows = counter_rows(data, cols);
+        if rows.is_empty() {
+            continue;
+        }
+        section(&mut out, title);
         let mut headers = vec!["machine/function"];
         headers.extend(cols.iter().map(|(_, h)| *h));
         table_open(&mut out, &headers);
-        for (ctx, counters) in &funcs {
-            let mut cells = vec![(*ctx).to_string()];
-            cells.extend(
-                cols.iter()
-                    .map(|(key, _)| counters.get(key).copied().unwrap_or(0).to_string()),
-            );
-            table_row(&mut out, &cells);
+        for cells in &rows {
+            table_row(&mut out, cells);
         }
         table_close(&mut out);
-    }
-
-    // ---- stall reasons per strategy pass ----
-    // sched_block events, one per block of a final scheduling pass,
-    // carry the pass label ("sched:ips-final", "sched:postpass", …)
-    // and typed stall cycles; summing per (pass, reason) gives the
-    // strategy-by-strategy breakdown.
-    let mut by_pass: BTreeMap<String, BTreeMap<&str, i64>> = BTreeMap::new();
-    for (_, fields) in data.events_named("sched_block") {
-        let pass = fields.str("pass").unwrap_or("?").to_string();
-        let slot = by_pass.entry(pass).or_default();
-        for (key, reason) in STALL_REASONS {
-            *slot.entry(reason).or_insert(0) += fields.int(key).unwrap_or(0);
-        }
-    }
-    by_pass.retain(|_, reasons| reasons.values().any(|&v| v > 0));
-    if !by_pass.is_empty() {
-        section(&mut out, "Stall reasons by strategy");
-        let max = by_pass
-            .values()
-            .flat_map(|r| r.values())
-            .copied()
-            .max()
-            .unwrap_or(0) as f64;
-        for (pass, reasons) in &by_pass {
-            out.push_str(&format!("<h3>{}</h3>\n", esc(pass)));
-            for (key, reason) in STALL_REASONS {
-                let _ = key;
-                let cycles = reasons.get(reason).copied().unwrap_or(0);
-                if cycles > 0 {
-                    bar(
-                        &mut out,
-                        reason,
-                        cycles as f64,
-                        max,
-                        &format!("{cycles} cycle(s)"),
-                    );
-                }
-            }
-        }
     }
 
     // ---- sample distributions (log2 histograms) ----
@@ -340,50 +348,6 @@ pub fn render_html_with(
             );
         }
         table_close(&mut out);
-    }
-
-    // ---- reservation tables + narratives ----
-    let mut narratives: BTreeMap<(String, String), Vec<String>> = BTreeMap::new();
-    for (ctx, fields) in data.events_named("sched_explain") {
-        let pass = fields.str("pass").unwrap_or("?").to_string();
-        if let Some(text) = fields.str("narrative") {
-            narratives
-                .entry((ctx.to_string(), pass))
-                .or_default()
-                .push(text.to_string());
-        }
-    }
-    let tables = data.events_named("reservation_table");
-    if !tables.is_empty() || !narratives.is_empty() {
-        section(&mut out, "Reservation tables and scheduler narratives");
-        for (ctx, fields) in tables {
-            let pass = fields.str("pass").unwrap_or("?").to_string();
-            out.push_str(&format!(
-                "<details><summary>{} [{}]</summary>\n",
-                esc(ctx),
-                esc(&pass)
-            ));
-            if let Some(table) = fields.str("table") {
-                out.push_str(&format!("<pre>{}</pre>\n", esc(table)));
-            }
-            if let Some(texts) = narratives.remove(&(ctx.to_string(), pass)) {
-                for text in texts {
-                    out.push_str(&format!("<pre>{}</pre>\n", esc(&text)));
-                }
-            }
-            out.push_str("</details>\n");
-        }
-        for ((ctx, pass), texts) in narratives {
-            out.push_str(&format!(
-                "<details><summary>{} [{}] (narrative)</summary>\n",
-                esc(&ctx),
-                esc(&pass)
-            ));
-            for text in texts {
-                out.push_str(&format!("<pre>{}</pre>\n", esc(&text)));
-            }
-            out.push_str("</details>\n");
-        }
     }
 
     // ---- serve metrics ----
@@ -1079,43 +1043,18 @@ pub fn render_dashboard(d: &crate::serve::DashboardData) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use marion_trace::{Prof, TraceConfig, Tracer};
+    use marion_trace::{Prof, Tracer};
 
     fn sample_trace() -> TraceData {
-        let t = Tracer::new(TraceConfig {
-            reservation_tables: true,
-            explanations: true,
-        });
+        let t = Tracer::on();
         t.add("r2000/kernel", "insts_generated", 42);
         t.add("r2000/kernel", "sched_stall_cycles", 7);
+        t.add("r2000/kernel", "stall_dependence", 5);
+        t.add("r2000/kernel", "stall_resource", 2);
+        t.add("r2000/leaf", "insts_generated", 3);
         t.observe("r2000", "block_stall_cycles", 3);
         t.observe("r2000", "block_stall_cycles", 900);
         t.gauge("module", "workers", 4);
-        t.event(
-            "r2000/kernel/b0",
-            "sched_block",
-            &[
-                ("pass", Value::from("sched:ips-final")),
-                ("stall_dependence", Value::Int(5)),
-                ("stall_resource", Value::Int(2)),
-            ],
-        );
-        t.event(
-            "r2000/kernel/b0",
-            "reservation_table",
-            &[
-                ("pass", Value::from("final")),
-                ("table", Value::from("cyc0 ALU <raw> & stuff")),
-            ],
-        );
-        t.event(
-            "r2000/kernel/b0",
-            "sched_explain",
-            &[
-                ("pass", Value::from("final")),
-                ("narrative", Value::from("cycle 1: stalled")),
-            ],
-        );
         let mut data = t.finish().unwrap();
         for (path, count, total_us) in [
             ("compile_func", 1, 200),
@@ -1151,18 +1090,40 @@ mod tests {
             "self-profile flamegraph",
             "<svg ",
             "Per-function summary",
-            "Stall reasons by strategy",
-            "sched:ips-final",
+            "ra rounds",
+            "Stall attribution",
+            "<td>5</td><td>2</td>",
             "Sample distributions",
             "block_stall_cycles",
             "Gauges",
-            "Reservation tables",
         ] {
             assert!(html.contains(needle), "missing section `{needle}`");
         }
-        // Raw event text is escaped, not injected.
+        // A function that never stalled has no stall-attribution row.
+        assert_eq!(html.matches("r2000/leaf").count(), 1);
+    }
+
+    #[test]
+    fn replayed_blocks_render_one_details_each_and_escaped() {
+        let blocks = [
+            (
+                "r2000/f/b0 (IPS)".to_string(),
+                "cycle | ALU\n    0 | X <raw> & stuff".to_string(),
+                "cycle 1: stalled".to_string(),
+            ),
+            (
+                "r2000/f/b1 (IPS)".to_string(),
+                "cycle | ALU".to_string(),
+                "no stalls".to_string(),
+            ),
+        ];
+        let html = block_details(&blocks);
+        assert_eq!(html.matches("<details>").count(), 2);
+        assert!(html.contains("r2000/f/b0 (IPS)"));
         assert!(html.contains("&lt;raw&gt; &amp; stuff"));
         assert!(!html.contains("<raw>"));
+        let table_at = html.find("cycle | ALU").unwrap();
+        assert!(html.find("cycle 1: stalled").unwrap() > table_at);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! `marion-explain` end to end: `--strategy` selects the strategy
-//! whose final schedules are narrated and audited, an unknown one or
-//! a `--blocks` without a number is a usage error, and the usage line
-//! lists every explain flag.
+//! whose final schedules are narrated and audited, each narrated block
+//! prints its reservation table, an unknown strategy or a `--blocks`
+//! without a number is a usage error, and the usage line lists every
+//! explain flag.
 
 use std::process::{Command, Output};
 
@@ -40,7 +41,16 @@ fn strategy_flag_selects_the_explained_schedules() {
             out.status,
             String::from_utf8_lossy(&out.stderr)
         );
-        assert!(String::from_utf8_lossy(&out.stdout).ends_with("all checks passed\n"));
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.ends_with("all checks passed\n"));
+        // Each narrated block is followed by its reservation table.
+        let tables = stdout.matches("\n  cycle | ").count();
+        assert!(tables > 0, "{name}: no reservation table");
+        assert_eq!(
+            tables,
+            stdout.matches("\nblock b").count(),
+            "{name}: a narrated block printed no reservation table"
+        );
     }
     assert_ne!(
         ips.stdout, postpass.stdout,

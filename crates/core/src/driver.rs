@@ -137,8 +137,8 @@ pub struct CompileOptions {
     /// Fill branch delay slots with useful instructions where possible
     /// (paper §4.4). On by default.
     pub fill_delay_slots: bool,
-    /// Collect a trace (phase spans, counters, per-block scheduler
-    /// metrics) during compilation; the result lands in
+    /// Collect a trace (the phase-span profile, per-function counters,
+    /// histograms and gauges) during compilation; the result lands in
     /// [`CompiledProgram::trace`]. `None` (the default) collects
     /// nothing and costs nothing. A traced compile bypasses
     /// [`CompileOptions::cache`] entirely, so every trace describes a
@@ -226,9 +226,10 @@ impl Compiler {
     /// Functions compile concurrently on [`CompileOptions::jobs`]
     /// scoped worker threads (std only); results are collected in
     /// module order, so the emitted assembly is byte-identical to a
-    /// serial run. Each worker traces into its own shard, and the
-    /// shards are merged in function order with [`TraceData::merge`],
-    /// preserving the per-context counter-summing invariants.
+    /// serial run. Each worker traces into its own shard; its profile
+    /// paths are nested under `compile_module` and the shard merged
+    /// with [`TraceData::merge`], so a parallel trace has the counters
+    /// and the profile `(path, calls)` of a serial one.
     ///
     /// # Errors
     ///
@@ -327,7 +328,13 @@ impl Compiler {
         drop(module_span);
         let mut trace = tracer.finish();
         if let Some(data) = &mut trace {
-            for shard in shards {
+            for mut shard in shards {
+                // Workers trace outside the module span; nest their
+                // paths under it, where a serial compile puts them.
+                shard.profile = std::mem::take(&mut shard.profile)
+                    .into_iter()
+                    .map(|(path, prof)| (format!("compile_module/{path}"), prof))
+                    .collect();
                 data.merge(shard);
             }
         }
@@ -415,9 +422,10 @@ impl Compiler {
     }
 
     fn new_tracer(&self) -> Tracer {
-        match &self.options.trace {
-            Some(config) => Tracer::new(config.clone()),
-            None => Tracer::off(),
+        if self.options.trace.is_some() {
+            Tracer::on()
+        } else {
+            Tracer::off()
         }
     }
 
@@ -464,17 +472,6 @@ impl Compiler {
         } else {
             Vec::new()
         };
-        for fill in &fills {
-            tracer.event(
-                &format!("{ctx}/b{}", fill.block),
-                "delay_slot_fill",
-                &[
-                    ("inst", marion_trace::Value::from(fill.inst.as_str())),
-                    ("branch", marion_trace::Value::from(fill.branch.as_str())),
-                    ("slot", marion_trace::Value::from(fill.slot)),
-                ],
-            );
-        }
         let fs = FuncStats {
             name: func.name.clone(),
             insts_generated: asm.inst_count(),

@@ -662,13 +662,7 @@ mod tests {
             };
             base_fingerprint(&machine, StrategyKind::Ips, &options).finish()
         };
-        assert_eq!(
-            key(None),
-            key(Some(marion_trace::TraceConfig {
-                reservation_tables: true,
-                explanations: true,
-            }))
-        );
+        assert_eq!(key(None), key(Some(marion_trace::TraceConfig::default())));
     }
 
     #[test]

@@ -46,9 +46,6 @@ pub struct AllocResult {
     /// Interference-graph edges (vreg–vreg, undirected) on the first
     /// build.
     pub graph_edges: usize,
-    /// Total loop-weighted occurrence cost of the vregs chosen for
-    /// spilling (0.0 when nothing spilled).
-    pub spill_cost: f64,
 }
 
 fn err(msg: impl Into<String>) -> CodegenError {
@@ -195,9 +192,6 @@ fn allocate_with(
                 }
                 drop(_span);
                 let _span = tracer.span("spill_rewrite");
-                for v in &to_spill {
-                    result.spill_cost += graph.cost[v.0 as usize];
-                }
                 #[cfg(debug_assertions)]
                 let before = func.clone();
                 spill(machine, func, &to_spill)?;

@@ -11,6 +11,13 @@
 //!   Estimates (Bradlee, Eggers & Henry): invoke the scheduler to
 //!   gather schedule cost estimates, allocate with those estimates
 //!   biasing spill choices, then do final scheduling.
+//!
+//! Traced, a run adds per-function counters: allocator graph size,
+//! rounds and spills, scheduler fallbacks and work per pass, and the
+//! final pass's stall breakdown and issue-slot usage. Nothing is
+//! recorded per block: a block's reservation table and narrative are
+//! rebuilt from its schedule on demand (`sched::reservation_rows`,
+//! `sched::explain_schedule`).
 
 use crate::code::{CodeFunc, Operand, Vreg, VregKind};
 use crate::error::CodegenError;
@@ -18,7 +25,7 @@ use crate::explain::Discipline;
 use crate::regalloc::{allocate_traced, AllocResult};
 use crate::sched::{SchedOptions, Schedule};
 use marion_maril::Machine;
-use marion_trace::{Tracer, Value};
+use marion_trace::Tracer;
 use std::collections::HashMap;
 
 /// Which strategy to run.
@@ -70,10 +77,9 @@ impl StrategyKind {
     /// Runs the strategy over selected code: allocation and scheduling
     /// in the strategy's order, ending with a final pass that schedules
     /// the allocated (possibly spill-expanded) function. Returns that
-    /// pass's per-block schedules. `tracer` collects spans and
-    /// per-block scheduler metrics (pass a [`Tracer::off`] to collect
-    /// nothing); `ctx` scopes the trace records, conventionally
-    /// `machine/function`.
+    /// pass's per-block schedules. `tracer` collects spans and the
+    /// counters (pass a [`Tracer::off`] to collect nothing); `ctx`
+    /// scopes the counters, conventionally `machine/function`.
     ///
     /// # Errors
     ///
@@ -95,9 +101,9 @@ impl StrategyKind {
             }
             StrategyKind::NoSchedule => {
                 let alloc = run_allocate(machine, func, &no_bias, tracer, ctx)?;
-                // Its blocks record pass "serial" inside a
+                // Its final pass is `serial_all`, which opens its own
                 // "sched:serial" span.
-                (alloc, "serial", 0)
+                (alloc, "sched:serial", 0)
             }
             StrategyKind::Ips => {
                 let prepass = schedule_all(
@@ -108,16 +114,12 @@ impl StrategyKind {
                     ctx,
                     "sched:ips-prepass",
                 );
-                let abandoned = "ips_reorder_abandoned";
-                let alloc =
-                    allocate_in_order(machine, func, &prepass, &no_bias, tracer, ctx, abandoned)?;
+                let alloc = allocate_in_order(machine, func, &prepass, &no_bias, tracer, ctx)?;
                 (alloc, "sched:ips-final", 2)
             }
             StrategyKind::Rase => {
                 let (estimate, bias) = rase_estimates(machine, func, tracer, ctx);
-                let abandoned = "rase_reorder_abandoned";
-                let alloc =
-                    allocate_in_order(machine, func, &estimate, &bias, tracer, ctx, abandoned)?;
+                let alloc = allocate_in_order(machine, func, &estimate, &bias, tracer, ctx)?;
                 (alloc, "sched:rase-final", 3)
             }
         };
@@ -129,7 +131,7 @@ impl StrategyKind {
         };
         {
             let _span = tracer.span("sched_metrics");
-            record_sched_pass(machine, func, &schedules, &opts, tracer, ctx, pass);
+            record_sched_pass(func, &schedules, tracer, ctx);
         }
         let stats = StrategyStats {
             spills: alloc.spills,
@@ -204,85 +206,22 @@ fn run_allocate(
     tracer.add(ctx, "ra_graph_edges", alloc.graph_edges as i64);
     tracer.add(ctx, "ra_rounds", alloc.rounds as i64);
     tracer.add(ctx, "spills", alloc.spills as i64);
-    if alloc.spills > 0 {
-        tracer.event(
-            ctx,
-            "regalloc_spills",
-            &[
-                ("spills", Value::from(alloc.spills)),
-                ("spill_cost", Value::Float(alloc.spill_cost)),
-                ("rounds", Value::from(alloc.rounds)),
-            ],
-        );
-    }
     Ok(alloc)
 }
 
-/// Emits per-block scheduler metrics for a function's final
-/// scheduling pass (`pass` names it; `opts` are the options it ran
-/// with): one `sched_block` event per block, the aggregate counters
-/// (stalls, slot usage, temporal groups) and, on request, narratives
-/// and reservation tables. Estimate passes emit nothing here — their
-/// `sched:*` spans remain — so a cached function's trace stays small.
-fn record_sched_pass(
-    machine: &Machine,
-    func: &CodeFunc,
-    schedules: &[Schedule],
-    opts: &SchedOptions,
-    tracer: &Tracer,
-    ctx: &str,
-    pass: &'static str,
-) {
+/// Folds a function's final scheduling pass into the trace: the
+/// per-block distributions and the per-function counters (stalls by
+/// reason, slot usage, temporal groups). Estimate passes record
+/// nothing here — their `sched:*` spans remain.
+fn record_sched_pass(func: &CodeFunc, schedules: &[Schedule], tracer: &Tracer, ctx: &str) {
     if !tracer.is_on() {
         return;
     }
-    for (bi, (block, schedule)) in func.blocks.iter().zip(schedules).enumerate() {
+    for (block, schedule) in func.blocks.iter().zip(schedules) {
         if block.insts.is_empty() {
             continue;
         }
         let m = &schedule.metrics;
-        let ex = &schedule.explanation;
-        let bctx = format!("{ctx}/b{bi}");
-        tracer.event(
-            &bctx,
-            "sched_block",
-            &[
-                ("pass", Value::from(pass)),
-                ("insts", Value::from(block.insts.len())),
-                ("length", Value::from(schedule.length as i64)),
-                ("dag_nodes", Value::from(m.dag_nodes)),
-                ("dag_edges", Value::from(m.dag_edges())),
-                ("edges_true", Value::from(m.edges_true)),
-                ("edges_temporal", Value::from(m.edges_temporal)),
-                ("edges_anti", Value::from(m.edges_anti)),
-                ("edges_output", Value::from(m.edges_output)),
-                ("edges_mem", Value::from(m.edges_mem)),
-                ("edges_order", Value::from(m.edges_order)),
-                ("ready_high_water", Value::from(m.ready_high_water)),
-                ("stall_cycles", Value::from(m.stall_cycles)),
-                ("temporal_groups", Value::from(m.temporal_groups)),
-                ("issue_slots_used", Value::from(m.issue_slots_used)),
-                ("issue_cycles", Value::from(m.issue_cycles)),
-                ("packed_words", Value::from(m.packed_words)),
-                ("issue_utilization", Value::Float(m.issue_utilization())),
-                (
-                    "peak_local_pressure",
-                    Value::from(schedule.peak_local_pressure),
-                ),
-                ("discipline", Value::from(ex.discipline)),
-                (
-                    "critical_path_cycles",
-                    Value::Int(ex.critical_path_cycles.into()),
-                ),
-                ("stall_total", Value::Int(ex.stalls.total() as i64)),
-                ("stall_dependence", Value::Int(ex.stalls.dependence as i64)),
-                ("stall_resource", Value::Int(ex.stalls.resource as i64)),
-                ("stall_class", Value::Int(ex.stalls.class as i64)),
-                ("stall_temporal", Value::Int(ex.stalls.temporal as i64)),
-                ("stall_pressure", Value::Int(ex.stalls.pressure as i64)),
-                ("stall_order", Value::Int(ex.stalls.order as i64)),
-            ],
-        );
         // Per-block distributions at function scope: block stall
         // cycles and final schedule length as log2 histograms, so
         // reports can show the shape, not just the totals.
@@ -293,37 +232,10 @@ fn record_sched_pass(
         tracer.add(ctx, "issue_slots_used", m.issue_slots_used as i64);
         tracer.add(ctx, "issue_cycles", m.issue_cycles as i64);
         tracer.add(ctx, "packed_words", m.packed_words as i64);
-        for (key, cycles) in ex.stalls.as_pairs() {
+        for (key, cycles) in schedule.explanation.stalls.as_pairs() {
             if cycles > 0 {
                 tracer.add(ctx, &format!("stall_{key}"), cycles as i64);
             }
-        }
-        if tracer.wants_explanations() {
-            // Narratives need placement records: replay the block.
-            let narrative =
-                match crate::sched::explain_schedule(machine, func, block, schedule, opts) {
-                    Ok(replay) => crate::explain::explain_block_text(machine, block, &replay),
-                    Err(e) => format!("no narrative: {e}"),
-                };
-            tracer.event(
-                &bctx,
-                "sched_explain",
-                &[
-                    ("pass", Value::from(pass)),
-                    ("narrative", Value::Str(narrative)),
-                ],
-            );
-        }
-        if tracer.wants_reservation_tables() {
-            let rows = crate::sched::reservation_rows(machine, block, schedule);
-            tracer.event(
-                &bctx,
-                "reservation_table",
-                &[
-                    ("pass", Value::from(pass)),
-                    ("table", Value::Str(rows.join("\n"))),
-                ],
-            );
         }
     }
 }
@@ -344,7 +256,7 @@ fn schedule_all(
         let _span = tracer.span(pass);
         // One scratch arena reused by every block this pass schedules.
         let mut scratch = crate::sched::Scratch::new();
-        for (bi, block) in func.blocks.iter().enumerate() {
+        for block in &func.blocks {
             let schedule = crate::sched::schedule_block_robust_scratch(
                 machine,
                 func,
@@ -353,20 +265,10 @@ fn schedule_all(
                 tracer,
                 &mut scratch,
             );
-            let discipline = schedule.explanation.discipline;
-            if discipline != Discipline::Rule1.name() {
+            if schedule.explanation.discipline != Discipline::Rule1.name() {
                 // Temporal sequence protection failed to keep plain
-                // Rule 1 scheduling live; record which fallback
-                // discipline rescued the block.
-                tracer.event(
-                    &format!("{ctx}/b{bi}"),
-                    "sched_fallback",
-                    &[
-                        ("pass", Value::from(pass)),
-                        ("discipline", Value::from(discipline)),
-                        ("insts", Value::from(block.insts.len())),
-                    ],
-                );
+                // Rule 1 scheduling live; a fallback discipline
+                // rescued the block.
                 tracer.add(ctx, "sched_fallbacks", 1);
             }
             out.push(schedule);
@@ -504,7 +406,7 @@ fn rase_estimates(
 /// machines the reordered code can be structurally uncolorable; then
 /// the code thread order is allocated instead (degrading the strategy
 /// towards Postpass for this function rather than failing), and the
-/// `abandoned` event is recorded.
+/// `reorder_abandoned` counter is bumped.
 fn allocate_in_order(
     machine: &Machine,
     func: &mut CodeFunc,
@@ -512,13 +414,12 @@ fn allocate_in_order(
     bias: &HashMap<Vreg, f64>,
     tracer: &Tracer,
     ctx: &str,
-    abandoned: &str,
 ) -> Result<AllocResult, CodegenError> {
     let before = func.clone();
     reorder(machine, func, order, tracer);
     run_allocate(machine, func, bias, tracer, ctx).or_else(|_| {
         *func = before;
-        tracer.event(ctx, abandoned, &[]);
+        tracer.add(ctx, "reorder_abandoned", 1);
         run_allocate(machine, func, bias, tracer, ctx)
     })
 }

@@ -1,11 +1,15 @@
 //! Lightweight observability for the Marion pipeline: timed spans,
-//! named counters, histograms, gauges and structured events, with no
-//! external dependencies.
+//! named counters, histograms and gauges, with no external
+//! dependencies.
 //!
 //! The design optimises for the *disabled* case: a [`Tracer`] built
 //! with [`Tracer::off`] carries no state and every operation on it is
 //! a branch on `None`. Code under measurement takes `&Tracer` and
 //! never needs to know whether collection is live.
+//!
+//! A trace records no per-block or per-decision events. What a reader
+//! needs per block (a reservation table, a stall narrative) is rebuilt
+//! on demand by replaying the block's deterministic schedule.
 //!
 //! ## Spans and the call-tree profile
 //!
@@ -25,8 +29,8 @@
 //!
 //! [`Tracer::finish`] moves the tracer's keyed maps into a
 //! [`TraceData`]: counters, histograms and gauges keyed by
-//! `(ctx, name)`, the profile keyed by path, and the events in the
-//! order they were recorded. [`TraceData::merge`] is a per-map union;
+//! `(ctx, name)` and the profile keyed by path. [`TraceData::merge`]
+//! is a per-map union, so merge order never matters;
 //! [`TraceData::to_jsonl`] writes one JSON line per entry, and
 //! [`TraceData::parse_jsonl`] folds lines back in exactly as `merge`
 //! folds traces, so a concatenation of trace files reads as their
@@ -41,20 +45,13 @@ pub mod json;
 
 pub use hist::Histogram;
 
-/// What the tracer should collect beyond the always-on spans,
-/// counters and events.
+/// Asks a compile for a trace (`CompileOptions::trace`). It has no
+/// options: a trace always holds the spans, counters, histograms and
+/// gauges, and nothing else.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TraceConfig {
-    /// Emit a per-block reservation table (cycles x resource vector)
-    /// event for every scheduled block. Verbose; off by default.
-    pub reservation_tables: bool,
-    /// Emit a per-block `sched_explain` event carrying the scheduler's
-    /// cycle-by-cycle stall narrative for every final-pass block.
-    /// Verbose; off by default.
-    pub explanations: bool,
-}
+pub struct TraceConfig {}
 
-/// A scalar value carried by an [`Event`] field.
+/// A scalar value of a flat JSON object (see [`json::parse_flat`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     Int(i64),
@@ -78,8 +75,8 @@ impl Value {
     }
 }
 
-/// Typed lookups on a flat field list: an event's fields or a
-/// [`json::parse_flat`] result. The first field with the name wins.
+/// Typed lookups on a flat field list, such as a [`json::parse_flat`]
+/// result. The first field with the name wins.
 pub trait Fields {
     /// The value of field `name`.
     fn field(&self, name: &str) -> Option<&Value>;
@@ -101,42 +98,6 @@ impl Fields for [(String, Value)] {
     }
 }
 
-impl From<i64> for Value {
-    fn from(v: i64) -> Value {
-        Value::Int(v)
-    }
-}
-
-impl From<u64> for Value {
-    fn from(v: u64) -> Value {
-        Value::Int(v as i64)
-    }
-}
-
-impl From<usize> for Value {
-    fn from(v: usize) -> Value {
-        Value::Int(v as i64)
-    }
-}
-
-impl From<f64> for Value {
-    fn from(v: f64) -> Value {
-        Value::Float(v)
-    }
-}
-
-impl From<&str> for Value {
-    fn from(v: &str) -> Value {
-        Value::Str(v.to_string())
-    }
-}
-
-impl From<String> for Value {
-    fn from(v: String) -> Value {
-        Value::Str(v)
-    }
-}
-
 /// One call-tree profile node: every call of the spans whose path of
 /// open span names is the node's key, and their summed wall time.
 /// Merging sums both fields.
@@ -153,15 +114,6 @@ impl Prof {
     }
 }
 
-/// A one-off structured fact with flat key/value fields. `ctx` scopes
-/// it (typically `machine/function` or `machine/function/block`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Event {
-    pub name: String,
-    pub ctx: String,
-    pub fields: Vec<(String, Value)>,
-}
-
 /// A `(ctx, name)` key of a counter, histogram or gauge.
 pub type Key = (String, String);
 
@@ -169,8 +121,8 @@ fn key(ctx: &str, name: &str) -> Key {
     (ctx.to_string(), name.to_string())
 }
 
-/// A finished trace: keyed maps plus the event stream, with query,
-/// merge and serialisation helpers.
+/// A finished trace: keyed maps with query, merge and serialisation
+/// helpers.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceData {
     /// Accumulated named totals.
@@ -182,8 +134,6 @@ pub struct TraceData {
     pub gauges: BTreeMap<Key, i64>,
     /// The call-tree profile, keyed by `/`-joined span-name path.
     pub profile: BTreeMap<String, Prof>,
-    /// Events in the order they were recorded.
-    pub events: Vec<Event>,
 }
 
 /// One node of the tracer's call tree.
@@ -195,7 +145,6 @@ struct Node {
 }
 
 struct Inner {
-    config: TraceConfig,
     /// Everything but the profile, which [`Tracer::finish`] builds
     /// from `nodes`.
     data: TraceData,
@@ -221,11 +170,10 @@ impl Tracer {
         Tracer { inner: None }
     }
 
-    /// A live tracer collecting according to `config`.
-    pub fn new(config: TraceConfig) -> Tracer {
+    /// A live tracer.
+    pub fn on() -> Tracer {
         Tracer {
             inner: Some(RefCell::new(Inner {
-                config,
                 data: TraceData::default(),
                 nodes: vec![Node {
                     name: String::new(),
@@ -242,24 +190,6 @@ impl Tracer {
 
     pub fn is_on(&self) -> bool {
         self.inner.is_some()
-    }
-
-    /// Whether per-block reservation tables were requested (false when
-    /// the tracer is off).
-    pub fn wants_reservation_tables(&self) -> bool {
-        self.inner
-            .as_ref()
-            .map(|i| i.borrow().config.reservation_tables)
-            .unwrap_or(false)
-    }
-
-    /// Whether per-block schedule explanations were requested (false
-    /// when the tracer is off).
-    pub fn wants_explanations(&self) -> bool {
-        self.inner
-            .as_ref()
-            .map(|i| i.borrow().config.explanations)
-            .unwrap_or(false)
     }
 
     /// Begins a timed span; the region ends when the returned guard is
@@ -330,20 +260,6 @@ impl Tracer {
     pub fn gauge(&self, ctx: &str, name: &str, value: i64) {
         if let Some(cell) = &self.inner {
             cell.borrow_mut().data.gauges.insert(key(ctx, name), value);
-        }
-    }
-
-    /// Record a structured event.
-    pub fn event(&self, ctx: &str, name: &str, fields: &[(&str, Value)]) {
-        if let Some(cell) = &self.inner {
-            cell.borrow_mut().data.events.push(Event {
-                name: name.to_string(),
-                ctx: ctx.to_string(),
-                fields: fields
-                    .iter()
-                    .map(|(k, v)| (k.to_string(), v.clone()))
-                    .collect(),
-            });
         }
     }
 
@@ -461,20 +377,11 @@ impl TraceData {
         out
     }
 
-    /// All events named `name`, in record order.
-    pub fn events_named(&self, name: &str) -> Vec<(&str, &[(String, Value)])> {
-        self.events
-            .iter()
-            .filter(|e| e.name == name)
-            .map(|e| (e.ctx.as_str(), e.fields.as_slice()))
-            .collect()
-    }
-
     /// Merges another trace in, map by map: counters and profile
     /// nodes sum, histograms merge bucket-wise (lossless — see
-    /// [`hist::Histogram::merge`]), gauges keep the maximum (the only
-    /// duplicate rule for a level that is associative and
-    /// commutative), and events append.
+    /// [`hist::Histogram::merge`]), and gauges keep the maximum (the
+    /// only duplicate rule for a level that is associative and
+    /// commutative). Every rule is, so `a ∪ b == b ∪ a`.
     pub fn merge(&mut self, other: TraceData) {
         for (key, value) in other.counters {
             *self.counters.entry(key).or_insert(0) += value;
@@ -491,12 +398,11 @@ impl TraceData {
         for (path, prof) in other.profile {
             self.profile.entry(path).or_default().add(prof);
         }
-        self.events.extend(other.events);
     }
 
     /// Serialise as JSON Lines: one flat object per entry, with a
-    /// `"t"` discriminator of `"event"`, `"counter"`, `"hist"`,
-    /// `"gauge"` or `"prof"`. Events come first, in record order.
+    /// `"t"` discriminator of `"counter"`, `"hist"`, `"gauge"` or
+    /// `"prof"`.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         let mut line = |obj: json::ObjWriter| {
@@ -510,17 +416,6 @@ impl TraceData {
             obj.str("ctx", ctx);
             obj
         };
-        for event in &self.events {
-            let mut obj = keyed("event", &event.ctx, &event.name);
-            for (k, v) in &event.fields {
-                match v {
-                    Value::Int(i) => obj.int(k, *i),
-                    Value::Float(f) => obj.float(k, *f),
-                    Value::Str(s) => obj.str(k, s),
-                }
-            }
-            line(obj);
-        }
         for ((ctx, name), value) in &self.counters {
             let mut obj = keyed("counter", ctx, name);
             obj.int("value", *value);
@@ -607,14 +502,6 @@ fn parse_line(line: &str) -> Result<TraceData, String> {
             };
             data.profile.insert(get_str("path")?, prof);
         }
-        "event" => {
-            let (ctx, name) = get_key()?;
-            let fields = fields
-                .into_iter()
-                .filter(|(k, _)| k != "t" && k != "name" && k != "ctx")
-                .collect();
-            data.events.push(Event { name, ctx, fields });
-        }
         other => return Err(format!("unknown record type {other:?}")),
     }
     Ok(data)
@@ -631,7 +518,8 @@ mod tests {
             let _g = tracer.span("phase");
             let _h = tracer.span("hot_loop");
             tracer.add("ctx", "n", 3);
-            tracer.event("ctx", "e", &[("k", Value::Int(1))]);
+            tracer.observe("ctx", "h", 3);
+            tracer.gauge("ctx", "g", 3);
         }
         assert!(!tracer.is_on());
         assert!(tracer.finish().is_none());
@@ -639,7 +527,7 @@ mod tests {
 
     #[test]
     fn spans_fold_into_the_call_tree() {
-        let tracer = Tracer::new(TraceConfig::default());
+        let tracer = Tracer::on();
         {
             let _outer = tracer.span("strategy");
             for _ in 0..3 {
@@ -702,7 +590,7 @@ mod tests {
 
     #[test]
     fn unbalanced_spans_are_detected_at_drop() {
-        let tracer = Tracer::new(TraceConfig::default());
+        let tracer = Tracer::on();
         {
             let _outer = tracer.span("strategy");
             let parent = tracer.span("parent");
@@ -723,7 +611,7 @@ mod tests {
 
     #[test]
     fn counters_accumulate_per_context_and_total() {
-        let tracer = Tracer::new(TraceConfig::default());
+        let tracer = Tracer::on();
         tracer.add("m/f1", "spills", 2);
         tracer.add("m/f1", "spills", 3);
         tracer.add("m/f2", "spills", 7);
@@ -742,34 +630,23 @@ mod tests {
 
     #[test]
     fn jsonl_round_trips() {
-        let tracer = Tracer::new(TraceConfig::default());
+        let tracer = Tracer::on();
         {
             let _g = tracer.span("compile");
             let _s = tracer.span("ig_build");
-            tracer.event(
-                "m/f/b0",
-                "sched_block",
-                &[
-                    ("nodes", Value::Int(12)),
-                    ("util", Value::Float(0.75)),
-                    ("table", Value::Str("c0 | IF ID\nc1 | -- ID".to_string())),
-                ],
-            );
         }
         tracer.add("m/f", "insts_generated", 17);
-        tracer.event("m/f", "note", &[]);
         let data = tracer.finish().unwrap();
         let jsonl = data.to_jsonl();
         assert!(jsonl.contains(r#"{"t":"prof","path":"compile/ig_build","count":1,"#));
         assert!(!jsonl.contains("child_us"));
         let parsed = TraceData::parse_jsonl(&jsonl).unwrap();
         assert_eq!(parsed, data);
-        assert_eq!(parsed.events[1].name, "note", "events keep their order");
     }
 
     #[test]
     fn hist_and_gauge_jsonl_round_trip_identity() {
-        let tracer = Tracer::new(TraceConfig::default());
+        let tracer = Tracer::on();
         tracer.observe("m/f", "service_us", 0);
         tracer.observe("m/f", "service_us", 3);
         tracer.observe("m/f", "service_us", 1_000_000);
@@ -787,7 +664,7 @@ mod tests {
     /// Two traces of every kind of entry, sharing their keys.
     fn pair() -> (TraceData, TraceData) {
         let mk = |spills: i64, wait: u64, depth: i64| {
-            let t = Tracer::new(TraceConfig::default());
+            let t = Tracer::on();
             {
                 let _s = t.span("strategy");
                 let _m = t.span("ig_build");
@@ -796,7 +673,6 @@ mod tests {
             t.add("m/f", "insts", 10);
             t.observe("m/f", "wait_us", wait);
             t.gauge("serve", "queue_depth", depth);
-            t.event("m/f", "note", &[("run", Value::Int(spills))]);
             t.finish().unwrap()
         };
         (mk(2, 4, 9), mk(5, 1024, 3))
@@ -815,27 +691,17 @@ mod tests {
         assert_eq!(merged.gauge("serve", "queue_depth"), Some(9), "high-water");
         assert_eq!(merged.profile["strategy/ig_build"].count, 2);
         assert_eq!(merged.profile.len(), 2);
-        // Events from both traces survive, in merge order.
-        let runs: Vec<Option<i64>> = merged
-            .events_named("note")
-            .iter()
-            .map(|(_, f)| f.int("run"))
-            .collect();
-        assert_eq!(runs, vec![Some(2), Some(5)]);
-        // Merge order matters only to the event order.
+        // Merge order does not matter.
         let mut other_way = b;
         other_way.merge(a);
-        assert_eq!(other_way.counters, merged.counters);
-        assert_eq!(other_way.hists, merged.hists);
-        assert_eq!(other_way.gauges, merged.gauges);
-        assert_eq!(other_way.profile, merged.profile);
+        assert_eq!(other_way, merged);
     }
 
     #[test]
     fn merge_keeps_distinct_contexts_apart() {
-        let t1 = Tracer::new(TraceConfig::default());
+        let t1 = Tracer::on();
         t1.add("m/f1", "spills", 3);
-        let t2 = Tracer::new(TraceConfig::default());
+        let t2 = Tracer::on();
         t2.add("m/f2", "spills", 4);
         let mut merged = t1.finish().unwrap();
         merged.merge(t2.finish().unwrap());
@@ -883,6 +749,10 @@ mod tests {
         let span = r#"{"t":"span","name":"x","ctx":"c","depth":0,"start_us":0,"dur_us":1}"#;
         let err = TraceData::parse_jsonl(span).unwrap_err();
         assert!(err.contains("unknown record type \"span\""), "{err}");
+        // Nor is a per-block `event` line.
+        let event = r#"{"t":"event","name":"sched_block","ctx":"m/f/b0","length":3}"#;
+        let err = TraceData::parse_jsonl(event).unwrap_err();
+        assert!(err.contains("unknown record type \"event\""), "{err}");
         // Blank lines are fine.
         assert_eq!(
             TraceData::parse_jsonl("\n\n").unwrap(),

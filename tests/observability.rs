@@ -2,12 +2,11 @@
 //! function, the JSONL-visible counters equal the `CompileStats`
 //! per-function breakdown, on a tiny machine (TOYP, where spills are
 //! easy to provoke) and a real one (R2000). Also covers the
-//! reservation-table events on the dual-issue i860 and the JSONL
-//! round trip of a whole compile trace, and that every narrative of a
-//! final schedule replays and agrees with its block's stall counts.
+//! reservation tables of the dual-issue i860's final schedules and the
+//! JSONL round trip of a whole compile trace.
 
-use marion::backend::{CompileOptions, Compiler, StrategyKind};
-use marion::trace::{Fields, TraceConfig, TraceData};
+use marion::backend::{sched, CompileOptions, Compiler, StrategyKind};
+use marion::trace::{TraceConfig, TraceData, Tracer};
 
 /// Enough simultaneously-live values to exceed TOYP's five allocable
 /// integer registers, plus a call and branches for delay slots.
@@ -24,11 +23,7 @@ int main() {
 }
 ";
 
-fn compile_traced(
-    machine: &str,
-    strategy: StrategyKind,
-    reservation_tables: bool,
-) -> marion::backend::CompiledProgram {
+fn compile_traced(machine: &str, strategy: StrategyKind) -> marion::backend::CompiledProgram {
     let module = marion::frontend::compile(PRESSURE).unwrap();
     let spec = marion::machines::load(machine);
     let compiler = Compiler::with_options(
@@ -36,10 +31,7 @@ fn compile_traced(
         spec.escapes.clone(),
         strategy,
         CompileOptions {
-            trace: Some(TraceConfig {
-                reservation_tables,
-                explanations: false,
-            }),
+            trace: Some(TraceConfig::default()),
             ..CompileOptions::default()
         },
     );
@@ -47,7 +39,7 @@ fn compile_traced(
 }
 
 fn assert_trace_matches_stats(machine: &str, strategy: StrategyKind) {
-    let program = compile_traced(machine, strategy, false);
+    let program = compile_traced(machine, strategy);
     let trace = program.trace.as_ref().expect("tracing was on");
     assert_eq!(program.stats.per_func.len(), 2, "leaf and main");
     for fs in &program.stats.per_func {
@@ -90,7 +82,7 @@ fn assert_trace_matches_stats(machine: &str, strategy: StrategyKind) {
 fn trace_counters_match_stats_on_toyp() {
     // TOYP has 5 allocable integer registers: PRESSURE must spill, so
     // the spills counter is exercised with a non-zero value.
-    let program = compile_traced("toyp", StrategyKind::Postpass, false);
+    let program = compile_traced("toyp", StrategyKind::Postpass);
     assert!(
         program.stats.spills > 0,
         "PRESSURE should spill on TOYP (got {} spills)",
@@ -147,32 +139,37 @@ fn delay_slot_filling_respects_compile_options() {
 
 #[test]
 fn reservation_tables_recorded_for_dual_issue_i860() {
-    let program = compile_traced("i860", StrategyKind::Postpass, true);
-    let trace = program.trace.as_ref().unwrap();
-    let tables = trace.events_named("reservation_table");
-    assert!(!tables.is_empty(), "no reservation tables recorded");
-    for (ctx, fields) in &tables {
-        assert!(ctx.starts_with("i860/"), "table ctx {ctx}");
-        let table = fields.str("table").expect("table field");
-        // Header plus at least one cycle row, mentioning a resource.
-        assert!(table.lines().count() >= 2, "thin table:\n{table}");
-        assert!(table.contains("cycle |"), "missing header:\n{table}");
+    let mut module = marion::frontend::compile(PRESSURE).unwrap();
+    marion::backend::driver::materialize_float_constants(&mut module);
+    let spec = marion::machines::load("i860");
+    let compiler = Compiler::new(spec.machine, spec.escapes, StrategyKind::Postpass);
+    let machine = compiler.machine();
+    let mut blocks = 0usize;
+    for f in &module.funcs {
+        let compiled = compiler.compile_func(&module, f, &Tracer::off()).unwrap();
+        for (block, schedule) in compiled.code.blocks.iter().zip(&compiled.schedules) {
+            if block.insts.is_empty() {
+                continue;
+            }
+            let table = sched::reservation_rows(machine, block, schedule).join("\n");
+            // Header plus at least one cycle row, mentioning a resource.
+            assert!(table.lines().count() >= 2, "thin table:\n{table}");
+            assert!(table.contains("cycle |"), "missing header:\n{table}");
+            // The schedule's metrics carry the DAG shape.
+            let m = &schedule.metrics;
+            assert!(m.dag_nodes > 0);
+            assert_eq!(m.issue_slots_used, block.insts.len());
+            assert!(m.issue_cycles <= schedule.length as usize);
+            assert!(m.ready_high_water >= 1);
+            blocks += 1;
+        }
     }
-    // The per-block scheduler events carry the DAG shape.
-    let blocks = trace.events_named("sched_block");
-    assert!(!blocks.is_empty());
-    for (_, fields) in &blocks {
-        let get = |key: &str| fields.int(key).unwrap_or_else(|| panic!("missing {key}"));
-        assert!(get("dag_nodes") > 0);
-        assert!(get("issue_slots_used") == get("insts"));
-        assert!(get("issue_cycles") <= get("length"));
-        assert!(get("ready_high_water") >= 1);
-    }
+    assert!(blocks > 0, "no reservation tables built");
 }
 
 #[test]
 fn compile_trace_round_trips_through_jsonl() {
-    let program = compile_traced("r2000", StrategyKind::Ips, true);
+    let program = compile_traced("r2000", StrategyKind::Ips);
     let trace = program.trace.unwrap();
     let jsonl = trace.to_jsonl();
     let parsed = TraceData::parse_jsonl(&jsonl).unwrap();
@@ -183,89 +180,4 @@ fn compile_trace_round_trips_through_jsonl() {
         program.stats.insts_generated as i64
     );
     assert_eq!(parsed.counter_total("spills"), program.stats.spills as i64);
-}
-
-/// The `key cycles` pairs of a narrative's `stall cycles by reason:`
-/// line (absent when the block never stalled).
-fn narrative_stalls(narrative: &str) -> Vec<(String, i64)> {
-    let Some(line) = narrative
-        .lines()
-        .find_map(|l| l.trim().strip_prefix("stall cycles by reason: "))
-    else {
-        return Vec::new();
-    };
-    line.split(", ")
-        .map(|pair| {
-            let (key, cycles) = pair.split_once(' ').expect("`key cycles`");
-            (key.to_string(), cycles.parse().expect("stall cycles"))
-        })
-        .collect()
-}
-
-#[test]
-fn narratives_replay_every_final_schedule() {
-    let kernels = marion::workloads::livermore::kernels();
-    let mut sources = vec![PRESSURE.to_string()];
-    sources.extend(
-        kernels
-            .iter()
-            .filter(|k| ["LL7", "LL8"].contains(&k.name.as_str()))
-            .map(|k| k.source.clone()),
-    );
-    assert_eq!(sources.len(), 3);
-    let (mut narratives, mut stalled) = (0usize, 0usize);
-    for machine in ["toyp", "i860"] {
-        let spec = marion::machines::load(machine);
-        for strategy in StrategyKind::ALL
-            .into_iter()
-            .chain([StrategyKind::NoSchedule])
-        {
-            for src in &sources {
-                let module = marion::frontend::compile(src).unwrap();
-                let compiler = Compiler::with_options(
-                    spec.machine.clone(),
-                    spec.escapes.clone(),
-                    strategy,
-                    CompileOptions {
-                        trace: Some(TraceConfig {
-                            reservation_tables: false,
-                            explanations: true,
-                        }),
-                        ..CompileOptions::default()
-                    },
-                );
-                let program = compiler.compile_module(&module).unwrap();
-                let trace = program.trace.as_ref().unwrap();
-                let blocks = trace.events_named("sched_block");
-                let explains = trace.events_named("sched_explain");
-                assert!(!explains.is_empty(), "{machine} {strategy}: no narratives");
-                assert_eq!(explains.len(), blocks.len(), "{machine} {strategy}");
-                for (ctx, fields) in &explains {
-                    let what = format!("{machine} {strategy} {ctx}");
-                    let text = fields.str("narrative").expect("narrative field");
-                    assert!(!text.starts_with("no narrative"), "{what}: {text}");
-                    let [(_, block)] =
-                        blocks.iter().filter(|(c, _)| c == ctx).collect::<Vec<_>>()[..]
-                    else {
-                        panic!("{what}: not one sched_block event");
-                    };
-                    // The replay's records tell the same story as the
-                    // hot path's counts.
-                    let stalls = narrative_stalls(text);
-                    for (key, cycles) in &stalls {
-                        let field = format!("stall_{key}");
-                        assert_eq!(block.int(&field), Some(*cycles), "{what}: {key}");
-                    }
-                    let total: i64 = stalls.iter().map(|(_, c)| c).sum();
-                    assert_eq!(block.int("stall_total"), Some(total), "{what}: total");
-                    narratives += 1;
-                    stalled += usize::from(total > 0);
-                }
-            }
-        }
-    }
-    assert!(
-        stalled > 0 && stalled < narratives,
-        "{stalled} of {narratives} stalled"
-    );
 }

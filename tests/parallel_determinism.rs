@@ -1,7 +1,8 @@
 //! Parallel compilation must be invisible in the output: for any
 //! worker count, the assembly is byte-identical to the serial
-//! compile, the statistics agree, and the merged trace counters sum
-//! to the serial totals. Also pins the indexed-selection cross-check:
+//! compile, the statistics agree, the merged trace counters sum to
+//! the serial totals, and the merged profile has the serial one's
+//! paths and calls. Also pins the indexed-selection cross-check:
 //! the `SelectionIndex` fast path picks exactly the templates the
 //! brute-force reference machine would.
 
@@ -89,6 +90,15 @@ fn parallel_trace_counters_match_serial() {
     let calls = |trace: &TraceData| trace.span_totals()["compile_func"].count;
     assert_eq!(calls(&st), calls(&pt));
     assert_eq!(calls(&pt), module.funcs.len() as u64);
+    // Worker shards nest under the module span: the parallel profile
+    // has the serial one's shape, call for call.
+    let shape = |trace: &TraceData| -> Vec<(String, u64)> {
+        let profile = trace.profile.iter();
+        profile.map(|(path, p)| (path.clone(), p.count)).collect()
+    };
+    assert_eq!(shape(&pt), shape(&st));
+    let top: Vec<&String> = pt.profile.keys().filter(|p| !p.contains('/')).collect();
+    assert_eq!(top, ["compile_module"]);
 }
 
 #[test]
