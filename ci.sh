@@ -246,6 +246,9 @@ echo "==> serve bench smoke (cold vs warm over the shared cache, writes BENCH_se
 cargo run --release --offline -q -p marion-bench --bin marion-bench -- serve --smoke --out BENCH_serve_smoke.json
 # No other step reads this file: a tolerance-0 self-diff proves it parses.
 ./target/release/marion-bench diff BENCH_serve_smoke.json BENCH_serve_smoke.json --tolerance 0 > /dev/null
+# It records the warm set's size: cached instructions and code bytes.
+grep -q '"cached_insts": [1-9]' BENCH_serve_smoke.json
+grep -q '"cached_code_bytes": [1-9]' BENCH_serve_smoke.json
 
 # Benchmark self-test: every workload twice at one seed, untraced and
 # traced; fails unless the deterministic metrics (sim_cycles among

@@ -37,14 +37,14 @@ fn main() {
     let mut sub_ops = 0usize;
     for (bi, block) in func.blocks.iter().enumerate() {
         outln!(".Lf_{bi}:");
-        for word in &block.words {
+        for word in block.words() {
             let text = marion_core::emit::render_word(&spec.machine, word, &program.symbols, "f");
             outln!("  {cycle:>3}  {text}");
             cycle += 1;
-            if word.insts.len() > 1 {
+            if word.len() > 1 {
                 packed_words += 1;
             }
-            for inst in &word.insts {
+            for inst in word.insts() {
                 let t = spec.machine.template(inst.template);
                 if t.affects_clock.is_some() {
                     sub_ops += 1;

@@ -34,7 +34,9 @@
 //!   (with the pair count, `observability_pairs`). Each of those
 //!   passes repeats the warm request list (`observability_pass_requests`
 //!   requests in all), so a pass lasts long enough for its overhead
-//!   reading to mean something.
+//!   reading to mean something. The warm set's size is recorded as
+//!   `cached_insts` and `cached_code_bytes` (`AsmFunc::heap_bytes`
+//!   summed over the cached functions).
 //! * `quality [--smoke] [--out PATH]` — the codegen-quality matrix:
 //!   every bundled machine × strategy × workload compiled once,
 //!   simulated, and condensed into one `ProgramQuality` row each
@@ -523,6 +525,8 @@ fn bench_serve(smoke: bool, out: &str) {
     let warm = pass(&service, &requests, "warm");
     assert_eq!(cold.len(), pairs.len());
     assert_eq!(warm.len(), pairs.len());
+    // The warm set: the code the cold pass left in the cache.
+    let cached = service.cache().expect("the service caches").footprint();
 
     println!("serve bench  (combined Livermore, cold vs warm through the compile service)");
     println!(
@@ -551,6 +555,12 @@ fn bench_serve(smoke: bool, out: &str) {
     let warm_total: i64 = warm.iter().map(|(w, _, _)| w).sum();
     let total_speedup = cold_total as f64 / warm_total.max(1) as f64;
     println!("geomean warm speedup: {geomean:.1}x   total: {total_speedup:.1}x");
+    println!(
+        "warm set: {} cached instructions in {} bytes of code ({:.1} B/inst)",
+        cached.insts,
+        cached.bytes,
+        cached.bytes as f64 / cached.insts.max(1) as f64
+    );
 
     // Honesty pass: the same warm requests through a service with full
     // observability (tail sampling, access log) so the recorded numbers
@@ -616,6 +626,8 @@ fn bench_serve(smoke: bool, out: &str) {
     doc.int("observability_pairs", OBSERVABILITY_PAIRS as i64);
     doc.int("observability_pass_requests", pass_requests as i64);
     doc.int("access_log_bytes", access_log_bytes as i64);
+    doc.int("cached_insts", cached.insts as i64);
+    doc.int("cached_code_bytes", cached.bytes as i64);
     let runs: Vec<ObjWriter> = pairs
         .iter()
         .enumerate()

@@ -436,9 +436,9 @@ fn explain_func(machine: &Machine, f: &CompiledFunc, opts: &Options) -> usize {
             outln!(
                 "  b{}: `{}` moved into slot {} of `{}`",
                 fill.block,
-                fill.inst,
+                machine.template(fill.inst).mnemonic,
                 fill.slot,
-                fill.branch
+                machine.template(fill.branch).mnemonic
             );
         }
     }

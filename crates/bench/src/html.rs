@@ -32,7 +32,7 @@ pub const FUNC_COLUMNS: [(&str, &str); 8] = [
     ("estimated_cycles", "est cycles"),
     ("delay_slots_filled", "filled"),
     ("nops_emitted", "nops"),
-    ("sched_stall_cycles", "stalls"),
+    ("sched_stall_cycles", "empty cycles"),
     ("packed_words", "packed"),
     ("ra_rounds", "ra rounds"),
 ];
@@ -1090,6 +1090,7 @@ mod tests {
             "self-profile flamegraph",
             "<svg ",
             "Per-function summary",
+            "<th>empty cycles</th>",
             "ra rounds",
             "Stall attribution",
             "<td>5</td><td>2</td>",

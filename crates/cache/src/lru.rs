@@ -157,6 +157,16 @@ impl<V: Clone> ShardedCache<V> {
         self.len() == 0
     }
 
+    /// Visits every resident value, one shard at a time, without
+    /// touching recency or the counters.
+    pub fn for_each(&self, mut f: impl FnMut(&V)) {
+        for shard in &self.shards {
+            for (value, _) in shard.lock().unwrap().map.values() {
+                f(value);
+            }
+        }
+    }
+
     /// A snapshot of the lifetime counters.
     pub fn stats(&self) -> CacheStats {
         CacheStats {

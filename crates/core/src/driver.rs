@@ -402,13 +402,10 @@ impl Compiler {
             return Ok((entry.asm, entry.stats));
         }
         let CompiledFunc {
-            asm: mut emitted,
+            asm: emitted,
             stats: fs,
             ..
         } = self.compile_func(module, func, tracer)?;
-        // One compact copy (a `Vec` clone allocates exact capacities
-        // all the way down), held by the cache and the caller alike.
-        emitted.blocks = Arc::new(emitted.blocks.to_vec());
         let evicted = cache.insert(
             key,
             CachedFunc {

@@ -398,19 +398,16 @@ pub(crate) fn log_stall(log: &mut Vec<Stall>, at: u32, reason: StallReason) {
     });
 }
 
-/// The DAG critical path in cycles: `max(est[i] + ltl[i]) + 1` over
-/// the nodes, where `est` is the earliest dependence-legal issue cycle
-/// and `ltl` (`dag.critical_path()`, the scheduler's priority) the
-/// longest latency chain to a leaf. No legal schedule of the block can
-/// finish in fewer issue cycles, so this is the quality subsystem's
-/// per-block lower bound (`critical_path ≤ est_cycles`). Zero for
-/// empty blocks.
-pub fn critical_path_cycles(dag: &CodeDag, ltl: &[u32]) -> u32 {
-    if dag.n == 0 {
-        return 0;
-    }
-    let est = dag.earliest_starts();
-    (0..dag.n).map(|i| est[i] + ltl[i]).max().unwrap_or(0) + 1
+/// The DAG critical path in cycles: `max(ltl) + 1`, where `ltl`
+/// (`dag.critical_path()`, the scheduler's priority) is each node's
+/// longest latency chain to a leaf. On a DAG this equals
+/// `max(est[i] + ltl[i]) + 1` with `est` the earliest dependence-legal
+/// issue cycle, since a longest chain starts at a root (`est = 0`). No
+/// legal schedule of the block can finish in fewer issue cycles, so
+/// this is the quality subsystem's per-block lower bound
+/// (`critical_path ≤ est_cycles`). Zero for empty blocks.
+pub fn critical_path_cycles(ltl: &[u32]) -> u32 {
+    ltl.iter().max().map_or(0, |m| m + 1)
 }
 
 /// Computes per-node slack and one zero-slack chain for a DAG.

@@ -37,10 +37,10 @@
 //! a request traced, without the cache, when it needs a profile.
 //!
 //! An entry's blocks are shared copy-on-write (`AsmFunc::blocks` is an
-//! `Arc`). A miss stores one compact copy (every vector at exact
-//! capacity) and hands the caller a pointer to the same copy, so a hit
-//! clones a pointer, the name and the per-block quality rows, never
-//! the code. A caller that edits a served function goes through
+//! `Arc`). Emission builds every block flat and at exact capacity
+//! (see [`crate::emit`]), so a miss stores the emitted blocks as they
+//! are and hands the caller a pointer to them; a hit clones a pointer,
+//! the name and the per-block quality rows, never the code. A caller that edits a served function goes through
 //! `AsmFunc::blocks_mut`, which copies first, so no edit reaches the
 //! cache or another caller's program.
 //!
@@ -52,7 +52,7 @@
 //! the function body. [`func_key`] computes the same value in one call.
 
 use crate::driver::{CompileOptions, FuncStats};
-use crate::emit::{AsmBlock, AsmFunc, AsmInst, Word};
+use crate::emit::{AsmBlock, AsmFunc, BlockBuilder};
 use crate::stablehash::StableHash;
 use crate::strategy::StrategyKind;
 use marion_cache::{CacheKey, DiskStore, ShardedCache, StableHasher};
@@ -115,6 +115,18 @@ impl CacheTally {
             evictions: self.evictions.load(Ordering::Relaxed),
         }
     }
+}
+
+/// What the resident entries' emitted code amounts to
+/// ([`FuncCache::footprint`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CodeFootprint {
+    /// Emitted blocks.
+    pub blocks: usize,
+    /// Emitted sub-operations ([`AsmFunc::inst_count`]).
+    pub insts: usize,
+    /// Heap bytes of the emitted code ([`AsmFunc::heap_bytes`]).
+    pub bytes: usize,
 }
 
 /// What loading a disk store found.
@@ -231,6 +243,17 @@ impl FuncCache {
     /// True when nothing is cached.
     pub fn is_empty(&self) -> bool {
         self.mem.is_empty()
+    }
+
+    /// The emitted code the resident entries hold.
+    pub fn footprint(&self) -> CodeFootprint {
+        let mut total = CodeFootprint::default();
+        self.mem.for_each(|entry| {
+            total.blocks += entry.asm.blocks.len();
+            total.insts += entry.asm.inst_count();
+            total.bytes += entry.asm.heap_bytes();
+        });
+        total
     }
 }
 
@@ -376,11 +399,11 @@ fn encode_blocks(blocks: &[AsmBlock]) -> String {
         }
         out.push_str(&block.est_cycles.to_string());
         out.push('@');
-        for (wi, word) in block.words.iter().enumerate() {
+        for (wi, word) in block.words().enumerate() {
             if wi > 0 {
                 out.push(';');
             }
-            for (ii, inst) in word.insts.iter().enumerate() {
+            for (ii, inst) in word.insts().enumerate() {
                 if ii > 0 {
                     out.push('+');
                 }
@@ -403,35 +426,29 @@ fn decode_blocks(text: &str) -> Option<Vec<AsmBlock>> {
     if text.is_empty() {
         return Some(Vec::new());
     }
-    let mut blocks = Vec::new();
+    let (mut words, mut ops) = (BlockBuilder::default(), Vec::new());
+    let mut blocks = Vec::with_capacity(text.split('|').count());
     for btext in text.split('|') {
         let (est, words_text) = btext.split_once('@')?;
-        let mut block = AsmBlock {
-            words: Vec::new(),
-            est_cycles: est.parse().ok()?,
-        };
         if !words_text.is_empty() {
             for wtext in words_text.split(';') {
-                let mut word = Word::default();
                 if !wtext.is_empty() {
                     for itext in wtext.split('+') {
                         let (template, ops_text) = itext.split_once(':')?;
-                        let mut inst = AsmInst {
-                            template: TemplateId(template.parse().ok()?),
-                            ops: Vec::new(),
-                        };
+                        let template = TemplateId(template.parse().ok()?);
+                        ops.clear();
                         if !ops_text.is_empty() {
                             for otext in ops_text.split(',') {
-                                inst.ops.push(decode_operand(otext)?);
+                                ops.push(decode_operand(otext)?);
                             }
                         }
-                        word.insts.push(inst);
+                        words.push(template, ops.iter().copied());
                     }
                 }
-                block.words.push(word);
+                words.end_word();
             }
         }
-        blocks.push(block);
+        blocks.push(words.finish(est.parse().ok()?));
     }
     Some(blocks)
 }
@@ -544,56 +561,50 @@ pub fn decode_entry(payload: &str) -> Option<CachedFunc> {
 mod tests {
     use super::*;
     use crate::code::{ImmVal, Operand, Vreg};
+    use crate::emit::AsmInst;
     use marion_ir::{BlockId, SymbolId};
     use marion_maril::{PhysReg, RegClassId, TemplateId};
 
     fn sample_entry() -> CachedFunc {
-        let inst = |t: u32, ops: Vec<Operand>| AsmInst {
-            template: TemplateId(t),
-            ops,
-        };
-        let phys = |c: u32, i: u32| {
+        fn inst(t: u32, ops: &[Operand]) -> AsmInst<'_> {
+            AsmInst {
+                template: TemplateId(t),
+                ops,
+            }
+        }
+        fn phys(c: u32, i: u32) -> Operand {
             Operand::Phys(PhysReg {
                 class: RegClassId(c),
                 index: i,
             })
-        };
+        }
         let asm = AsmFunc {
             name: "llk_main".into(),
             frame_size: 48,
             blocks: std::sync::Arc::new(vec![
-                AsmBlock {
-                    est_cycles: 7,
-                    words: vec![
-                        Word {
-                            insts: vec![inst(3, vec![phys(0, 2), Operand::Imm(ImmVal::Const(-8))])],
-                        },
-                        Word {
-                            insts: vec![
-                                inst(
-                                    9,
-                                    vec![phys(1, 0), Operand::Imm(ImmVal::Sym(SymbolId(4), 12))],
-                                ),
-                                inst(2, vec![Operand::Block(BlockId(3))]),
-                            ],
-                        },
+                AsmBlock::from_words(
+                    7,
+                    [
+                        vec![inst(3, &[phys(0, 2), Operand::Imm(ImmVal::Const(-8))])],
+                        vec![
+                            inst(9, &[phys(1, 0), Operand::Imm(ImmVal::Sym(SymbolId(4), 12))]),
+                            inst(2, &[Operand::Block(BlockId(3))]),
+                        ],
                     ],
-                },
-                AsmBlock {
-                    est_cycles: 1,
-                    words: vec![Word {
-                        insts: vec![inst(
-                            11,
-                            vec![
-                                Operand::Func(SymbolId(2)),
-                                Operand::Imm(ImmVal::SymHigh(SymbolId(1), -4)),
-                                Operand::Imm(ImmVal::SymLow(SymbolId(1), -4)),
-                                Operand::Vreg(Vreg(17)),
-                                Operand::VregHalf(Vreg(5), 1),
-                            ],
-                        )],
-                    }],
-                },
+                ),
+                AsmBlock::from_words(
+                    1,
+                    [[inst(
+                        11,
+                        &[
+                            Operand::Func(SymbolId(2)),
+                            Operand::Imm(ImmVal::SymHigh(SymbolId(1), -4)),
+                            Operand::Imm(ImmVal::SymLow(SymbolId(1), -4)),
+                            Operand::Vreg(Vreg(17)),
+                            Operand::VregHalf(Vreg(5), 1),
+                        ],
+                    )]],
+                ),
             ]),
         };
         let stats = FuncStats {

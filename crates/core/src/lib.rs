@@ -30,13 +30,13 @@ pub use code::{CodeBlock, CodeFunc, ImmVal, Inst, Operand, Vreg, VregInfo, VregK
 pub use driver::{
     CompileOptions, CompileStats, CompiledFunc, CompiledProgram, Compiler, FuncStats,
 };
-pub use emit::{AsmBlock, AsmFunc, AsmInst, AsmProgram, Word};
+pub use emit::{AsmBlock, AsmFunc, AsmInst, AsmProgram, AsmWord};
 pub use error::{CodegenError, Phase};
 pub use explain::{
     audit_schedule, audited_replay, AuditError, PlacementRecord, ScheduleExplanation, Stall,
     StallReason,
 };
-pub use fcache::{CacheLoad, CacheSummary, CachedFunc, FuncCache};
+pub use fcache::{CacheLoad, CacheSummary, CachedFunc, CodeFootprint, FuncCache};
 pub use quality::{BlockQuality, ProgramQuality, QualityRecord, StallBreakdown};
 pub use select::{select_func, EscapeCtx, EscapeFn, EscapeRegistry};
 pub use strategy::StrategyKind;

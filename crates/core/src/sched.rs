@@ -477,7 +477,7 @@ fn list_schedule(
     metrics.stall_cycles = cycles.iter().filter(|c| c.is_empty()).count();
     stalls.dependence = crate::explain::dependence_stall_cycles(dag, &inst_cycle);
     let explanation = ScheduleExplanation {
-        critical_path_cycles: crate::explain::critical_path_cycles(dag, &priority),
+        critical_path_cycles: crate::explain::critical_path_cycles(&priority),
         stalls,
         discipline: discipline.name(),
         ..ScheduleExplanation::default()
@@ -739,7 +739,7 @@ fn serial(
     metrics.stall_cycles = cycles.iter().filter(|c| c.is_empty()).count();
     stalls.dependence = crate::explain::dependence_stall_cycles(dag, &inst_cycle);
     let explanation = ScheduleExplanation {
-        critical_path_cycles: crate::explain::critical_path_cycles(dag, &dag.critical_path()),
+        critical_path_cycles: crate::explain::critical_path_cycles(&dag.critical_path()),
         stalls,
         discipline: Discipline::Serial.name(),
         ..ScheduleExplanation::default()

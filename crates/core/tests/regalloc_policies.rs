@@ -70,8 +70,8 @@ fn compile(src: &str) -> (Machine, marion_core::CompiledProgram) {
 fn regs_written(m: &Machine, f: &marion_core::AsmFunc) -> Vec<u32> {
     let mut out = Vec::new();
     for block in f.blocks.iter() {
-        for word in &block.words {
-            for inst in &word.insts {
+        for word in block.words() {
+            for inst in word.insts() {
                 let t = m.template(inst.template);
                 for k in &t.effects.defs {
                     if let Some(marion_core::Operand::Phys(p)) = inst.ops.get((*k - 1) as usize) {
@@ -101,8 +101,8 @@ fn values_crossing_calls_get_callee_saves() {
     let mul = m.template_by_mnemonic("mul").unwrap();
     let mut mul_dest = None;
     for block in f.blocks.iter() {
-        for word in &block.words {
-            for inst in &word.insts {
+        for word in block.words() {
+            for inst in word.insts() {
                 if inst.template == mul {
                     if let marion_core::Operand::Phys(p) = inst.ops[0] {
                         mul_dest = Some(p.index);
@@ -158,16 +158,15 @@ fn spill_choice_prefers_values_outside_loops() {
     let ld = m.template_by_mnemonic("ld").unwrap();
     let mut min_loads_in_loop = usize::MAX;
     for (bi, block) in f.blocks.iter().enumerate() {
-        let branches_back = block.words.iter().flat_map(|w| &w.insts).any(|inst| {
+        let branches_back = block.words().flat_map(|w| w.insts()).any(|inst| {
             inst.ops
                 .iter()
                 .any(|op| matches!(op, marion_core::Operand::Block(b) if (b.0 as usize) <= bi))
         });
         if branches_back {
             let loads = block
-                .words
-                .iter()
-                .flat_map(|w| &w.insts)
+                .words()
+                .flat_map(|w| w.insts())
                 .filter(|i| i.template == ld)
                 .count();
             min_loads_in_loop = min_loads_in_loop.min(loads);

@@ -276,8 +276,8 @@ fn whole_pipeline_prologue_epilogue_shape() {
     // Caller: has a frame and saves the return address.
     let caller = program.asm.func("caller").unwrap();
     assert!(caller.frame_size >= 8);
-    let first_block = &caller.blocks[0];
-    let first = &first_block.words[0].insts[0];
+    let first_word = caller.blocks[0].words().next().expect("a first word");
+    let first = first_word.insts().next().expect("a first instruction");
     // Frame push first: an add-immediate on the stack pointer by
     // -frame_size (whichever immediate form fits).
     assert!(

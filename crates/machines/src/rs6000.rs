@@ -269,8 +269,8 @@ mod tests {
             .unwrap()
             .blocks
             .iter()
-            .flat_map(|b| b.words.iter())
-            .flat_map(|w| w.insts.iter())
+            .flat_map(|b| b.words())
+            .flat_map(|w| w.insts())
             .map(|i| spec.machine.template(i.template).mnemonic.as_str())
             .collect();
         assert!(mnems.contains(&"fma"), "{mnems:?}");
@@ -301,8 +301,8 @@ mod tests {
             .unwrap()
             .blocks
             .iter()
-            .flat_map(|b| b.words.iter())
-            .any(|w| w.insts.len() > 1);
+            .flat_map(|b| b.words())
+            .any(|w| w.len() > 1);
         assert!(
             packed,
             "expected multi-unit issue:\n{}",

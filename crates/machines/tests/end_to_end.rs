@@ -89,8 +89,8 @@ fn i860_emits_dual_operation_words() {
     let mnems: Vec<&str> = func
         .blocks
         .iter()
-        .flat_map(|b| b.words.iter())
-        .flat_map(|w| w.insts.iter())
+        .flat_map(|b| b.words())
+        .flat_map(|w| w.insts())
         .map(|i| spec.machine.template(i.template).mnemonic.as_str())
         .collect();
     assert!(
@@ -108,8 +108,8 @@ fn i860_emits_dual_operation_words() {
     let packed = func
         .blocks
         .iter()
-        .flat_map(|b| b.words.iter())
-        .any(|w| w.insts.len() > 1);
+        .flat_map(|b| b.words())
+        .any(|w| w.len() > 1);
     assert!(packed, "no packed long instruction words: {mnems:?}");
 }
 

@@ -244,7 +244,7 @@ fn bad_operand(op: &Operand) -> SimError {
 pub(crate) struct SubOp<'a> {
     /// The instruction as emitted: latency lookups, resource commits,
     /// `%aux` operand tests and fault messages read it.
-    pub(crate) inst: &'a AsmInst,
+    pub(crate) inst: AsmInst<'a>,
     /// Range of the template's compiled semantics.
     pub(crate) code: (u32, u32),
     /// Range of the decoded operands.

@@ -3,7 +3,7 @@
 use crate::exec::{nth, write_mem, Control, Effects, ExecCtx, Opnd, Semantics, SubOp};
 use crate::regs::{RegFile, RegSlot};
 use crate::{fault, SimError, Value};
-use marion_core::{AsmInst, CompiledProgram};
+use marion_core::{AsmWord, CompiledProgram};
 use marion_maril::expr::{LValue, Stmt};
 use marion_maril::{Expr, Machine, ResSet, Ty};
 use std::collections::HashMap;
@@ -262,12 +262,12 @@ impl<'a> Simulator<'a> {
                 // later block is enough.
                 starts.push(sim.words.len());
                 let mut head = NONE;
-                if !block.words.is_empty() {
+                if block.words().len() > 0 {
                     head = sim.heads.len() as u32;
                     sim.heads.push((fi, bi));
                 }
-                for word in &block.words {
-                    sim.decode_word(fi as u32, head, &word.insts);
+                for word in block.words() {
+                    sim.decode_word(fi as u32, head, word);
                     head = NONE;
                 }
             }
@@ -276,12 +276,12 @@ impl<'a> Simulator<'a> {
         sim
     }
 
-    fn decode_word(&mut self, func: u32, head: u32, insts: &'a [AsmInst]) {
+    fn decode_word(&mut self, func: u32, head: u32, word: AsmWord<'a>) {
         let machine = self.machine;
         let nop = machine.nop_template();
         let (subs, needs) = (self.subs.len() as u32, self.needs.len());
         let (mut slots, mut nops) = (0, 0);
-        for inst in insts {
+        for inst in word.insts() {
             let ops_start = self.opnds.len();
             self.opnds.extend(
                 inst.ops

@@ -8,7 +8,7 @@
 //! changed. If that is intended, regenerate the table from the
 //! failure message and justify the new numbers in the same change.
 
-use marion_core::{AsmInst, CompiledProgram, Compiler, ImmVal, Operand, StrategyKind, Word};
+use marion_core::{AsmBlock, AsmInst, CompiledProgram, Compiler, ImmVal, Operand, StrategyKind};
 use marion_ir::SymbolId;
 use marion_machines::{load, load_extended, MachineSpec};
 use marion_maril::{PhysReg, TemplateId, Ty};
@@ -257,35 +257,37 @@ fn actual_lines() -> Vec<String> {
 fn window_alias(spec: &MachineSpec) -> CompiledProgram {
     let m = &spec.machine;
     let mut program = compile(spec, StrategyKind::Postpass, "int main() { return 7; }");
-    let inst = |name: &str, ops: Vec<Operand>| AsmInst {
-        template: m.template_by_mnemonic(name).expect("template"),
-        ops,
-    };
+    let inst =
+        |name: &str, ops: Vec<Operand>| (m.template_by_mnemonic(name).expect("template"), ops);
     let reg = |class: &str, i: u32| {
         Operand::Phys(PhysReg::new(m.reg_class_by_name(class).expect("class"), i))
     };
-    let mut words = vec![Word {
-        insts: vec![
-            inst("div.d", vec![reg("d", 1), reg("d", 2), reg("d", 3)]),
-            inst(
-                "li",
-                vec![reg("r", 8), reg("r", 0), Operand::Imm(ImmVal::Const(1))],
-            ),
-        ],
-    }];
-    words.extend((0..63).map(|_| Word {
-        insts: vec![inst("nop", vec![])],
-    }));
-    words.push(Word {
-        insts: vec![inst(
-            "div.s",
-            vec![reg("f", 10), reg("f", 12), reg("f", 14)],
-        )],
-    });
+    let mut words = vec![vec![
+        inst("div.d", vec![reg("d", 1), reg("d", 2), reg("d", 3)]),
+        inst(
+            "li",
+            vec![reg("r", 8), reg("r", 0), Operand::Imm(ImmVal::Const(1))],
+        ),
+    ]];
+    words.extend((0..63).map(|_| vec![inst("nop", vec![])]));
+    words.push(vec![inst(
+        "div.s",
+        vec![reg("f", 10), reg("f", 12), reg("f", 14)],
+    )]);
     let main = program.asm.funcs.iter_mut().find(|f| f.name == "main");
-    main.expect("main").blocks_mut()[0]
-        .words
-        .splice(0..0, words);
+    let block = &mut main.expect("main").blocks_mut()[0];
+    let prefix = words.iter().map(|w| {
+        w.iter()
+            .map(|(template, ops)| AsmInst {
+                template: *template,
+                ops,
+            })
+            .collect::<Vec<_>>()
+    });
+    *block = AsmBlock::from_words(
+        block.est_cycles,
+        prefix.chain(block.words().map(|w| w.insts().collect())),
+    );
     program
 }
 
@@ -336,13 +338,13 @@ fn run_results_match_the_pinned_table() {
 fn the_hydro_kernel_exercises_i860_pipelines_and_packing() {
     let spec = load("i860");
     let program = compile(&spec, StrategyKind::Postpass, HYDRO);
-    let insts: Vec<&AsmInst> = program
+    let insts: Vec<AsmInst> = program
         .asm
         .funcs
         .iter()
         .flat_map(|f| f.blocks.iter())
-        .flat_map(|b| &b.words)
-        .flat_map(|w| &w.insts)
+        .flat_map(|b| b.words())
+        .flat_map(|w| w.insts())
         .collect();
     assert!(
         insts
@@ -363,19 +365,13 @@ fn the_hydro_kernel_exercises_i860_pipelines_and_packing() {
 fn poison_block(program: &mut CompiledProgram, f: usize, b: usize) {
     let bad = Operand::Imm(ImmVal::Sym(SymbolId(u32::MAX), 0));
     let block = &mut program.asm.funcs[f].blocks_mut()[b];
-    for word in &mut block.words {
-        for inst in &mut word.insts {
-            for op in &mut inst.ops {
-                *op = bad;
-            }
+    for (_, ops) in block.insts_mut() {
+        for op in ops {
+            *op = bad;
         }
     }
-    let last = block
-        .words
-        .iter_mut()
-        .rev()
-        .find_map(|w| w.insts.last_mut());
-    last.expect("a non-empty block").template = TemplateId(u32::MAX);
+    let last = block.insts_mut().last();
+    *last.expect("a non-empty block").0 = TemplateId(u32::MAX);
 }
 
 #[test]
@@ -399,7 +395,7 @@ fn faults_in_words_that_never_execute_stay_latent() {
                 func.blocks
                     .iter()
                     .enumerate()
-                    .filter(|(_, b)| b.words.iter().any(|w| !w.insts.is_empty()))
+                    .filter(|(_, b)| b.words().any(|w| !w.is_empty()))
                     .map(move |(b, _)| (f, b))
             })
             .collect();
@@ -447,16 +443,15 @@ fn r2000_with_float_operand(mnemonic: &str, k: usize) -> (MachineSpec, CompiledP
         .expect("template");
     let f = spec.machine.reg_class_by_name("f").expect("fp class");
     let mut rewritten = 0;
-    for inst in program
+    for (_, ops) in program
         .asm
         .funcs
         .iter_mut()
         .flat_map(|f| f.blocks_mut())
-        .flat_map(|b| &mut b.words)
-        .flat_map(|w| &mut w.insts)
-        .filter(|i| i.template == template)
+        .flat_map(|b| b.insts_mut())
+        .filter(|(t, _)| **t == template)
     {
-        inst.ops[k - 1] = Operand::Phys(PhysReg::new(f, 2));
+        ops[k - 1] = Operand::Phys(PhysReg::new(f, 2));
         rewritten += 1;
     }
     assert!(rewritten > 0, "no `{mnemonic}` in the program");

@@ -39,14 +39,14 @@ fn main() {
     let func = program.asm.func("f").expect("f");
     let mut cycle = 0;
     for block in func.blocks.iter() {
-        for word in &block.words {
+        for word in block.words() {
             let text =
                 marion::backend::emit::render_word(&spec.machine, word, &program.symbols, "f");
             let mut notes: Vec<&str> = Vec::new();
-            if word.insts.len() > 1 {
+            if word.len() > 1 {
                 notes.push("packed word");
             }
-            for inst in &word.insts {
+            for inst in word.insts() {
                 let t = spec.machine.template(inst.template);
                 if let Some(clock) = t.affects_clock {
                     notes.push(if spec.machine.clocks()[clock.0 as usize] == "clk_m" {

@@ -3,7 +3,9 @@
 //! entries detected and recompiled rather than served, and traced
 //! compiles kept away from it entirely.
 
-use marion::backend::{CompileOptions, CompiledProgram, Compiler, FuncCache, StrategyKind};
+use marion::backend::{
+    AsmBlock, CompileOptions, CompiledProgram, Compiler, FuncCache, StrategyKind,
+};
 use marion::cache::{CacheKey, StableHasher};
 use marion::rng::SplitMix64;
 use marion::trace::TraceConfig;
@@ -95,8 +97,9 @@ fn doctoring_a_served_program_leaves_the_cache_intact() {
             for program in [&mut filling, &mut warm] {
                 for func in &mut program.asm.funcs {
                     let blocks = func.blocks_mut();
-                    blocks[0].words.clear();
-                    blocks[0].est_cycles += 1;
+                    let est_cycles = blocks[0].est_cycles;
+                    blocks[0] = AsmBlock::default(); // no words
+                    blocks[0].est_cycles = est_cycles + 1;
                     blocks.pop();
                 }
                 assert_ne!(program.render(&target), cold.render(&target));

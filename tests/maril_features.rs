@@ -78,12 +78,11 @@ fn delay_slots_filled_with_nops() {
     // Every control word must be followed (in its block or the layout)
     // by something — and at least one nop should exist somewhere,
     // since tight loop branches rarely find fillers for every slot.
-    let words: Vec<_> = func.blocks.iter().flat_map(|b| b.words.iter()).collect();
+    let words: Vec<_> = func.blocks.iter().flat_map(|b| b.words()).collect();
     let mut after_branch_ok = true;
     for (i, w) in words.iter().enumerate() {
         let slots: u32 = w
-            .insts
-            .iter()
+            .insts()
             .filter(|inst| spec.machine.template(inst.template).effects.is_control())
             .map(|inst| spec.machine.template(inst.template).slots.unsigned_abs())
             .max()
@@ -97,7 +96,7 @@ fn delay_slots_filled_with_nops() {
     assert!(after_branch_ok, "a control word is missing its delay slot");
     let nops = words
         .iter()
-        .flat_map(|w| w.insts.iter())
+        .flat_map(|w| w.insts())
         .filter(|i| i.template == nop)
         .count();
     assert!(nops > 0, "expected nop-filled delay slots");
@@ -131,8 +130,8 @@ fn toyp_movd_escape_expands_to_half_moves() {
         .unwrap()
         .blocks
         .iter()
-        .flat_map(|b| b.words.iter())
-        .flat_map(|w| w.insts.iter())
+        .flat_map(|b| b.words())
+        .flat_map(|w| w.insts())
         .filter(|i| i.template == smovs)
         .count();
     assert!(count >= 2, "expected pairs of single moves, found {count}");
@@ -282,8 +281,8 @@ fn glue_value_rule_strength_reduces_on_toyp() {
             .unwrap()
             .blocks
             .iter()
-            .flat_map(|b| b.words.iter())
-            .flat_map(|w| w.insts.iter())
+            .flat_map(|b| b.words())
+            .flat_map(|w| w.insts())
             .filter(|i| i.template == t)
             .count()
     };

@@ -161,3 +161,95 @@ fn serial_fallback_schedules_are_valid_too() {
         }
     }
 }
+
+/// The critical-path bound each schedule records, `max(ltl) + 1` from
+/// the scheduler's priority vector, equals `max(est + ltl) + 1`
+/// computed with a second topological sweep, on every block DAG the
+/// three strategies build for the 18 evaluation programs on every
+/// bundled machine: the selected code their pre-allocation passes
+/// schedule and the allocated code of their final passes, under every
+/// rung of the fallback ladder. A rung's graph can have a cycle (rung
+/// 2's serialisation may close one); no schedule is placed against
+/// it, so it records no bound and is skipped here.
+#[test]
+fn critical_path_bound_is_the_longest_latency_chain() {
+    use marion::backend::dag::CodeDag;
+    use marion::backend::explain::critical_path_cycles;
+    use marion::backend::{Compiler, StrategyKind};
+    use marion::trace::Tracer;
+
+    let via_earliest_starts = |dag: &CodeDag| {
+        let (est, ltl) = (dag.earliest_starts(), dag.critical_path());
+        (0..dag.n).map(|i| est[i] + ltl[i] + 1).max().unwrap_or(0)
+    };
+    let is_acyclic = |dag: &CodeDag| {
+        let mut position = vec![0; dag.n];
+        for (p, i) in dag.topo_order().into_iter().enumerate() {
+            position[i] = p;
+        }
+        dag.edges.iter().all(|e| position[e.from] < position[e.to])
+    };
+    let mut cyclic = 0;
+    let mut check = |machine: &Machine, block: &CodeBlock, what: &str| {
+        for discipline in [
+            Discipline::Rule1,
+            Discipline::Serialized,
+            Discipline::NameDeps,
+        ] {
+            let dag = discipline.dag(machine, block);
+            if !is_acyclic(&dag) {
+                cyclic += 1;
+                continue;
+            }
+            assert_eq!(
+                critical_path_cycles(&dag.critical_path()),
+                via_earliest_starts(&dag),
+                "{what}, {}",
+                discipline.name()
+            );
+        }
+    };
+    let mut programs = marion::workloads::livermore::kernels();
+    programs.extend(marion::workloads::suite::programs());
+    let mut blocks = 0;
+    for name in marion::machines::EXTENDED {
+        let spec = marion::machines::load(name);
+        for program in &programs {
+            let mut module = program.module();
+            marion::backend::driver::materialize_float_constants(&mut module);
+            for f in &module.funcs {
+                let what = format!("{name}/{}/{}", program.name, f.name);
+                let mut glued = f.clone();
+                marion::backend::glue::apply_glue(&spec.machine, &mut glued).unwrap();
+                let selected = select_func(&spec.machine, &spec.escapes, &module, &glued).unwrap();
+                for block in &selected.blocks {
+                    check(&spec.machine, block, &format!("{what}, selected"));
+                    blocks += 1;
+                }
+                for kind in StrategyKind::ALL {
+                    let compiler = Compiler::new(spec.machine.clone(), spec.escapes.clone(), kind);
+                    let compiled = compiler
+                        .compile_func(&module, f, &Tracer::off())
+                        .unwrap_or_else(|e| panic!("{what}: {e}"));
+                    for (block, schedule) in compiled.code.blocks.iter().zip(&compiled.schedules) {
+                        check(&spec.machine, block, &format!("{what}, {kind:?}"));
+                        let dag = Discipline::parse(schedule.explanation.discipline)
+                            .expect("a ladder discipline")
+                            .dag(&spec.machine, block);
+                        assert_eq!(
+                            schedule.explanation.critical_path_cycles,
+                            via_earliest_starts(&dag),
+                            "{what}, {kind:?}: recorded bound"
+                        );
+                        blocks += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(blocks > 1000, "only {blocks} blocks checked");
+    assert!(
+        cyclic * 100 < blocks,
+        "{cyclic} cyclic graphs in {blocks} blocks"
+    );
+}
