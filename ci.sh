@@ -110,6 +110,20 @@ grep -q '"request_id":"r1"' access.log
 grep -q '"request_id":"r7"' access.log
 test "$(grep -c '"cmd":"compile"' access.log)" = 2
 
+echo "==> disk cache store: a restarted service serves what the last one compiled"
+rm -f cache_store.jsonl
+disk_request='{"machine":"i860","strategy":"RASE","workload":"livermore"}'
+first="$(printf '%s\n' "$disk_request" \
+  | ./target/release/marion-serve --workers 1 --cache-disk cache_store.jsonl)"
+printf '%s\n' "$first" | sed -n 1p | grep -q '"cache_hits":0,'
+# Keys are recomputed by a new process, so they must not depend on it.
+second="$(printf '%s\n' "$disk_request" '{"cmd":"stats"}' \
+  | ./target/release/marion-serve --workers 1 --cache-disk cache_store.jsonl)"
+printf '%s\n' "$second" | sed -n 1p | grep -q '"cache_misses":0,'
+printf '%s\n' "$second" | sed -n 1p | grep -q '"cache_hits":15,'
+printf '%s\n' "$second" | sed -n 2p | grep -q '"disk_loaded":15,'
+rm -f cache_store.jsonl
+
 echo "==> SLO gate: generous objectives pass (exit 0)"
 ./target/release/marion-report --check-slo metrics_snapshot.json
 

@@ -1,14 +1,24 @@
 //! A stable, process-independent 128-bit structural hash.
 //!
-//! `std::hash` deliberately refuses to promise a stable function (and
-//! `SipHash` is seeded per process), so cache keys built on it could
-//! never be written to disk. [`StableHasher`] is a defined function of
-//! the written byte stream alone: two lanes of SplitMix64-style
-//! mixing over 8-byte chunks, seeded with distinct constants, with
-//! every variable-length write prefixed by its length so field
-//! boundaries are part of the hash (`("ab","c")` ≠ `("a","bc")`).
+//! Values reach a [`StableHasher`] through `std::hash::Hash` (derived
+//! on the Maril and IR types a cache key covers), which decides which
+//! words a value writes: slices and strings with their length, enum
+//! variants with their discriminant. std's own `DefaultHasher` is
+//! seeded per process, so its keys could never be written to disk;
+//! [`StableHasher`] is a defined, seedless function of the written
+//! words alone: two lanes of SplitMix64-style mixing over 8-byte
+//! chunks, seeded with distinct constants, with every byte string
+//! prefixed by its length so field boundaries are part of the hash
+//! (`("ab","c")` ≠ `("a","bc")`).
+//!
+//! The key of a value therefore depends on the `Hash` derives of the
+//! toolchain that built the binary (std does not promise that they
+//! never change) and on the target's byte order (std hashes integer
+//! slices as their native bytes). A disk store is only reused by
+//! binaries that agree on both; any other build reads it as misses.
 
 use std::fmt;
+use std::hash::Hasher;
 
 /// A 128-bit content hash, the address of one cache entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -69,20 +79,8 @@ impl StableHasher {
         }
     }
 
-    /// Absorb one 64-bit word.
-    #[inline]
-    pub fn write_u64(&mut self, v: u64) {
-        self.a = mix64(self.a ^ v);
-        self.b = mix64(self.b ^ v.rotate_left(32) ^ 0x5851_F42D_4C95_7F2D);
-    }
-
-    /// Absorb a signed word (two's-complement bits).
-    #[inline]
-    pub fn write_i64(&mut self, v: i64) {
-        self.write_u64(v as u64);
-    }
-
     /// Absorb a byte string, length-prefixed.
+    #[inline]
     pub fn write_bytes(&mut self, bytes: &[u8]) {
         self.write_u64(bytes.len() as u64);
         for chunk in bytes.chunks(8) {
@@ -93,6 +91,7 @@ impl StableHasher {
     }
 
     /// Absorb a string, length-prefixed.
+    #[inline]
     pub fn write_str(&mut self, s: &str) {
         self.write_bytes(s.as_bytes());
     }
@@ -105,5 +104,43 @@ impl StableHasher {
         let a = mix64(self.a ^ self.b.rotate_left(17));
         let b = mix64(self.b ^ self.a.rotate_left(41));
         CacheKey([a, b])
+    }
+}
+
+/// The integer widths the hashed types use widen to one 64-bit word
+/// (signed ones through `Hasher`'s defaults, which cast to the unsigned
+/// type of their width), so a key does not depend on the target's word
+/// size.
+impl Hasher for StableHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        self.write_bytes(bytes);
+    }
+
+    #[inline]
+    fn write_u8(&mut self, v: u8) {
+        self.write_u64(v.into());
+    }
+
+    #[inline]
+    fn write_u32(&mut self, v: u32) {
+        self.write_u64(v.into());
+    }
+
+    #[inline]
+    fn write_u64(&mut self, v: u64) {
+        self.a = mix64(self.a ^ v);
+        self.b = mix64(self.b ^ v.rotate_left(32) ^ 0x5851_F42D_4C95_7F2D);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64);
+    }
+
+    /// The first lane of [`StableHasher::finish`]'s key.
+    #[inline]
+    fn finish(&self) -> u64 {
+        StableHasher::finish(self).0[0]
     }
 }

@@ -7,9 +7,9 @@
 //! three pieces that make that usable, with no policy of its own:
 //!
 //! * [`StableHasher`] / [`CacheKey`] — a stable, process-independent
-//!   128-bit structural hash. Unlike `std::hash`, the result is a
-//!   defined function of the written bytes alone, so keys can be
-//!   persisted to disk and compared across runs and builds.
+//!   128-bit structural hash: a seedless `std::hash::Hasher`, so unlike
+//!   std's per-process-seeded `DefaultHasher` its keys can be persisted
+//!   to disk and compared across runs of one build.
 //! * [`ShardedCache`] — a mutex-sharded in-memory map with per-shard
 //!   LRU eviction and atomic hit/miss/eviction accounting, safe to
 //!   share across the scoped-thread compile pool.
@@ -32,6 +32,13 @@ pub use lru::{CacheStats, ShardedCache};
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::hash::{Hash, Hasher};
+
+    fn key_of<T: Hash>(value: &T) -> CacheKey {
+        let mut h = StableHasher::new();
+        value.hash(&mut h);
+        h.finish()
+    }
 
     #[test]
     fn key_is_stable_across_hasher_instances() {
@@ -72,6 +79,17 @@ mod tests {
         h3.write_str("c");
         h3.write_str("");
         assert_ne!(h1.finish(), h3.finish());
+    }
+
+    #[test]
+    fn hashing_a_tuple_keeps_its_field_boundaries() {
+        assert_ne!(key_of(&("ab", "c")), key_of(&("a", "bc")));
+    }
+
+    #[test]
+    fn option_and_empty_vec_are_distinct() {
+        assert_ne!(key_of(&None::<u32>), key_of(&Some(0u32)));
+        assert_ne!(key_of(&Vec::<u32>::new()), key_of(&vec![0u32]));
     }
 
     #[test]

@@ -73,7 +73,8 @@ pub struct CompileStats {
     pub delay_slots_filled: usize,
     /// `nop`s remaining in the emitted code (unfilled delay slots).
     pub nops_emitted: usize,
-    /// The same statistics, per function.
+    /// The same statistics, per function, index-aligned with the
+    /// program's `asm.funcs` (which carry the names).
     pub per_func: Vec<FuncStats>,
 }
 
@@ -93,8 +94,6 @@ impl CompileStats {
 /// Compile statistics for one function.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FuncStats {
-    /// Function name.
-    pub name: String,
     /// Machine instructions generated.
     pub insts_generated: usize,
     /// Virtual registers spilled.
@@ -470,7 +469,6 @@ impl Compiler {
             Vec::new()
         };
         let fs = FuncStats {
-            name: func.name.clone(),
             insts_generated: asm.inst_count(),
             spills: s.spills,
             schedule_passes: s.schedule_passes,

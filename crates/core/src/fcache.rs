@@ -7,16 +7,18 @@
 //! that can change a function's compiled output:
 //!
 //! * the complete compiled [`Machine`] description (every template,
-//!   resource vector, latency, glue rule and CWVM entry — hashed
-//!   directly via [`crate::stablehash::StableHash`], a length-prefixed
-//!   field-order-stable structural encoding that is a pure function of
-//!   the parsed description and allocates nothing on the probe path);
+//!   resource vector, latency, glue rule and CWVM entry), fed to the
+//!   hasher through `std::hash::Hash`, with no string render and no
+//!   allocation. The Maril types derive `Hash`, so a field added to
+//!   one is in the key without further work; `Machine`'s own impl
+//!   names each of its fields and says why it skips three;
 //! * the [`StrategyKind`];
 //! * the cache-relevant [`CompileOptions`] field, `fill_delay_slots`;
 //! * the IR function body *after*
-//!   [`crate::driver::materialize_float_constants`], plus the module's
-//!   symbol table (cached assembly embeds `SymbolId`s, which are only
-//!   meaningful against the same table).
+//!   [`crate::driver::materialize_float_constants`] (its types derive
+//!   `Hash` too; `NodeKind` hashes a float constant by its bits), plus
+//!   the module's symbol table (cached assembly embeds `SymbolId`s,
+//!   which are only meaningful against the same table).
 //!
 //! Deliberately **excluded**: `jobs` (module-order collection makes
 //! output identical at any worker count), the trace configuration (a
@@ -28,6 +30,11 @@
 //! therefore automatic: change the machine description, strategy,
 //! relevant options or the function body and the key changes; stale
 //! entries age out of the LRU.
+//!
+//! [`StableHasher`] is seedless, so keys are equal from one process to
+//! the next and a disk store outlives its writer. They depend on the
+//! `Hash` derives of the toolchain that built the binary, though, so a
+//! store written by another build may never hit.
 //!
 //! ## What an entry holds
 //!
@@ -53,12 +60,12 @@
 
 use crate::driver::{CompileOptions, FuncStats};
 use crate::emit::{AsmBlock, AsmFunc, BlockBuilder};
-use crate::stablehash::StableHash;
 use crate::strategy::StrategyKind;
 use marion_cache::{CacheKey, DiskStore, ShardedCache, StableHasher};
 use marion_ir as ir;
 use marion_maril::Machine;
 use marion_trace::Fields;
+use std::hash::{Hash, Hasher};
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -66,7 +73,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Entry format version, bumped whenever the payload codec changes so
 /// stale disk stores read as corrupt instead of mis-decoding. Public
 /// so the serve protocol's `machines` introspection can report it.
-pub const FORMAT_VERSION: i64 = 4;
+pub const FORMAT_VERSION: i64 = 5;
 
 /// One cached compiled function.
 #[derive(Debug, Clone, PartialEq)]
@@ -267,11 +274,7 @@ pub fn base_fingerprint(
 ) -> StableHasher {
     let mut h = StableHasher::new();
     h.write_i64(FORMAT_VERSION);
-    // `Machine` is a pure value compiled from the description source;
-    // its `StableHash` impl feeds every codegen-relevant table
-    // (templates, semantics, resources, latencies, glue, CWVM)
-    // straight into the hasher — no string render, no allocation.
-    machine.stable_hash(&mut h);
+    machine.hash(&mut h);
     h.write_str(strategy.name());
     h.write_u64(options.fill_delay_slots as u64);
     h
@@ -298,13 +301,11 @@ pub(crate) fn module_prefix(base: &StableHasher, module: &ir::Module) -> StableH
 }
 
 /// Finishes a [`module_prefix`] with one function's body: blocks,
-/// statements, node forest, types, locals — `Function`'s `StableHash`
-/// impl covers all of it structurally (and float constants were
-/// already materialised into globals, so `ConstF` hashes by IEEE bit
-/// pattern anyway).
+/// statements, node forest, types and locals, all through
+/// `Function`'s derived `Hash`.
 pub(crate) fn body_key(prefix: &StableHasher, func: &ir::Function) -> CacheKey {
     let mut h = prefix.clone();
-    func.stable_hash(&mut h);
+    func.hash(&mut h);
     h.finish()
 }
 
@@ -537,10 +538,8 @@ pub fn decode_entry(payload: &str) -> Option<CachedFunc> {
     if fields.int("v")? != FORMAT_VERSION {
         return None;
     }
-    let name = fields.str("name")?.to_string();
     let usize_of = |v: i64| usize::try_from(v).ok();
     let stats = FuncStats {
-        name: name.clone(),
         insts_generated: usize_of(fields.int("insts_generated")?)?,
         spills: usize_of(fields.int("spills")?)?,
         schedule_passes: usize_of(fields.int("schedule_passes")?)?,
@@ -550,7 +549,7 @@ pub fn decode_entry(payload: &str) -> Option<CachedFunc> {
         blocks: decode_quality(fields.str("quality")?)?,
     };
     let asm = AsmFunc {
-        name,
+        name: fields.str("name")?.to_string(),
         blocks: std::sync::Arc::new(decode_blocks(fields.str("blocks")?)?),
         frame_size: u32::try_from(fields.int("frame_size")?).ok()?,
     };
@@ -608,7 +607,6 @@ mod tests {
             ]),
         };
         let stats = FuncStats {
-            name: "llk_main".into(),
             insts_generated: 4,
             spills: 1,
             schedule_passes: 2,
@@ -677,6 +675,31 @@ mod tests {
     }
 
     #[test]
+    fn float_constants_key_by_their_bits() {
+        let func_returning = |v: f64| ir::Function {
+            name: "f".to_string(),
+            params: Vec::new(),
+            ret_ty: Some(marion_maril::Ty::Double),
+            vreg_tys: Vec::new(),
+            locals: Vec::new(),
+            blocks: vec![ir::Block {
+                stmts: Vec::new(),
+                term: ir::Terminator::Ret(Some(ir::NodeId(0))),
+            }],
+            nodes: vec![ir::Node {
+                kind: ir::NodeKind::ConstF(v),
+                ty: marion_maril::Ty::Double,
+            }],
+        };
+        assert_eq!(func_returning(0.0), func_returning(-0.0));
+        let prefix = StableHasher::new();
+        assert_ne!(
+            body_key(&prefix, &func_returning(0.0)),
+            body_key(&prefix, &func_returning(-0.0))
+        );
+    }
+
+    #[test]
     fn decode_rejects_malformed_payloads() {
         let good = encode_entry(&sample_entry());
         assert!(decode_entry("").is_none());
@@ -702,10 +725,7 @@ mod tests {
                 blocks: Default::default(),
                 frame_size: 0,
             },
-            stats: FuncStats {
-                name: "f".into(),
-                ..FuncStats::default()
-            },
+            stats: FuncStats::default(),
         };
         assert_eq!(decode_entry(&encode_entry(&entry)).unwrap(), entry);
     }

@@ -23,7 +23,6 @@ pub mod quality;
 pub mod regalloc;
 pub mod sched;
 pub mod select;
-pub mod stablehash;
 pub mod strategy;
 
 pub use code::{CodeBlock, CodeFunc, ImmVal, Inst, Operand, Vreg, VregInfo, VregKind};

@@ -119,13 +119,6 @@ pub struct Schedule {
 pub struct SchedMetrics {
     /// Code DAG nodes (= block instructions).
     pub dag_nodes: usize,
-    /// DAG edges by kind (paper edge types 1/2/3 plus ordering).
-    pub edges_true: usize,
-    pub edges_temporal: usize,
-    pub edges_anti: usize,
-    pub edges_output: usize,
-    pub edges_mem: usize,
-    pub edges_order: usize,
     /// Most instructions simultaneously ready (dependences satisfied,
     /// earliest cycle reached) at any scheduling step.
     pub ready_high_water: usize,
@@ -150,42 +143,6 @@ pub struct SchedMetrics {
     /// Ready instructions the pick scans examined, one per
     /// `SchedState::blocker` call (0 for the serial scheduler).
     pub candidates_probed: usize,
-}
-
-impl SchedMetrics {
-    fn from_dag(dag: &CodeDag) -> SchedMetrics {
-        let mut m = SchedMetrics {
-            dag_nodes: dag.n,
-            ..SchedMetrics::default()
-        };
-        for e in &dag.edges {
-            match e.kind {
-                EdgeKind::True => m.edges_true += 1,
-                EdgeKind::TrueTemporal(_) => m.edges_temporal += 1,
-                EdgeKind::Anti => m.edges_anti += 1,
-                EdgeKind::Output => m.edges_output += 1,
-                EdgeKind::Mem => m.edges_mem += 1,
-                EdgeKind::Order => m.edges_order += 1,
-            }
-        }
-        m
-    }
-
-    /// Total DAG edges of every kind.
-    pub fn dag_edges(&self) -> usize {
-        self.edges_true
-            + self.edges_temporal
-            + self.edges_anti
-            + self.edges_output
-            + self.edges_mem
-            + self.edges_order
-    }
-
-    /// Sub-operations per issuing cycle (1.0 on a single-issue
-    /// machine; above it when words pack).
-    pub fn issue_utilization(&self) -> f64 {
-        self.issue_slots_used as f64 / self.issue_cycles.max(1) as f64
-    }
 }
 
 /// Schedules one block against its code DAG. Like every scheduling
@@ -352,7 +309,10 @@ fn list_schedule(
         func,
     };
 
-    let mut metrics = SchedMetrics::from_dag(dag);
+    let mut metrics = SchedMetrics {
+        dag_nodes: dag.n,
+        ..SchedMetrics::default()
+    };
     drop(prep);
     // Hazard stalls, one per ready instruction per cycle advanced,
     // taken from the last pick scan of the cycle. Dependence waits are
@@ -732,7 +692,10 @@ fn serial(
         t = at + 1;
     }
     let length = schedule_length(machine, block, &cycles, &inst_cycle);
-    let mut metrics = SchedMetrics::from_dag(dag);
+    let mut metrics = SchedMetrics {
+        dag_nodes: dag.n,
+        ..SchedMetrics::default()
+    };
     metrics.issue_slots_used = n;
     metrics.issue_cycles = cycles.iter().filter(|c| !c.is_empty()).count();
     metrics.packed_words = cycles.iter().filter(|c| c.len() >= 2).count();

@@ -209,7 +209,13 @@ impl<'a> Parser<'a> {
             let mut dims = Vec::new();
             while self.eat(&Tok::LBracket) {
                 match self.bump() {
-                    Tok::Int(n) => dims.push(*n as u32),
+                    Tok::Int(n) if *n <= i64::from(i32::MAX) => dims.push(*n as u32),
+                    Tok::Int(n) => {
+                        return Err(CError::new(
+                            line,
+                            format!("array dimension {n} does not fit in a 32-bit `int`"),
+                        ));
+                    }
                     other => {
                         return Err(CError::new(
                             line,
@@ -467,7 +473,14 @@ impl<'a> Parser<'a> {
         match self.peek().clone() {
             Tok::Minus => {
                 self.bump();
-                let e = self.unary()?;
+                // `-2147483648` is INT_MIN, the one literal past `int`'s
+                // range that C code writes; it is lowered as the
+                // negation of 2^31.
+                let e = if let Tok::Int(_) = self.peek() {
+                    self.postfix(true)?
+                } else {
+                    self.unary()?
+                };
                 Ok(Expr {
                     kind: ExprKind::Un(CUnOp::Neg, Box::new(e)),
                     line,
@@ -535,17 +548,25 @@ impl<'a> Parser<'a> {
                         });
                     }
                 }
-                self.postfix()
+                self.postfix(false)
             }
-            _ => self.postfix(),
+            _ => self.postfix(false),
         }
     }
 
-    fn postfix(&mut self) -> Result<Expr, CError> {
+    /// `negated`: the expression is the operand of a unary minus, so
+    /// an integer literal may be 2^31.
+    fn postfix(&mut self, negated: bool) -> Result<Expr, CError> {
         let line = self.line();
         let mut e = match self.peek().clone() {
             Tok::Int(v) => {
                 self.bump();
+                if v > i64::from(i32::MAX) + i64::from(negated) {
+                    return Err(CError::new(
+                        line,
+                        format!("integer literal {v} does not fit in a 32-bit `int`"),
+                    ));
+                }
                 Expr {
                     kind: ExprKind::IntLit(v),
                     line,

@@ -128,6 +128,61 @@ fn diagnostics_carry_lines_and_descriptions() {
 }
 
 #[test]
+fn int_literals_wider_than_32_bits_are_rejected() {
+    for (src, literal) in [
+        (
+            "int main() {\n  int x = 4294967297;\n  return x;\n}",
+            "4294967297",
+        ),
+        ("int main() {\n  return 2147483648;\n}", "2147483648"),
+        ("int main() {\n  return 0x100000000;\n}", "4294967296"),
+        (
+            "int main() {\n  return 0x7fffffffffffffff;\n}",
+            "9223372036854775807",
+        ),
+        ("int main() {\n  return 1 - 2147483648;\n}", "2147483648"),
+        ("int main() {\n  return -(2147483648);\n}", "2147483648"),
+        (
+            "int g;\nint h = 4294967296;\nint main() { return h; }",
+            "4294967296",
+        ),
+        (
+            "int main() {\n  int a[4294967297];\n  return 0;\n}",
+            "4294967297",
+        ),
+    ] {
+        let err = compile(src).expect_err(src);
+        assert!(
+            err.message.contains(literal) && err.message.contains("32-bit"),
+            "for {src:?}: {:?}",
+            err.message
+        );
+        assert_eq!(err.line, 2, "for {src:?}");
+    }
+}
+
+#[test]
+fn int_min_and_int_max_literals_compile() {
+    use marion_ir::interp::{Interp, Value};
+    for (src, expected) in [
+        ("int main() { return 2147483647; }", i64::from(i32::MAX)),
+        ("int main() { return -2147483648; }", i64::from(i32::MIN)),
+        (
+            "int main() { int x = -2147483648; return x + 1; }",
+            i64::from(i32::MIN) + 1,
+        ),
+    ] {
+        let module = compile(src).unwrap_or_else(|e| panic!("{src}: {e}"));
+        let mut i = Interp::new(&module, 1 << 16);
+        assert_eq!(
+            i.call_by_name("main", &[]).unwrap(),
+            Some(Value::I(expected)),
+            "{src}"
+        );
+    }
+}
+
+#[test]
 fn subtle_but_legal_programs_compile() {
     for src in [
         // Dangling else binds to the nearest if.

@@ -3,6 +3,7 @@
 use crate::module::SymbolId;
 use marion_maril::{BinOp, Ty, UnOp};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident, $prefix:literal) => {
@@ -70,8 +71,29 @@ pub enum NodeKind {
     Call(SymbolId, Vec<NodeId>),
 }
 
+/// Written out only because `f64` has no `Hash`: a float constant
+/// hashes by its bit pattern, so `0.0` and `-0.0` (equal under `==`,
+/// but different code) get different cache keys. `NodeKind` is not
+/// `Eq`, so no hash map relies on `==` agreeing with this.
+impl Hash for NodeKind {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        std::mem::discriminant(self).hash(h);
+        match self {
+            NodeKind::ConstI(v) => v.hash(h),
+            NodeKind::ConstF(v) => v.to_bits().hash(h),
+            NodeKind::ReadVreg(v) => v.hash(h),
+            NodeKind::GlobalAddr(s) => s.hash(h),
+            NodeKind::LocalAddr(l) => l.hash(h),
+            NodeKind::Load(a) | NodeKind::Cvt(a) => a.hash(h),
+            NodeKind::Bin(op, a, b) => (op, a, b).hash(h),
+            NodeKind::Un(op, a) => (op, a).hash(h),
+            NodeKind::Call(s, args) => (s, args).hash(h),
+        }
+    }
+}
+
 /// A typed value node.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct Node {
     /// The operation.
     pub kind: NodeKind,
@@ -80,7 +102,7 @@ pub struct Node {
 }
 
 /// An effectful statement, executed in order within a block.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum Stmt {
     /// `v = node` — write a pseudo-register.
     SetVreg(VregId, NodeId),
@@ -99,7 +121,7 @@ pub enum Stmt {
 }
 
 /// Block-ending control flow.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum Terminator {
     /// Unconditional jump.
     Jump(BlockId),
@@ -134,7 +156,7 @@ impl Terminator {
 }
 
 /// A basic block: ordered statements plus a terminator.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct Block {
     /// Effectful statements in execution order.
     pub stmts: Vec<Stmt>,
@@ -143,7 +165,7 @@ pub struct Block {
 }
 
 /// A frame-allocated object.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Local {
     /// Source-level name (for diagnostics).
     pub name: String,
@@ -153,7 +175,7 @@ pub struct Local {
 
 /// A function: parameters, pseudo-register types, frame locals, blocks
 /// and the shared node arena.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct Function {
     /// Function name.
     pub name: String,

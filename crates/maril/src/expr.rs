@@ -152,7 +152,7 @@ impl fmt::Display for Builtin {
 /// `Operand(k)` refers to the instruction's `$k` (1-based, as in the
 /// paper). `Temporal(name)` names a temporal register (a latch of an
 /// explicitly advanced pipeline). `Mem` is a memory-bank access.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum Expr {
     /// `$k` — 1-based reference to the instruction's k-th operand.
     Operand(u8),
@@ -224,7 +224,7 @@ impl fmt::Display for Expr {
 }
 
 /// The destination of an assignment.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum LValue {
     /// `$k = ...`
     Operand(u8),
@@ -245,7 +245,7 @@ impl fmt::Display for LValue {
 }
 
 /// A statement inside an instruction's semantic braces.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum Stmt {
     /// `$1 = expr;` / `m1 = expr;` / `m[a] = expr;`
     Assign(LValue, Expr),

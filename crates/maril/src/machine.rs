@@ -9,6 +9,7 @@
 use crate::error::MarilError;
 use crate::expr::{Expr, LValue, Stmt};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// The signed C-language native datatypes Maril supports, plus
 /// pointers (paper §3.1: "Maril supports the signed C Language native
@@ -217,7 +218,7 @@ impl ResSet {
 }
 
 /// A register class (one `%reg` array declaration).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct RegClass {
     /// Class name, e.g. `r`.
     pub name: String,
@@ -245,7 +246,7 @@ impl RegClass {
 
 /// A temporal register — a latch of an explicitly advanced pipeline,
 /// declared `%reg m1 (double; clk_m) +temporal;`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct TemporalReg {
     /// Latch name, e.g. `m1`.
     pub name: String,
@@ -256,7 +257,7 @@ pub struct TemporalReg {
 }
 
 /// An immediate operand range (`%def`).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct ImmDef {
     /// Name referenced as `#name`.
     pub name: String,
@@ -276,7 +277,7 @@ impl ImmDef {
 }
 
 /// A label operand range (`%label`).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct LabelDef {
     /// Name referenced as `#name`.
     pub name: String,
@@ -290,7 +291,7 @@ pub struct LabelDef {
 
 /// A packing class: the set of long-instruction-word elements a
 /// sub-operation may appear in (paper §4.5).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct PackClass {
     /// Class name.
     pub name: String,
@@ -299,7 +300,7 @@ pub struct PackClass {
 }
 
 /// Compiled operand shape of a template.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OperandSpec {
     /// Any register of the class.
     Reg(RegClassId),
@@ -313,7 +314,7 @@ pub enum OperandSpec {
 
 /// An auxiliary latency entry (`%aux`), overriding the producer's
 /// normal latency for a particular consumer.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct AuxLatency {
     /// Producer mnemonic.
     pub first: String,
@@ -330,7 +331,7 @@ pub struct AuxLatency {
 /// The paper's `%glue r, r { ... }` operand prefix constrains the
 /// register classes of the matched operands: the rule only fires when
 /// operand `$k`'s natural class equals `operand_classes[k-1]`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct GlueRule {
     /// Class constraint per `$k` wildcard (`None` = any).
     pub operand_classes: Vec<Option<RegClassId>>,
@@ -339,7 +340,7 @@ pub struct GlueRule {
 }
 
 /// The two kinds of glue rewrite.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum GlueKind {
     /// Rewrites a branch condition `a REL b` into `lhs REL' rhs`
     /// (with `$1`/`$2` standing for `a`/`b`).
@@ -363,7 +364,7 @@ pub enum GlueKind {
 }
 
 /// The compiled runtime model (`cwvm` section).
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq, Hash, Default)]
 pub struct Cwvm {
     /// General-purpose class per datatype.
     pub general: Vec<(Ty, RegClassId)>,
@@ -464,7 +465,7 @@ impl Cwvm {
 
 /// Derived classification of what a template does, computed from its
 /// semantic statements.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq, Hash, Default)]
 pub struct TemplateEffects {
     /// Operand indices (1-based) written by the instruction.
     pub defs: Vec<u8>,
@@ -497,7 +498,7 @@ impl TemplateEffects {
 
 /// One compiled instruction template (from an `%instr` or `%move`
 /// directive).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct Template {
     /// Mnemonic as written in the description.
     pub mnemonic: String,
@@ -774,6 +775,53 @@ pub struct Machine {
     /// [`Machine::edge_latency`] touches the aux list only for the
     /// few templates that actually carry `%aux` overrides.
     aux_by_first: Vec<Vec<u32>>,
+}
+
+/// What a compile-cache key covers of a machine: its name and the 13
+/// tables code generation reads. The pattern names every field, so a
+/// new one does not compile until it is hashed or skipped here.
+impl Hash for Machine {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        let Machine {
+            name,
+            reg_classes,
+            temporals,
+            resources,
+            imm_defs,
+            label_defs,
+            memories,
+            clocks,
+            elements,
+            classes,
+            templates,
+            aux,
+            glue,
+            cwvm,
+            // Table 1 line counts: they change with formatting, not
+            // with the code generated.
+            stats: _,
+            // Prunes candidate lists without reordering them, so a
+            // machine and its `brute_force_reference()` compile the
+            // same code and must share keys.
+            index: _,
+            // Derived from `templates` and `aux`.
+            aux_by_first: _,
+        } = self;
+        name.hash(h);
+        reg_classes.hash(h);
+        temporals.hash(h);
+        resources.hash(h);
+        imm_defs.hash(h);
+        label_defs.hash(h);
+        memories.hash(h);
+        clocks.hash(h);
+        elements.hash(h);
+        classes.hash(h);
+        templates.hash(h);
+        aux.hash(h);
+        glue.hash(h);
+        cwvm.hash(h);
+    }
 }
 
 impl Machine {

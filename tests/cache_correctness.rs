@@ -10,6 +10,7 @@ use marion::cache::{CacheKey, StableHasher};
 use marion::rng::SplitMix64;
 use marion::trace::TraceConfig;
 use std::collections::{BTreeMap, HashSet};
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 const MACHINES: [&str; 5] = ["toyp", "r2000", "m88k", "i860", "rs6000"];
@@ -280,7 +281,7 @@ fn randomized_inputs_never_collide() {
 
 /// The key an earlier fcache computed: `Debug`-render the machine and
 /// the function into strings and hash those. Re-implemented here so
-/// the structural `StableHash` scheme can be crosschecked against it:
+/// the structural `Hash` scheme can be crosschecked against it:
 /// wherever the render-based key distinguished two inputs, the
 /// structural key must too.
 fn debug_render_key(
@@ -380,7 +381,6 @@ fn structural_keys_are_injective_wherever_render_keys_were() {
 
 #[test]
 fn shifting_a_field_boundary_flips_the_structural_key() {
-    use marion::backend::stablehash::StableHash;
     use marion::ir::{Block, Function, Local, Terminator};
 
     // Two functions whose locals concatenate to the same byte string:
@@ -406,7 +406,7 @@ fn shifting_a_field_boundary_flips_the_structural_key() {
     };
     let key = |f: &Function| {
         let mut h = StableHasher::new();
-        f.stable_hash(&mut h);
+        f.hash(&mut h);
         h.finish()
     };
     assert_ne!(
@@ -440,7 +440,7 @@ fn shifting_a_field_boundary_flips_the_structural_key() {
     };
     let mkey = |m: &marion::maril::Machine| {
         let mut h = StableHasher::new();
-        m.stable_hash(&mut h);
+        m.hash(&mut h);
         h.finish()
     };
     assert_ne!(
@@ -501,4 +501,146 @@ fn corrupted_disk_entry_is_recompiled_not_served() {
     assert_eq!(cold.stats, reloaded.stats);
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn machine_key(machine: &marion::maril::Machine) -> CacheKey {
+    use marion::backend::fcache::base_fingerprint;
+    base_fingerprint(machine, StrategyKind::Ips, &CompileOptions::default()).finish()
+}
+
+/// A machine's selection index only prunes candidate lists, so the
+/// brute-force reference compiles the same code and must share keys.
+#[test]
+fn brute_force_reference_shares_the_machine_key() {
+    for machine in MACHINES {
+        let m = marion::machines::load(machine).machine;
+        assert_ne!(
+            m.selection_index(),
+            m.brute_force_reference().selection_index()
+        );
+        assert_eq!(
+            machine_key(&m),
+            machine_key(&m.brute_force_reference()),
+            "{machine}: the selection index reached the key"
+        );
+    }
+}
+
+/// Re-printing a description changes its Table 1 line counts, never
+/// its code, so the key must not move.
+#[test]
+fn reprinted_description_shares_the_machine_key() {
+    use marion::maril::{lexer::lex, parser::parse, pretty::print_description, Machine};
+    let bundled = [
+        marion::machines::toyp::text(),
+        marion::machines::r2000::text(),
+        marion::machines::m88k::text(),
+        marion::machines::i860::text(),
+        marion::machines::rs6000::text(),
+    ];
+    for (machine, text) in MACHINES.iter().zip(bundled) {
+        let original = Machine::parse(machine, text).expect("parses");
+        let printed = print_description(&parse(&lex(text).unwrap()).unwrap());
+        let reprinted = Machine::parse(machine, &printed).expect("re-parses");
+        assert_ne!(original.stats(), reprinted.stats(), "{machine}");
+        assert_eq!(
+            machine_key(&original),
+            machine_key(&reprinted),
+            "{machine}: description line counts reached the key"
+        );
+    }
+}
+
+/// Editing one item of any table code generation reads moves the key.
+#[test]
+fn editing_any_machine_table_flips_the_key() {
+    const TINY: &str = r#"
+        declare {
+            %reg r[0:7] (int);
+            %resource IE; MEM;
+            %clock clk; %clock clk2;
+            %reg t1 (int; clk) +temporal;
+            %element e1; %element e2;
+            %class cls { e1 };
+            %def c16 [-32768:32767];
+            %label lab [-32768:32767] +relative;
+            %memory m[0:65535];
+        }
+        cwvm {
+            %general (int) r;
+            %allocable r[1:5];
+            %sp r[7] +down;
+            %fp r[6] +down;
+            %retaddr r[1];
+        }
+        instr {
+            %instr add r, r, r (int) <cls> {$1 = $2 + $3;} [IE;] (1,1,0)
+            %instr addi r, r, #c16 (int) {$1 = $2 + $3;} [IE;] (1,1,0)
+            %instr tadd r (int; clk) {t1 = $1 + t1;} [IE;] (1,1,0)
+            %instr ld r, r, #c16 (int) {$1 = m[$2+$3];} [IE; MEM;] (1,2,0)
+            %instr br #lab {goto $1;} [IE;] (1,1,1)
+            %aux ld : add (1.$1 == 2.$2) (3)
+            %glue r {($1 * 2) ==> ($1 + $1);}
+        }
+    "#;
+    let parse = |src: &str| marion::maril::Machine::parse("tiny", src).expect("parses");
+    let base = machine_key(&parse(TINY));
+    assert_eq!(
+        base,
+        machine_key(&parse(TINY)),
+        "same description, same key"
+    );
+    assert_ne!(
+        base,
+        machine_key(&marion::maril::Machine::parse("tinz", TINY).unwrap()),
+        "name"
+    );
+    let edits = [
+        ("register class", "%reg r[0:7]", "%reg r[0:8]"),
+        ("temporal", "(int; clk) +temporal", "(int; clk2) +temporal"),
+        (
+            "resource",
+            "%resource IE; MEM;",
+            "%resource IE; MEM; SPARE;",
+        ),
+        (
+            "immediate",
+            "%def c16 [-32768:32767]",
+            "%def c16 [-32768:32766]",
+        ),
+        (
+            "label",
+            "[-32768:32767] +relative",
+            "[-32768:32766] +relative",
+        ),
+        (
+            "memory",
+            "%memory m[0:65535];",
+            "%memory m[0:65535]; %memory n[0:255];",
+        ),
+        ("clock", "%clock clk2;", "%clock clk2; %clock clk3;"),
+        ("element", "%element e2;", "%element e2; %element e3;"),
+        (
+            "packing class",
+            "%class cls { e1 };",
+            "%class cls { e1, e2 };",
+        ),
+        ("template operand", "addi r, r, #c16", "addi r, r[0], #c16"),
+        ("semantics", "{t1 = $1 + t1;}", "{t1 = $1 - t1;}"),
+        ("resource vector", "[IE; MEM;]", "[IE; MEM; MEM;]"),
+        ("latency", "(1,2,0)", "(1,3,0)"),
+        ("slots", "(1,1,1)", "(1,1,2)"),
+        ("cost", "(1,1,1)", "(2,1,1)"),
+        ("%aux", "(1.$1 == 2.$2) (3)", "(1.$1 == 2.$2) (4)"),
+        ("%glue", "==> ($1 + $1)", "==> ($1 << 1)"),
+        ("cwvm", "%allocable r[1:5]", "%allocable r[1:4]"),
+    ];
+    for (table, from, to) in edits {
+        assert_eq!(TINY.matches(from).count(), 1, "{table}: `{from}`");
+        let edited = machine_key(&parse(&TINY.replace(from, to)));
+        assert_ne!(
+            base, edited,
+            "editing the {table} table left the key unchanged"
+        );
+    }
 }

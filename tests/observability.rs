@@ -42,8 +42,8 @@ fn assert_trace_matches_stats(machine: &str, strategy: StrategyKind) {
     let program = compile_traced(machine, strategy);
     let trace = program.trace.as_ref().expect("tracing was on");
     assert_eq!(program.stats.per_func.len(), 2, "leaf and main");
-    for fs in &program.stats.per_func {
-        let ctx = format!("{machine}/{}", fs.name);
+    for (fs, func) in program.stats.per_func.iter().zip(&program.asm.funcs) {
+        let ctx = format!("{machine}/{}", func.name);
         for (counter, expected) in [
             ("insts_generated", fs.insts_generated as i64),
             ("spills", fs.spills as i64),
