@@ -116,12 +116,20 @@ disk_request='{"machine":"i860","strategy":"RASE","workload":"livermore"}'
 first="$(printf '%s\n' "$disk_request" \
   | ./target/release/marion-serve --workers 1 --cache-disk cache_store.jsonl)"
 printf '%s\n' "$first" | sed -n 1p | grep -q '"cache_hits":0,'
+# A line the next start rejects; that start compacts it away.
+echo 'not json' >> cache_store.jsonl
 # Keys are recomputed by a new process, so they must not depend on it.
 second="$(printf '%s\n' "$disk_request" '{"cmd":"stats"}' \
   | ./target/release/marion-serve --workers 1 --cache-disk cache_store.jsonl)"
 printf '%s\n' "$second" | sed -n 1p | grep -q '"cache_misses":0,'
 printf '%s\n' "$second" | sed -n 1p | grep -q '"cache_hits":15,'
 printf '%s\n' "$second" | sed -n 2p | grep -q '"disk_loaded":15,'
+printf '%s\n' "$second" | sed -n 2p | grep -Eq '"disk_corrupt":1[,}]'
+third="$(printf '%s\n' '{"cmd":"stats"}' \
+  | ./target/release/marion-serve --workers 1 --cache-disk cache_store.jsonl)"
+printf '%s\n' "$third" | grep -q '"disk_loaded":15,'
+printf '%s\n' "$third" | grep -Eq '"disk_corrupt":0[,}]'
+test "$(wc -l < cache_store.jsonl)" -eq 15
 rm -f cache_store.jsonl
 
 echo "==> SLO gate: generous objectives pass (exit 0)"

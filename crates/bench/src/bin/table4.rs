@@ -12,7 +12,7 @@
 //! kernels.
 
 use marion_bench::outln;
-use marion_bench::{geomean, measure, row, verify_against_interp};
+use marion_bench::{geomean, interp_checksum, measure, row, verify_against_interp};
 use marion_core::StrategyKind;
 use marion_sim::SimConfig;
 
@@ -44,9 +44,10 @@ fn main() {
     for kernel in marion_workloads::livermore::kernels() {
         let mut cells = vec![kernel.name.clone()];
         let mut rcells = Vec::new();
+        let expected = interp_checksum(&kernel);
         for (si, strategy) in StrategyKind::ALL.iter().enumerate() {
             let m = measure(&spec, *strategy, &kernel, &config);
-            verify_against_interp(&kernel, &m);
+            verify_against_interp(&kernel, expected, &m);
             let ratio = m.run.cycles as f64 / m.estimated_cycles.max(1) as f64;
             cyc[si].push(m.run.cycles as f64);
             ratios[si].push(ratio);

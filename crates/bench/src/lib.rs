@@ -77,19 +77,30 @@ pub fn measure(
     }
 }
 
-/// Verifies a measurement's checksum against the IR interpreter.
+/// The IR interpreter's result for `workload`'s `main`: the checksum
+/// every compiled cell of the workload must reproduce. Compute it once
+/// per workload, not once per cell.
+///
+/// # Panics
+///
+/// Panics on an interpreter fault, or when `main` returns nothing.
+pub fn interp_checksum(workload: &Workload) -> Value {
+    let module = workload.module();
+    let mut interp = marion_ir::interp::Interp::new(&module, 1 << 22).with_budget(400_000_000);
+    interp
+        .call_by_name("main", &[])
+        .unwrap_or_else(|e| panic!("{}: {e}", workload.name))
+        .unwrap()
+}
+
+/// Verifies a measurement's checksum against the IR interpreter's
+/// `expected` one ([`interp_checksum`]).
 ///
 /// # Panics
 ///
 /// Panics on a mismatch — a bench must never report timings for wrong
 /// code.
-pub fn verify_against_interp(workload: &Workload, m: &Measurement) {
-    let module = workload.module();
-    let mut interp = marion_ir::interp::Interp::new(&module, 1 << 22).with_budget(400_000_000);
-    let expected = interp
-        .call_by_name("main", &[])
-        .unwrap_or_else(|e| panic!("{}: {e}", workload.name))
-        .unwrap();
+pub fn verify_against_interp(workload: &Workload, expected: Value, m: &Measurement) {
     let got = m.run.result.expect("result");
     match (expected, got) {
         (Value::I(a), Value::I(b)) if a == b => {}
@@ -174,7 +185,7 @@ mod tests {
         let kernels = marion_workloads::livermore::kernels();
         let ll12 = kernels.iter().find(|k| k.name == "LL12").unwrap();
         let m = measure(&spec, StrategyKind::Postpass, ll12, &SimConfig::default());
-        verify_against_interp(ll12, &m);
+        verify_against_interp(ll12, interp_checksum(ll12), &m);
         assert!(m.run.cycles > 0);
         assert!(m.estimated_cycles > 0);
         // Actual (with caches) must not be below the cache-free

@@ -58,13 +58,14 @@ pub fn smoke_workloads() -> Vec<Workload> {
 /// write a matrix describing wrong code.
 pub fn sweep(machines: &[&str], workloads: &[Workload]) -> Vec<QualityRun> {
     let config = SimConfig::default();
+    let expected: Vec<_> = workloads.iter().map(crate::interp_checksum).collect();
     let mut runs = Vec::new();
     for &machine in machines {
         let spec = marion_machines::load(machine);
-        for w in workloads {
+        for (w, &expected) in workloads.iter().zip(&expected) {
             for &strategy in &StrategyKind::ALL {
                 let m = crate::measure(&spec, strategy, w, &config);
-                crate::verify_against_interp(w, &m);
+                crate::verify_against_interp(w, expected, &m);
                 let quality = ProgramQuality::assemble(
                     &m.program,
                     &w.name,

@@ -14,6 +14,9 @@
 //! at load, never served — the caller simply recompiles and appends a
 //! fresh entry. Appends are whole-line writes under a mutex, so
 //! concurrent compile workers cannot interleave partial lines.
+//! [`DiskStore::rewrite`] compacts the file to the lines a caller
+//! keeps, so rejected and overridden lines are not re-read at every
+//! start.
 
 use crate::hash::{CacheKey, StableHasher};
 use marion_trace::json::{self, ObjWriter};
@@ -92,16 +95,69 @@ impl DiskStore {
     ///
     /// I/O failures writing the line.
     pub fn append(&self, key: CacheKey, payload: &str) -> io::Result<()> {
-        let mut obj = ObjWriter::new();
-        obj.str("key", &key.to_hex());
-        obj.str("sum", &format!("{:016x}", checksum(payload)));
-        obj.str("payload", payload);
-        let mut line = obj.finish();
-        line.push('\n');
-        let mut file = self.file.lock().unwrap();
-        file.write_all(line.as_bytes())?;
+        let mut file = self.file.lock().expect("no writer panics mid-append");
+        file.write_all(line(key, payload).as_bytes())?;
         file.flush()
     }
+
+    /// Replaces the file's contents with `entries`, in order: they are
+    /// written to a temporary file in the same directory, which is then
+    /// renamed over the store, so a reader sees the old file or the
+    /// new one, never a mix. Later appends go to the new file.
+    ///
+    /// # Errors
+    ///
+    /// I/O failures writing or renaming the temporary file; the store
+    /// is then left as it was.
+    pub fn rewrite<'e>(
+        &self,
+        entries: impl IntoIterator<Item = (CacheKey, &'e str)>,
+    ) -> io::Result<()> {
+        let text: String = entries
+            .into_iter()
+            .map(|(key, payload)| line(key, payload))
+            .collect();
+        let mut tmp_name = self.path.file_name().unwrap_or_default().to_os_string();
+        tmp_name.push(".tmp");
+        let tmp = self.path.with_file_name(tmp_name);
+        let mut file = self.file.lock().expect("no writer panics mid-append");
+        match replace(&tmp, &self.path, &text) {
+            Ok(new) => {
+                *file = new;
+                Ok(())
+            }
+            Err(e) => {
+                let _ = std::fs::remove_file(&tmp);
+                Err(e)
+            }
+        }
+    }
+}
+
+/// Writes `text` to a new file at `tmp`, syncs it so that a crash
+/// after the rename cannot leave an empty store, and renames it over
+/// `path`. Returns it, open for appends.
+fn replace(tmp: &Path, path: &Path, text: &str) -> io::Result<std::fs::File> {
+    let _ = std::fs::remove_file(tmp);
+    let mut file = std::fs::OpenOptions::new()
+        .create_new(true)
+        .append(true)
+        .open(tmp)?;
+    file.write_all(text.as_bytes())?;
+    file.sync_all()?;
+    std::fs::rename(tmp, path)?;
+    Ok(file)
+}
+
+/// One entry's line, newline included.
+fn line(key: CacheKey, payload: &str) -> String {
+    let mut obj = ObjWriter::new();
+    obj.str("key", &key.to_hex());
+    obj.str("sum", &format!("{:016x}", checksum(payload)));
+    obj.str("payload", payload);
+    let mut line = obj.finish();
+    line.push('\n');
+    line
 }
 
 fn parse_entry(line: &str) -> Option<(CacheKey, String)> {

@@ -180,7 +180,10 @@ impl FuncCache {
 
     /// A write-through cache backed by the JSONL store at `path`;
     /// existing verified entries are loaded into memory (later
-    /// duplicates win), corrupt ones counted and skipped.
+    /// duplicates win), corrupt ones counted and skipped. When the
+    /// load rejected a line or saw a key twice, the store is compacted
+    /// to the last decodable line of each key; if that fails, the old
+    /// file stays, since the store is only an optimisation.
     ///
     /// # Errors
     ///
@@ -195,14 +198,27 @@ impl FuncCache {
             loaded: 0,
             corrupt: found.corrupt,
         };
-        for (key, payload) in &found.entries {
+        // Per key, the index in `found.entries` of its last decodable
+        // line.
+        let mut last = std::collections::HashMap::new();
+        for (i, (key, payload)) in found.entries.iter().enumerate() {
             match decode_entry(payload) {
                 Some(entry) => {
                     mem.insert(*key, entry);
+                    last.insert(*key, i);
                     load.loaded += 1;
                 }
                 None => load.corrupt += 1,
             }
+        }
+        if load.corrupt > 0 || last.len() < load.loaded {
+            let kept = found
+                .entries
+                .iter()
+                .enumerate()
+                .filter(|(i, (key, _))| last.get(key) == Some(i))
+                .map(|(_, (key, payload))| (*key, payload.as_str()));
+            let _ = disk.rewrite(kept);
         }
         Ok((
             FuncCache {
@@ -715,6 +731,98 @@ mod tests {
         assert!(
             decode_entry(&good.replacen("\"frame_size\":48", "\"frame_size\":-1", 1)).is_none()
         );
+    }
+
+    #[test]
+    fn opening_a_store_compacts_rejected_and_overridden_lines() {
+        let dir =
+            std::env::temp_dir().join(format!("marion-fcache-compact-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("store.jsonl");
+        let first = sample_entry();
+        let mut second = sample_entry();
+        second.asm.frame_size = 64;
+        let (a, b, c) = (CacheKey([1, 1]), CacheKey([2, 2]), CacheKey([3, 3]));
+        let old_format = encode_entry(&first).replace(
+            &format!("\"v\":{FORMAT_VERSION}"),
+            &format!("\"v\":{}", FORMAT_VERSION - 1),
+        );
+        let append = |lines: &[(CacheKey, &str)]| {
+            let (store, _) = DiskStore::open(&path).unwrap();
+            for (key, payload) in lines {
+                store.append(*key, payload).unwrap();
+            }
+        };
+        append(&[(a, &encode_entry(&first))]);
+        std::fs::write(
+            &path,
+            std::fs::read_to_string(&path).unwrap() + "this is not a cache entry\n",
+        )
+        .unwrap();
+        append(&[
+            (b, &old_format),
+            (c, &encode_entry(&first)),
+            (a, &encode_entry(&second)),
+        ]);
+        let keys = || -> Vec<String> {
+            std::fs::read_to_string(&path)
+                .unwrap()
+                .lines()
+                .map(|line| {
+                    marion_trace::json::parse_flat(line)
+                        .unwrap()
+                        .str("key")
+                        .unwrap()
+                        .to_string()
+                })
+                .collect()
+        };
+
+        // The first open reports what the file held, then compacts it to
+        // the last decodable line of each key, in file order.
+        let (cache, load) = FuncCache::with_disk(16, &path).unwrap();
+        assert_eq!((load.loaded, load.corrupt), (3, 2));
+        assert_eq!(cache.get(a), Some(second.clone()));
+        assert_eq!(keys(), [c.to_hex(), a.to_hex()]);
+        // Appends go on to the compacted file.
+        cache.insert(b, first.clone());
+        drop(cache);
+        assert_eq!(keys(), [c.to_hex(), a.to_hex(), b.to_hex()]);
+
+        let (cache, load) = FuncCache::with_disk(16, &path).unwrap();
+        assert_eq!((load.loaded, load.corrupt), (3, 0));
+        assert_eq!(cache.get(a), Some(second));
+        assert_eq!(cache.get(b), Some(first.clone()));
+        assert_eq!(cache.get(c), Some(first));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_store_that_cannot_be_compacted_is_kept_as_it_was() {
+        let dir = std::env::temp_dir().join(format!("marion-fcache-keep-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("store.jsonl");
+        let entry = sample_entry();
+        let (a, b) = (CacheKey([1, 1]), CacheKey([2, 2]));
+        {
+            let (store, _) = DiskStore::open(&path).unwrap();
+            store.append(a, &encode_entry(&entry)).unwrap();
+        }
+        let text = std::fs::read_to_string(&path).unwrap() + "this is not a cache entry\n";
+        std::fs::write(&path, &text).unwrap();
+        // A directory where the temporary file would go fails the
+        // rewrite; the cache must open anyway and append to the old
+        // file.
+        std::fs::create_dir_all(dir.join("store.jsonl.tmp")).unwrap();
+        let (cache, load) = FuncCache::with_disk(16, &path).unwrap();
+        assert_eq!((load.loaded, load.corrupt), (1, 1));
+        assert_eq!(cache.get(a), Some(entry.clone()));
+        cache.insert(b, entry);
+        drop(cache);
+        let after = std::fs::read_to_string(&path).unwrap();
+        assert!(after.starts_with(&text), "{after}");
+        assert_eq!(after.lines().count(), 3);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

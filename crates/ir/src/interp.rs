@@ -6,11 +6,19 @@
 //! results. Integer arithmetic is 32-bit two's-complement; `float`
 //! arithmetic rounds through `f32`; memory is a flat little-endian
 //! byte array with globals at the bottom and the stack at the top.
+//!
+//! A node shared by several statements of a block is evaluated once
+//! per block execution (loads included: a node is a value, not a
+//! re-read). Each call frame memoises node values in a dense array
+//! indexed by `NodeId`, each entry stamped with the epoch of the block
+//! execution that wrote it: a new block execution takes a fresh epoch,
+//! so nothing is cleared and nothing is hashed. Frames take their
+//! memos from a pool and return them, so a loop of calls allocates no
+//! memo after the first.
 
 use crate::func::*;
 use crate::module::{Module, Symbol, SymbolId};
 use marion_maril::{BinOp, Ty, UnOp};
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
@@ -81,11 +89,31 @@ pub struct Interp<'m> {
     module: &'m Module,
     /// Flat memory image.
     pub mem: Vec<u8>,
-    global_addrs: HashMap<SymbolId, u32>,
+    /// Data address per symbol id; `None` for functions.
+    global_addrs: Vec<Option<u32>>,
     sp: u32,
     budget: u64,
     /// Statistics accumulated so far.
     pub stats: InterpStats,
+    /// Memos no active frame holds.
+    memos: Vec<Memo>,
+    /// The last block epoch handed out (memo entries start at 0, which
+    /// no block execution gets).
+    epoch: u64,
+}
+
+/// Node values of one call frame, by `NodeId`: an entry is valid while
+/// its epoch is the current block execution's.
+type Memo = Vec<(u64, Value)>;
+
+/// One active call.
+struct Frame<'m> {
+    func: &'m Function,
+    vregs: Vec<Value>,
+    base: u32,
+    memo: Memo,
+    /// The current block execution's epoch.
+    epoch: u64,
 }
 
 /// Base address of the first global (address 0 is kept unmapped).
@@ -96,16 +124,15 @@ impl<'m> Interp<'m> {
     /// out the module's globals.
     pub fn new(module: &'m Module, mem_size: u32) -> Interp<'m> {
         let mut mem = vec![0u8; mem_size as usize];
-        let mut global_addrs = HashMap::new();
+        let mut global_addrs = vec![None; module.symbol_count()];
         let mut next = GLOBAL_BASE;
-        for i in 0..module.symbol_count() {
-            let sym = SymbolId(i as u32);
-            if let Symbol::Global(gi) = module.symbol(sym) {
+        for (i, addr) in global_addrs.iter_mut().enumerate() {
+            if let Symbol::Global(gi) = module.symbol(SymbolId(i as u32)) {
                 let g = &module.globals[*gi];
                 next = (next + 7) & !7;
                 let bytes = g.init.bytes();
                 mem[next as usize..next as usize + bytes.len()].copy_from_slice(&bytes);
-                global_addrs.insert(sym, next);
+                *addr = Some(next);
                 next += g.init.size().max(1);
             }
         }
@@ -116,6 +143,8 @@ impl<'m> Interp<'m> {
             sp: mem_size & !7,
             budget: u64::MAX,
             stats: InterpStats::default(),
+            memos: Vec::new(),
+            epoch: 0,
         }
     }
 
@@ -128,7 +157,7 @@ impl<'m> Interp<'m> {
 
     /// The address a global was laid out at.
     pub fn global_addr(&self, sym: SymbolId) -> Option<u32> {
-        self.global_addrs.get(&sym).copied()
+        self.global_addrs.get(sym.0 as usize).copied().flatten()
     }
 
     /// Calls a function by name.
@@ -169,7 +198,6 @@ impl<'m> Interp<'m> {
         }
         let saved_sp = self.sp;
         self.sp -= frame_size;
-        let frame_base = self.sp;
 
         let mut vregs = vec![Value::I(0); func.vreg_tys.len()];
         for ((v, ty), arg) in func.params.iter().zip(args) {
@@ -178,11 +206,30 @@ impl<'m> Interp<'m> {
                 _ => return fault(format!("argument type mismatch for {v}")),
             }
         }
+        let mut memo = self.memos.pop().unwrap_or_default();
+        if memo.len() < func.nodes.len() {
+            memo.resize(func.nodes.len(), (0, Value::I(0)));
+        }
+        let mut frame = Frame {
+            func,
+            vregs,
+            base: self.sp,
+            memo,
+            epoch: 0,
+        };
+        let result = self.run_frame(&mut frame);
+        self.memos.push(frame.memo);
+        self.sp = saved_sp;
+        result
+    }
 
+    fn run_frame(&mut self, frame: &mut Frame<'m>) -> Result<Option<Value>, InterpError> {
+        let func = frame.func;
         let mut block = func.entry();
-        let result = loop {
+        loop {
             let blk = func.block(block);
-            let mut cache: HashMap<NodeId, Value> = HashMap::new();
+            self.epoch += 1;
+            frame.epoch = self.epoch;
             for stmt in &blk.stmts {
                 self.stats.stmts += 1;
                 if self.stats.stmts > self.budget {
@@ -190,18 +237,16 @@ impl<'m> Interp<'m> {
                 }
                 match stmt {
                     Stmt::SetVreg(v, n) => {
-                        let val = self.eval(func, *n, &vregs, frame_base, &mut cache)?;
-                        vregs[v.0 as usize] = val;
+                        let val = self.eval(frame, *n)?;
+                        frame.vregs[v.0 as usize] = val;
                     }
                     Stmt::Store { addr, value, ty } => {
-                        let a = self
-                            .eval(func, *addr, &vregs, frame_base, &mut cache)?
-                            .as_i() as u32;
-                        let v = self.eval(func, *value, &vregs, frame_base, &mut cache)?;
+                        let a = self.eval(frame, *addr)?.as_i() as u32;
+                        let v = self.eval(frame, *value)?;
                         self.write_mem(a, v, *ty)?;
                     }
                     Stmt::CallStmt(n) => {
-                        self.eval(func, *n, &vregs, frame_base, &mut cache)?;
+                        self.eval(frame, *n)?;
                     }
                 }
             }
@@ -218,54 +263,44 @@ impl<'m> Interp<'m> {
                     then_to,
                     else_to,
                 } => {
-                    let l = self.eval(func, *lhs, &vregs, frame_base, &mut cache)?;
-                    let r = self.eval(func, *rhs, &vregs, frame_base, &mut cache)?;
+                    let l = self.eval(frame, *lhs)?;
+                    let r = self.eval(frame, *rhs)?;
                     let taken = compare(*rel, l, r)?;
                     block = if taken { *then_to } else { *else_to };
                 }
-                Terminator::Ret(Some(n)) => {
-                    let v = self.eval(func, *n, &vregs, frame_base, &mut cache)?;
-                    break Some(v);
-                }
-                Terminator::Ret(None) => break None,
+                Terminator::Ret(Some(n)) => return Ok(Some(self.eval(frame, *n)?)),
+                Terminator::Ret(None) => return Ok(None),
             }
-        };
-        self.sp = saved_sp;
-        Ok(result)
+        }
     }
 
-    fn eval(
-        &mut self,
-        func: &'m Function,
-        id: NodeId,
-        vregs: &[Value],
-        frame_base: u32,
-        cache: &mut HashMap<NodeId, Value>,
-    ) -> Result<Value, InterpError> {
-        if let Some(v) = cache.get(&id) {
-            return Ok(*v);
+    fn eval(&mut self, frame: &mut Frame<'m>, id: NodeId) -> Result<Value, InterpError> {
+        let (epoch, v) = frame.memo[id.0 as usize];
+        if epoch == frame.epoch {
+            return Ok(v);
         }
+        let func = frame.func;
         let node = func.node(id);
         let val = match &node.kind {
             NodeKind::ConstI(v) => Value::I(*v),
             NodeKind::ConstF(v) => Value::F(round_ty(*v, node.ty)),
-            NodeKind::ReadVreg(v) => vregs[v.0 as usize],
-            NodeKind::GlobalAddr(s) => match self.global_addrs.get(s) {
-                Some(a) => Value::I(*a as i64),
+            NodeKind::ReadVreg(v) => frame.vregs[v.0 as usize],
+            NodeKind::GlobalAddr(s) => match self.global_addr(*s) {
+                Some(a) => Value::I(a as i64),
                 None => return fault(format!("address of non-global symbol {s}")),
             },
-            NodeKind::LocalAddr(l) => Value::I((frame_base + func.local_offset(*l)) as i64),
+            NodeKind::LocalAddr(l) => Value::I((frame.base + func.local_offset(*l)) as i64),
             NodeKind::Load(a) => {
-                let addr = self.eval(func, *a, vregs, frame_base, cache)?.as_i() as u32;
+                let addr = self.eval(frame, *a)?.as_i() as u32;
                 self.read_mem(addr, node.ty)?
             }
             NodeKind::Bin(op, a, b) => {
-                let l = self.eval(func, *a, vregs, frame_base, cache)?;
-                let r = self.eval(func, *b, vregs, frame_base, cache)?;
+                let l = self.eval(frame, *a)?;
+                let r = self.eval(frame, *b)?;
                 binop(*op, l, r, node.ty)?
             }
             NodeKind::Un(op, a) => {
-                let v = self.eval(func, *a, vregs, frame_base, cache)?;
+                let v = self.eval(frame, *a)?;
                 match (op, v) {
                     (UnOp::Neg, Value::I(x)) => Value::I(wrap32(-x)),
                     (UnOp::Neg, Value::F(x)) => Value::F(round_ty(-x, node.ty)),
@@ -274,13 +309,13 @@ impl<'m> Interp<'m> {
                 }
             }
             NodeKind::Cvt(a) => {
-                let v = self.eval(func, *a, vregs, frame_base, cache)?;
+                let v = self.eval(frame, *a)?;
                 convert(v, func.node(*a).ty, node.ty)
             }
             NodeKind::Call(sym, args) => {
                 let mut vals = Vec::with_capacity(args.len());
                 for a in args {
-                    vals.push(self.eval(func, *a, vregs, frame_base, cache)?);
+                    vals.push(self.eval(frame, *a)?);
                 }
                 let callee = match self.module.symbol(*sym) {
                     Symbol::Func(i) => &self.module.funcs[*i],
@@ -297,7 +332,7 @@ impl<'m> Interp<'m> {
                 }
             }
         };
-        cache.insert(id, val);
+        frame.memo[id.0 as usize] = (frame.epoch, val);
         Ok(val)
     }
 
@@ -369,6 +404,7 @@ fn round_ty(v: f64, ty: Ty) -> f64 {
 ///
 /// Faults on integer division by zero and on float-only/int-only
 /// operator misuse.
+#[inline]
 pub fn binop(op: BinOp, l: Value, r: Value, ty: Ty) -> Result<Value, InterpError> {
     if op == BinOp::Cmp {
         // The generic compare `::` yields a signum: -1, 0 or +1, so a
@@ -428,6 +464,7 @@ pub fn binop(op: BinOp, l: Value, r: Value, ty: Ty) -> Result<Value, InterpError
 /// # Errors
 ///
 /// Faults on mixed int/float operands.
+#[inline]
 pub fn compare(rel: BinOp, l: Value, r: Value) -> Result<bool, InterpError> {
     let ord = match (l, r) {
         (Value::I(a), Value::I(b)) => a.partial_cmp(&b),
@@ -452,6 +489,7 @@ pub fn compare(rel: BinOp, l: Value, r: Value) -> Result<bool, InterpError> {
 }
 
 /// Converts `v` from type `from` to type `to` with C semantics.
+#[inline]
 pub fn convert(v: Value, from: Ty, to: Ty) -> Value {
     match (from.is_float(), to.is_float()) {
         (false, false) => {

@@ -1035,6 +1035,15 @@ impl Machine {
         m
     }
 
+    /// The latency of every dependence edge out of `first`, when no
+    /// `%aux` directive names it as a producer; `None` when
+    /// [`Machine::edge_latency`] must look at the consumer.
+    pub fn fixed_latency(&self, first: TemplateId) -> Option<u32> {
+        self.aux_by_first[first.0 as usize]
+            .is_empty()
+            .then(|| self.template(first).latency)
+    }
+
     /// Computes the latency of a dependence edge from `first` to
     /// `second`, honouring `%aux` overrides. `ops_equal(i, j)` must
     /// report whether operand `i` of the producer equals operand `j`

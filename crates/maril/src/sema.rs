@@ -991,6 +991,10 @@ mod tests {
         assert_eq!(m.edge_latency(fadd, st, &|_, _| false), 6);
         // Unrelated pair: producer's latency.
         assert_eq!(m.edge_latency(st, fadd, &|_, _| false), 1);
+        // Only a producer no `%aux` names has a latency of its own.
+        assert_eq!(m.fixed_latency(fadd), None);
+        assert_eq!(m.fixed_latency(st), Some(1));
+        assert_eq!(m.without_aux().fixed_latency(fadd), Some(6));
     }
 
     #[test]

@@ -11,13 +11,21 @@
 //! operands are decoded once per sub-operation into `Opnd`s. A
 //! problem found while decoding (an unplaceable symbol, an unknown
 //! latch) becomes a fault that fires only if the instruction executes.
+//!
+//! A sub-operation whose semantics have one of the common shapes —
+//! a copy, a binary operation, a `mem[a + b]` load or store, a nop, a
+//! goto or a conditional branch — and whose data operands are all
+//! registers or immediates decodes to a `Form` that runs without the
+//! stack. The `Code` program stays the reference: each form calls the
+//! helpers its `Code` steps call, in the same order, so effects and
+//! fault texts are the same.
 
 use crate::regs::{RegFile, RegSlot};
 use crate::{fault, SimError};
 use marion_core::{AsmInst, Operand};
-use marion_ir::interp::{binop, compare, convert, Value};
+use marion_ir::interp::{binop, compare, convert, InterpError, Value};
 use marion_maril::expr::{LValue, Stmt};
-use marion_maril::{BinOp, Builtin, Expr, Machine, Template, Ty, UnOp};
+use marion_maril::{BinOp, Builtin, Expr, Machine, ResSet, Template, Ty, UnOp};
 
 /// A control-flow event produced by an instruction.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -226,6 +234,114 @@ pub(crate) fn nth(ops: &[Opnd], k: u8) -> Option<Opnd> {
     ops.get(usize::from(k).wrapping_sub(1)).copied()
 }
 
+/// A data operand of a [`Form`], resolved at load time.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Src {
+    Reg(RegSlot),
+    /// An immediate operand or a literal of the semantics.
+    Imm(i64),
+}
+
+/// How a sub-operation executes, decoded once per sub-operation.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Form {
+    /// The template's `Code` program, which every form below but
+    /// `Raw` must agree with.
+    Code,
+    /// A register move between equally wide registers: a raw unit copy
+    /// (half-moves shuttle the raw words of a double and must not
+    /// round through f32). Not a form of the `Code` program, which
+    /// would round.
+    Raw { dest: RegSlot, src: RegSlot },
+    /// No effect.
+    Nop,
+    /// `$d = src`.
+    Copy { dest: RegSlot, src: Src },
+    /// `$d = a op b`.
+    Bin {
+        op: BinOp,
+        dest: RegSlot,
+        a: Src,
+        b: Src,
+    },
+    /// `$d = mem[a + b]`.
+    Load { dest: RegSlot, a: Src, b: Src },
+    /// `mem[a + b] = value`.
+    Store { value: Src, a: Src, b: Src },
+    /// `goto target`.
+    Goto(marion_ir::BlockId),
+    /// `if (a rel b) goto target`.
+    Branch {
+        rel: BinOp,
+        a: Src,
+        b: Src,
+        target: marion_ir::BlockId,
+    },
+}
+
+impl Form {
+    /// The form of semantics `sem` over the decoded operands `ops`.
+    pub(crate) fn decode(sem: &[Stmt], ops: &[Opnd]) -> Form {
+        let reg = |k: u8| match nth(ops, k) {
+            Some(Opnd::Reg(r)) => Some(r),
+            _ => None,
+        };
+        let src = |e: &Expr| match *e {
+            Expr::Operand(k) => match nth(ops, k)? {
+                Opnd::Reg(r) => Some(Src::Reg(r)),
+                Opnd::Imm(v) => Some(Src::Imm(v)),
+                _ => None,
+            },
+            Expr::Int(v) => Some(Src::Imm(v)),
+            _ => None,
+        };
+        let sum = |e: &Expr| match e {
+            Expr::Bin(BinOp::Add, a, b) => src(a).zip(src(b)),
+            _ => None,
+        };
+        let block = |k: u8| match nth(ops, k) {
+            Some(Opnd::Block(b)) => Some(b),
+            _ => None,
+        };
+        let form = match sem {
+            _ if sem.iter().all(|s| matches!(s, Stmt::Nop)) => Some(Form::Nop),
+            [Stmt::Assign(LValue::Operand(d), rhs)] => reg(*d).and_then(|dest| match rhs {
+                Expr::Bin(op, a, b) => src(a).zip(src(b)).map(|(a, b)| Form::Bin {
+                    op: *op,
+                    dest,
+                    a,
+                    b,
+                }),
+                Expr::Mem(_, addr) => sum(addr).map(|(a, b)| Form::Load { dest, a, b }),
+                _ => src(rhs).map(|src| match src {
+                    Src::Reg(src) if src.width == dest.width => Form::Raw { dest, src },
+                    _ => Form::Copy { dest, src },
+                }),
+            }),
+            [Stmt::Assign(LValue::Mem(_, addr), value)] => src(value)
+                .zip(sum(addr))
+                .map(|(value, (a, b))| Form::Store { value, a, b }),
+            [Stmt::Goto(k)] => block(*k).map(Form::Goto),
+            [Stmt::CondGoto {
+                rel,
+                lhs,
+                rhs,
+                target,
+            }] => src(lhs)
+                .zip(src(rhs))
+                .zip(block(*target))
+                .map(|((a, b), target)| Form::Branch {
+                    rel: *rel,
+                    a,
+                    b,
+                    target,
+                }),
+            _ => None,
+        };
+        form.unwrap_or(Form::Code)
+    }
+}
+
 /// Why operand `op` cannot be read as data.
 fn bad_operand(op: &Operand) -> SimError {
     SimError(match op {
@@ -242,9 +358,11 @@ fn bad_operand(op: &Operand) -> SimError {
 /// One sub-operation, decoded at load time.
 #[derive(Debug)]
 pub(crate) struct SubOp<'a> {
-    /// The instruction as emitted: latency lookups, resource commits,
-    /// `%aux` operand tests and fault messages read it.
+    /// The instruction as emitted: `%aux` latency lookups, their
+    /// operand tests and fault messages read it.
     pub(crate) inst: AsmInst<'a>,
+    /// How it executes.
+    pub(crate) form: Form,
     /// Range of the template's compiled semantics.
     pub(crate) code: (u32, u32),
     /// Range of the decoded operands.
@@ -254,10 +372,11 @@ pub(crate) struct SubOp<'a> {
     /// Arithmetic type (the template type, double when untyped).
     pub(crate) arith: Ty,
     pub(crate) reads_mem: bool,
-    /// A register move between equally wide registers: a raw unit copy
-    /// (half-moves shuttle the raw words of a double and must not
-    /// round through f32).
-    pub(crate) raw: Option<(RegSlot, RegSlot)>,
+    /// The template's per-cycle resource vector.
+    pub(crate) rsrc: &'a [ResSet],
+    /// Latency of every edge out of it, or `None` when a `%aux`
+    /// directive names its template and the consumer decides.
+    pub(crate) latency: Option<u32>,
     /// Where the register-unit ranges it reads (`uses`) and writes
     /// (`defs`) sit in the simulator's unit-range table.
     pub(crate) uses: (u32, u32),
@@ -317,14 +436,60 @@ impl ExecCtx<'_> {
     ///
     /// Faults on invalid memory accesses, division by zero, values of
     /// the wrong kind, malformed operands.
+    #[inline]
     pub(crate) fn exec(&self, sub: &SubOp<'_>, out: &mut Effects) -> Result<(), SimError> {
-        if let Some((dest, src)) = sub.raw {
-            for i in 0..dest.width {
-                out.raw_writes
-                    .push((dest.start + i, self.regs.unit(src.start + i)));
+        match sub.form {
+            Form::Code => return self.exec_code(sub, out),
+            Form::Raw { dest, src } => {
+                for i in 0..dest.width {
+                    out.raw_writes
+                        .push((dest.start + i, self.regs.unit(src.start + i)));
+                }
             }
-            return Ok(());
+            Form::Nop => {}
+            Form::Copy { dest, src } => out.reg_writes.push((dest, self.read(src))),
+            Form::Bin { op, dest, a, b } => {
+                let v = binop(op, self.read(a), self.read(b), sub.arith).map_err(sim_error)?;
+                out.reg_writes.push((dest, v));
+            }
+            Form::Load { dest, a, b } => {
+                let addr = self.sum(a, b, sub.arith)?;
+                out.mem_reads.push(addr);
+                out.reg_writes
+                    .push((dest, read_mem(self.mem, addr, sub.width)?));
+            }
+            Form::Store { value, a, b } => {
+                let v = self.read(value);
+                let addr = self.sum(a, b, sub.arith)?;
+                out.mem_writes.push((addr, v, sub.width));
+            }
+            Form::Goto(target) => out.control = Some(Control::Branch(target)),
+            Form::Branch { rel, a, b, target } => {
+                if compare(rel, self.read(a), self.read(b)).map_err(sim_error)? {
+                    out.control = Some(Control::Branch(target));
+                }
+            }
         }
+        Ok(())
+    }
+
+    #[inline]
+    fn read(&self, src: Src) -> Value {
+        match src {
+            Src::Reg(r) => self.regs.get(r),
+            Src::Imm(v) => Value::I(v),
+        }
+    }
+
+    /// The address `a + b`, as the `Code` steps `Bin(Add)` and `Load`
+    /// or `Store` compute it.
+    #[inline]
+    fn sum(&self, a: Src, b: Src, arith: Ty) -> Result<u32, SimError> {
+        address(binop(BinOp::Add, self.read(a), self.read(b), arith).map_err(sim_error)?)
+    }
+
+    /// Executes one sub-operation's `Code` program.
+    pub(crate) fn exec_code(&self, sub: &SubOp<'_>, out: &mut Effects) -> Result<(), SimError> {
         let ops = &self.opnds[sub.ops.0 as usize..sub.ops.1 as usize];
         let operand = |k: u8| nth(ops, k);
         out.stack.clear();
@@ -348,7 +513,7 @@ impl ExecCtx<'_> {
                 Code::Bin(op) => {
                     let r = out.pop();
                     let l = out.pop();
-                    binop(op, l, r, sub.arith).map_err(|e| SimError(e.to_string()))?
+                    binop(op, l, r, sub.arith).map_err(sim_error)?
                 }
                 Code::Un(op) => match (op, out.pop()) {
                     (UnOp::Neg, Value::I(x)) => Value::I(x.wrapping_neg() as i32 as i64),
@@ -403,7 +568,7 @@ impl ExecCtx<'_> {
                 Code::CondGoto(rel, k) => {
                     let r = out.pop();
                     let l = out.pop();
-                    if compare(rel, l, r).map_err(|e| SimError(e.to_string()))? {
+                    if compare(rel, l, r).map_err(sim_error)? {
                         let Some(Opnd::Block(b)) = operand(k) else {
                             return fault("branch target is not a block");
                         };
@@ -435,6 +600,10 @@ impl ExecCtx<'_> {
         }
         Ok(())
     }
+}
+
+fn sim_error(e: InterpError) -> SimError {
+    SimError(e.to_string())
 }
 
 /// A value used as a memory address.

@@ -1,11 +1,10 @@
 //! Program loading and the in-order timing loop.
 
-use crate::exec::{nth, write_mem, Control, Effects, ExecCtx, Opnd, Semantics, SubOp};
+use crate::exec::{nth, write_mem, Control, Effects, ExecCtx, Form, Opnd, Semantics, SubOp};
 use crate::regs::{RegFile, RegSlot};
 use crate::{fault, SimError, Value};
 use marion_core::{AsmWord, CompiledProgram};
-use marion_maril::expr::{LValue, Stmt};
-use marion_maril::{Expr, Machine, ResSet, Ty};
+use marion_maril::{Machine, ResSet, Ty};
 use std::collections::HashMap;
 
 /// A direct-mapped cache model: hit or miss per access, fixed miss
@@ -294,12 +293,15 @@ impl<'a> Simulator<'a> {
                 let empty = (self.units.len() as u32, self.units.len() as u32);
                 self.subs.push(SubOp {
                     inst,
+                    form: Form::Code,
                     code: self.sem.unknown_template(inst.template.0),
                     ops,
                     width: Ty::Int,
                     arith: Ty::Double,
                     reads_mem: false,
-                    raw: None,
+                    rsrc: &[],
+                    // It writes nothing, so no edge leaves it.
+                    latency: Some(0),
                     uses: empty,
                     defs: empty,
                 });
@@ -326,20 +328,16 @@ impl<'a> Simulator<'a> {
             self.units.extend(ranges(&t.effects.uses));
             let defs_start = self.units.len() as u32;
             self.units.extend(ranges(&t.effects.defs));
-            let raw = match t.sem.as_slice() {
-                [Stmt::Assign(LValue::Operand(a), Expr::Operand(b))] => {
-                    reg(a).zip(reg(b)).filter(|(d, s)| d.width == s.width)
-                }
-                _ => None,
-            };
             self.subs.push(SubOp {
                 inst,
+                form: Form::decode(&t.sem, decoded),
                 code: self.sem.of(machine, inst.template.0 as usize, t),
                 ops,
                 width: t.ty.unwrap_or(Ty::Int),
                 arith: t.ty.unwrap_or(Ty::Double),
                 reads_mem: t.effects.reads_mem,
-                raw,
+                rsrc: &t.rsrc,
+                latency: machine.fixed_latency(inst.template),
                 uses: (uses_start, defs_start),
                 defs: (defs_start, self.units.len() as u32),
             });
@@ -421,8 +419,10 @@ impl<'a> Simulator<'a> {
             regs.write(self.machine, reg, *arg);
         }
 
-        // Timing state: per register unit, the issue cycle of its last
-        // producer and that producer's sub-operation.
+        // Timing state, per register unit: when its last producer's
+        // result is ready, and `NONE`; or, for a producer whose
+        // latency depends on the consumer (`%aux`), its issue cycle
+        // and its sub-operation.
         let mut unit_ready: Vec<(u64, u32)> = vec![(0, NONE); self.machine.unit_count() as usize];
         let mut resource_window = [(u64::MAX, ResSet::EMPTY); WINDOW];
         let mut icache = config.icache.map(Cache::new);
@@ -466,19 +466,19 @@ impl<'a> Simulator<'a> {
                 let inst = sub.inst;
                 for &(start, end) in &self.units[sub.uses.0 as usize..sub.uses.1 as usize] {
                     for u in start..end {
-                        let (pissue, producer) = unit_ready[u as usize];
+                        let (mut ready, producer) = unit_ready[u as usize];
                         if producer != NONE {
                             let producer = self.subs[producer as usize].inst;
-                            let lat = self.machine.edge_latency(
+                            ready += u64::from(self.machine.edge_latency(
                                 producer.template,
                                 inst.template,
                                 &|a, b| {
                                     producer.ops.get((a - 1) as usize)
                                         == inst.ops.get((b - 1) as usize)
                                 },
-                            );
-                            issue = issue.max(pissue + lat as u64);
+                            ));
                         }
+                        issue = issue.max(ready);
                     }
                 }
             }
@@ -509,8 +509,7 @@ impl<'a> Simulator<'a> {
             // reservation longer than the window aliases its slots, and
             // the order of the updates decides what they hold.
             for sub in subs {
-                let rsrc = self.machine.templates().get(sub.inst.template.0 as usize);
-                for (c, need) in rsrc.iter().flat_map(|t| t.rsrc.iter().enumerate()) {
+                for (c, need) in sub.rsrc.iter().enumerate() {
                     let at = issue + c as u64;
                     let slot = &mut resource_window[at as usize % WINDOW];
                     if slot.0 != at {
@@ -557,10 +556,13 @@ impl<'a> Simulator<'a> {
             // when its producer's result does.
             for (i, sub) in subs.iter().enumerate() {
                 let ready = issue + if sub.reads_mem { load_extra } else { 0 };
-                let id = word.subs.0 + i as u32;
+                let entry = match sub.latency {
+                    Some(lat) => (ready + u64::from(lat), NONE),
+                    None => (ready, word.subs.0 + i as u32),
+                };
                 for &(start, end) in &self.units[sub.defs.0 as usize..sub.defs.1 as usize] {
                     for u in start..end {
-                        unit_ready[u as usize] = (ready, id);
+                        unit_ready[u as usize] = entry;
                     }
                 }
             }
@@ -682,4 +684,205 @@ pub fn run_program(
         Some(_) => result.result,
     };
     Ok(result)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use marion_core::{Compiler, StrategyKind};
+    use marion_rng::SplitMix64;
+
+    /// Bytes of each seeded memory image. Most seeded register words
+    /// point into it, so fast loads and stores both succeed and fault.
+    const MEM: u32 = 4096;
+
+    /// Seeded states each decoded sub-operation runs on.
+    const TRIALS: usize = 4;
+
+    /// Names of the forms, indexed by [`form_index`].
+    const FORMS: [&str; 8] = [
+        "code", "nop", "copy", "bin", "load", "store", "goto", "branch",
+    ];
+
+    /// `None` for a raw move, which is not a form of the `Code` program.
+    fn form_index(form: Form) -> Option<usize> {
+        Some(match form {
+            Form::Raw { .. } => return None,
+            Form::Code => 0,
+            Form::Nop => 1,
+            Form::Copy { .. } => 2,
+            Form::Bin { .. } => 3,
+            Form::Load { .. } => 4,
+            Form::Store { .. } => 5,
+            Form::Goto(_) => 6,
+            Form::Branch { .. } => 7,
+        })
+    }
+
+    fn bits(v: Value) -> (bool, u64) {
+        match v {
+            Value::I(x) => (false, x as u64),
+            Value::F(x) => (true, x.to_bits()),
+        }
+    }
+
+    /// Everything one sub-operation buffered, floats as bits so that
+    /// NaNs compare.
+    fn observed(fx: &Effects) -> impl PartialEq + std::fmt::Debug {
+        (
+            fx.reg_writes
+                .iter()
+                .map(|&(r, v)| (r, bits(v)))
+                .collect::<Vec<_>>(),
+            fx.raw_writes.clone(),
+            fx.latch_writes
+                .iter()
+                .map(|&(l, v)| (l, v.to_bits()))
+                .collect::<Vec<_>>(),
+            fx.mem_writes
+                .iter()
+                .map(|&(a, v, ty)| (a, bits(v), ty))
+                .collect::<Vec<_>>(),
+            fx.mem_reads.clone(),
+            fx.control,
+        )
+    }
+
+    fn seeded_state(machine: &Machine, rng: &mut SplitMix64) -> (RegFile, Vec<u8>) {
+        let mut regs = RegFile::new(machine);
+        for unit in 0..machine.unit_count() {
+            let word = if rng.chance(0.75) {
+                rng.below(u64::from(MEM) + 64) as u32
+            } else {
+                rng.next_u64() as u32
+            };
+            regs.set_unit(unit, word);
+        }
+        let mem = (0..MEM).map(|_| rng.next_u64() as u8).collect();
+        (regs, mem)
+    }
+
+    /// Every sub-operation of the 18 evaluation programs × 5 machines
+    /// × 3 strategies that decodes to a fast form runs both ways on
+    /// seeded register files and memory images: the effects, or the
+    /// fault texts, must be equal. Weighted by the block counts of
+    /// simulated runs, the fast forms must carry most executions.
+    #[test]
+    fn fast_forms_agree_with_the_code_program() {
+        let mut programs = marion_workloads::livermore::kernels();
+        programs.extend(marion_workloads::suite::programs());
+        assert_eq!(programs.len(), 18);
+        let mut rng = SplitMix64::new(0x5eed);
+        // Per form: sub-operations decoded, trials that ran, trials
+        // that faulted, trials that branched, and executions in the
+        // simulated runs.
+        let mut decoded = [0u64; FORMS.len()];
+        let mut ran = [0u64; FORMS.len()];
+        let mut faulted = [0u64; FORMS.len()];
+        let mut branched = [0u64; FORMS.len()];
+        let mut executed = [0u64; FORMS.len()];
+        let (mut fast, mut code) = (Effects::default(), Effects::default());
+        for (mi, name) in marion_machines::EXTENDED.into_iter().enumerate() {
+            let spec = marion_machines::load(name);
+            for (si, strategy) in StrategyKind::ALL.into_iter().enumerate() {
+                let compiler = Compiler::new(spec.machine.clone(), spec.escapes.clone(), strategy);
+                for (pi, w) in programs.iter().enumerate() {
+                    let cell = format!("{name}/{}/{}", strategy.name(), w.name);
+                    let program = compiler
+                        .compile_module(&w.module())
+                        .unwrap_or_else(|e| panic!("{cell}: {e}"));
+                    let sim = Simulator::new(&spec.machine, &program);
+                    for sub in &sim.subs {
+                        if let Some(f @ 1..) = form_index(sub.form) {
+                            decoded[f] += 1;
+                        }
+                    }
+                    for _ in 0..TRIALS {
+                        let (regs, mem) = seeded_state(&spec.machine, &mut rng);
+                        let ctx = ExecCtx {
+                            sem: &sim.sem,
+                            opnds: &sim.opnds,
+                            regs: &regs,
+                            mem: &mem,
+                        };
+                        for sub in &sim.subs {
+                            let Some(f @ 1..) = form_index(sub.form) else {
+                                continue;
+                            };
+                            fast.clear();
+                            code.clear();
+                            let got = ctx.exec(sub, &mut fast);
+                            let want = ctx.exec_code(sub, &mut code);
+                            assert_eq!(got, want, "{cell}: {:?}", sub.form);
+                            if got.is_ok() {
+                                assert_eq!(
+                                    observed(&fast),
+                                    observed(&code),
+                                    "{cell}: {:?}",
+                                    sub.form
+                                );
+                            }
+                            ran[f] += 1;
+                            faulted[f] += u64::from(got.is_err());
+                            branched[f] += u64::from(fast.control.is_some());
+                        }
+                    }
+                    // Simulating every cell takes minutes in a debug
+                    // build: there, each program runs once, on a
+                    // machine and a strategy that rotate with it.
+                    if cfg!(debug_assertions) && (mi != pi % 5 || si != pi % 3) {
+                        continue;
+                    }
+                    let run = sim
+                        .run("main", &[], &SimConfig::default())
+                        .unwrap_or_else(|e| panic!("{cell}: {e}"));
+                    let mut count = 0;
+                    for word in &sim.words {
+                        if word.head != NONE {
+                            let head = sim.heads[word.head as usize];
+                            count = run.block_counts.get(&head).copied().unwrap_or(0);
+                        }
+                        for sub in &sim.subs[word.subs.0 as usize..word.subs.1 as usize] {
+                            if let Some(f) = form_index(sub.form) {
+                                executed[f] += count;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        let total: u64 = executed.iter().sum();
+        let share = 1.0 - executed[0] as f64 / total as f64;
+        for (f, name) in FORMS.iter().enumerate() {
+            println!(
+                "{name:>5}: {:>6} decoded, {:>7} trials ({:>6} faulted), {:>5.1} % of {total} executions",
+                decoded[f],
+                ran[f],
+                faulted[f],
+                100.0 * executed[f] as f64 / total as f64
+            );
+        }
+        for f in 1..FORMS.len() {
+            assert!(decoded[f] > 0, "no sub-operation decodes to {}", FORMS[f]);
+        }
+        // A store's address is checked when the word commits, so only
+        // loads fault on one.
+        assert!(
+            faulted[4] > 0 && faulted[4] < ran[4],
+            "load trials should both fault and succeed: {} of {}",
+            faulted[4],
+            ran[4]
+        );
+        assert!(
+            branched[7] > 0 && branched[7] < ran[7],
+            "branch trials should both branch and fall through: {} of {}",
+            branched[7],
+            ran[7]
+        );
+        // Measured: 94.0 % over all 270 cells (block counts weight the
+        // words after a taken branch too: 91.8 M weighted against 87.8 M
+        // executed sub-operations), 95.0 % over a debug build's 18.
+        println!("fast forms: {:.1} % of non-raw executions", 100.0 * share);
+        assert!(share > 0.92, "fast forms ran {share:.3} of executions");
+    }
 }
